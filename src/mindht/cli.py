@@ -22,13 +22,7 @@ import time
 import numpy as np
 
 from .counting import audit_dict, audit_passes, audit_report, audit_table
-from .derivation import (
-    balance_stages,
-    entry_alphabet,
-    pre_addition_matrix,
-    residual_matrix,
-    verify_decomposition,
-)
+from .derivation import balance_stages, pre_addition_matrix, verify_decomposition
 from .io import SignalParseError, read_signal, write_complex, write_signal
 from .kernels import fast_dht
 from .layers import SUPPORTED_SIZES, UnsupportedLengthError, max_order
@@ -139,9 +133,7 @@ def _cmd_count(args) -> int:
     return EXIT_OK if ok else EXIT_FAIL
 
 
-def _describe_layer(n: int, order: int, machine: bool):
-    t = residual_matrix(n, order)
-    alpha = entry_alphabet(t)
+def _describe_layer(n: int, order: int, alpha: tuple[float, ...], machine: bool):
     if machine:
         return {
             "order": order,
@@ -166,7 +158,7 @@ def _cmd_derive(args) -> int:
     if args.format == "machine":
         doc = {
             "n": n,
-            "layers": [_describe_layer(n, k, True) for k in orders],
+            "layers": [_describe_layer(n, k, report.alphabets[k], True) for k in orders],
             "special_additions": [
                 {
                     "source_layer": z.source_order,
@@ -187,7 +179,7 @@ def _cmd_derive(args) -> int:
     else:
         print(f"derivation for N={n}")
         for k in orders:
-            print(_describe_layer(n, k, False))
+            print(_describe_layer(n, k, report.alphabets[k], False))
         for z in stages:
             print(f"special additions (layer-{z.source_order} values):")
             for line in z.describe():

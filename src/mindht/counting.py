@@ -1,11 +1,14 @@
 """Instrumented operation counting for the fast kernels.
 
 A CountingScalar behaves exactly like a float (same values, same operation
-order, bit for bit) while tallying every addition/subtraction and every
-multiplication by a non-trivial constant into a per-invocation accumulator.
-Running a kernel on counting scalars therefore *measures* its cost instead of
-trusting a hand count, and the audit compares the measurement against the
-declared budgets and the multiplicative-complexity lower bounds.
+order, bit for bit) while recording every addition, subtraction and
+multiplication by a constant as one node of a straight-line program in a
+per-invocation OpTally.  The operation counts are counts over those nodes, so
+running a kernel on counting scalars *measures* its cost instead of trusting a
+hand count, and the audit compares the measurement against the declared
+budgets and the multiplicative-complexity lower bounds.  The same recorded
+program is what mindht.derivation extracts each kernel's factorization plan
+from.
 """
 
 from __future__ import annotations
@@ -60,56 +63,67 @@ class OpCount:
 
 
 class OpTally:
-    """Mutable accumulator shared by the counting scalars of one invocation."""
+    """Straight-line program recorded by the counting scalars of one invocation.
 
-    __slots__ = ("additions", "multiplications")
+    nodes[k] is ("in", None, None) for a scalar created directly, ("+", a, b)
+    or ("-", a, b) for the sum or difference of nodes a and b, and
+    ("*", a, c) for node a times the constant c.  Negation is recorded as a
+    multiplication by -1.0.
+    """
+
+    __slots__ = ("nodes",)
 
     def __init__(self):
-        self.additions = 0
-        self.multiplications = 0
+        self.nodes: list[tuple] = []
+
+    @property
+    def additions(self) -> int:
+        return sum(op in ("+", "-") for op, _, _ in self.nodes)
+
+    @property
+    def multiplications(self) -> int:
+        return sum(op == "*" and c not in (-1.0, 0.0, 1.0) for op, _, c in self.nodes)
 
     def snapshot(self) -> OpCount:
         return OpCount(self.additions, self.multiplications)
 
 
 class CountingScalar:
-    """Float stand-in that counts the operations applied to it.
+    """Float stand-in that records the operations applied to it.
 
-    Addition and subtraction cost one addition each.  Multiplication by a
-    constant outside {-1, 0, 1} costs one multiplication; sign flips and
-    trivial constants are free (the usual convention for multiplicative
-    complexity).  Scalar-by-scalar products never occur in a linear transform,
-    so they raise instead of being silently miscounted.
+    Each instance is one node of its tally's program.  Addition and
+    subtraction cost one addition each.  Multiplication by a constant outside
+    {-1, 0, 1} costs one multiplication; sign flips and trivial constants are
+    free (the usual convention for multiplicative complexity).  Scalar-by-scalar products never occur in a linear transform, so
+    they raise instead of being silently miscounted.
     """
 
-    __slots__ = ("value", "tally")
+    __slots__ = ("value", "tally", "node")
 
-    def __init__(self, value: float, tally: OpTally):
+    def __init__(self, value: float, tally: OpTally, node=("in", None, None)):
         self.value = float(value)
         self.tally = tally
+        tally.nodes.append(node)
+        self.node = len(tally.nodes) - 1
 
     def __add__(self, other):
         if not isinstance(other, CountingScalar):
             return NotImplemented
-        self.tally.additions += 1
-        return CountingScalar(self.value + other.value, self.tally)
+        return CountingScalar(self.value + other.value, self.tally, ("+", self.node, other.node))
 
     def __sub__(self, other):
         if not isinstance(other, CountingScalar):
             return NotImplemented
-        self.tally.additions += 1
-        return CountingScalar(self.value - other.value, self.tally)
+        return CountingScalar(self.value - other.value, self.tally, ("-", self.node, other.node))
 
     def __neg__(self):
-        return CountingScalar(-self.value, self.tally)
+        return CountingScalar(-self.value, self.tally, ("*", self.node, -1.0))
 
     def _scale(self, const):
         if isinstance(const, CountingScalar):
             raise TypeError("kernels multiply by constants, not by data values")
         c = float(const)
-        if c not in (-1.0, 0.0, 1.0):
-            self.tally.multiplications += 1
-        return CountingScalar(c * self.value, self.tally)
+        return CountingScalar(c * self.value, self.tally, ("*", self.node, c))
 
     def __mul__(self, other):
         return self._scale(other)

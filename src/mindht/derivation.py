@@ -5,26 +5,33 @@ The fast kernels factor the Hartley matrix H_N as
     H_N = (post additions) . (constant diagonal) . (pre-addition layers)
           + special-addition corrections
 
-where only the pre-addition layer listings are given directly; the residual
-matrices T(k) - what remains of the transform after k layers, satisfying
-V = T(k) . S(k) - are reconstructed here as H_N . P_k^{-1} with P_k the exact
-integer layer composition.  Balancing splits oversized residual entries
-(magnitude above one) into an integer part, applied as a "special addition"
-of an already-computed layer value, plus a remainder that lands back in the
-kernel's constant alphabet.  The resulting multiplication sites and special
-vectors are frozen as per-kernel plans, and verify_decomposition multiplies
-every stage back out to check the factorization reproduces H_N exactly.
+Each kernel is described once, by its ``*_flow`` in mindht.kernels.
+kernel_plan traces that flow on counting scalars and expresses the recorded
+program against the pre-addition layer listings of mindht.layers: the
+multiplication sites, the special-addition stages and the post-addition rows
+are all extracted from the trace, and every live layer slot is checked to be
+a node of the flow.  Independently, the residual matrices T(k) - what remains
+of the transform after k layers, satisfying V = T(k) . S(k) - are
+reconstructed here as H_N . P_k^{-1} with P_k the exact integer layer
+composition.  Balancing splits oversized residual entries (magnitude above
+one) into an integer part, applied as a "special addition" of an
+already-computed layer value, plus a remainder that lands back in the
+kernel's constant alphabet; it re-derives the extracted special stages from
+H_N alone.  verify_decomposition multiplies every plan stage back out to
+check the factorization reproduces H_N exactly.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import add, sub
 
 import numpy as np
 
-from .kernels import SQRT2, SQRT2_HALF, SQRT3_M1_HALF, SQRT6_HALF
-from .layers import LAYER_SPECS, check_size, max_order
+from .counting import CountingScalar, OpTally, count_ops
+from .kernels import CONSTANT_LABELS, kernel_flow
+from .layers import LAYER_SPECS, apply_layer, check_size, max_order
 from .reference import dht_matrix
 
 __all__ = [
@@ -278,20 +285,15 @@ def balance_split(t: ResidualMatrix, tol: float = 1e-9):
     )
 
 
-# Layer transitions at which each kernel peels a special-addition vector.
-# Balancing starts once no un-combined matching columns remain (order 2).
-BALANCE_TRANSITIONS: dict[int, tuple[int, ...]] = {4: (), 8: (), 12: (2,), 24: (2, 3)}
-
-
 def balance_stages(n: int, tol: float = 1e-9):
     """Run the full balancing pipeline for one kernel.
 
-    Returns (stages, terminal) where stages is the list of special-addition
-    vectors in the order they are peeled and terminal is the balanced
-    residual at the deepest layer.
+    Balancing peels one special-addition vector at each source layer of the
+    plan's special stages.  Returns (stages, terminal) where stages is the
+    list of special-addition vectors in the order they are peeled and
+    terminal is the balanced residual at the deepest layer.
     """
-    check_size(n)
-    transitions = BALANCE_TRANSITIONS[n]
+    transitions = tuple(z.source_order for z in kernel_plan(n).special_stages)
     order = min(transitions) if transitions else max_order(n)
     t = residual_matrix(n, order)
     stages = []
@@ -306,7 +308,7 @@ def balance_stages(n: int, tol: float = 1e-9):
 
 
 # ---------------------------------------------------------------------------
-# frozen kernel plans
+# kernel plans, extracted from the traced flows
 
 # Operand/term references: ("S", order, idx) is slot idx of layer `order`;
 # ("m", k) is multiplication site k of the plan.
@@ -334,162 +336,129 @@ class KernelPlan:
     mult_sites: tuple[MultSite, ...]
     special_stages: tuple[SpecialAdditionVector, ...]
     post_rows: tuple[tuple, ...]  # row k -> tuple of (sign, ref)
+    dead_slots: tuple[tuple, ...]  # layer slots ("S", order, idx) no flow node computes
 
 
-def _site(value, label, *terms):
-    return MultSite(value=value, label=label, operand=tuple(terms))
+def _coefficients(nodes: list[tuple], n: int) -> list:
+    """Integer coefficient vector of each traced node over the n inputs.
+
+    The inputs are nodes 0..n-1.  A multiplication node, and every node that
+    depends on one, gets None: such nodes are never layer slots.
+    """
+    vecs: list = []
+    for k, (op, a, b) in enumerate(nodes):
+        if op == "in":
+            vecs.append(tuple(int(i == k) for i in range(n)))
+        elif op == "*" or vecs[a] is None or vecs[b] is None:
+            vecs.append(None)
+        else:
+            vecs.append(tuple(map(add if op == "+" else sub, vecs[a], vecs[b])))
+    return vecs
 
 
-def _plan_4() -> KernelPlan:
-    rows = []
-    h = np.rint(dht_matrix(4)).astype(int)
-    for k in range(4):
-        rows.append(tuple((int(h[k, i]), ("S", 0, i)) for i in range(4)))
-    return KernelPlan(4, (), (), tuple(rows))
+def _extract_plan(n: int) -> KernelPlan:
+    """Trace kernel_flow(n) and express it against the LAYER_SPECS slots.
 
+    A flow node is labelled with the layer slot whose coefficient vector it
+    equals; where pass-throughs repeat a slot, the deepest layer wins.  Each
+    constant multiplication becomes a site and each output a post row, both
+    expanded down to labelled nodes.  Post-row terms below the deepest layer
+    are the special additions, one stage per source layer.
+    """
+    tally = OpTally()
+    layers = [[CountingScalar(0.0, tally) for _ in range(n)]]
+    outputs = kernel_flow(n)(layers[0])
+    flow_size = len(tally.nodes)
+    for spec in LAYER_SPECS[n]:
+        layers.append(apply_layer(spec, layers[-1]))
+    nodes = tally.nodes
+    vecs = _coefficients(nodes, n)
+    slots = {(k, i): vecs[s.node] for k, layer in enumerate(layers) for i, s in enumerate(layer)}
+    labels = {vec: ("S", k, i) for (k, i), vec in slots.items()}  # deeper layers overwrite
+    sites = [i for i in range(flow_size) if nodes[i][0] == "*"]
+    site_index = {node: k for k, node in enumerate(sites)}
 
-def _plan_8() -> KernelPlan:
-    sites = (
-        _site(SQRT2, "sqrt(2)", (1, ("S", 1, 5))),
-        _site(SQRT2, "sqrt(2)", (1, ("S", 1, 7))),
+    def expand(node: int, sign: int = 1) -> list:
+        ref = labels.get(vecs[node])
+        if ref is None:
+            op, a, b = nodes[node]
+            if op != "*":
+                return expand(a, sign) + expand(b, sign if op == "+" else -sign)
+            ref = ("m", site_index[node])
+        return [(sign, ref)]
+
+    # an unlisted constant keeps its repr as label, so a wrong constant in a
+    # flow surfaces as a reconstruction failure rather than a lookup error
+    mult_sites = tuple(
+        MultSite(value=c, label=CONSTANT_LABELS.get(c, repr(c)), operand=tuple(expand(a)))
+        for _, a, c in (nodes[i] for i in sites)
     )
-    s = lambda i: ("S", 2, i)
-    rows = (
-        ((1, s(0)), (1, s(2)), (1, s(4))),
-        ((1, s(1)), (1, s(3)), (1, ("m", 0))),
-        ((1, s(0)), (-1, s(2)), (1, s(5))),
-        ((1, s(1)), (-1, s(3)), (1, ("m", 1))),
-        ((1, s(0)), (1, s(2)), (-1, s(4))),
-        ((1, s(1)), (1, s(3)), (-1, ("m", 0))),
-        ((1, s(0)), (-1, s(2)), (-1, s(5))),
-        ((1, s(1)), (-1, s(3)), (-1, ("m", 1))),
-    )
-    return KernelPlan(8, sites, (), rows)
+    post_rows = tuple(tuple(expand(out.node)) for out in outputs)
+    plan_terms = [t for row in post_rows for t in row] + [t for m in mult_sites for t in m.operand]
+    dead = _check_live_slots(n, plan_terms, slots, nodes[:flow_size], vecs)
+
+    stages: dict[int, dict[int, tuple[int, int]]] = {}
+    for row, terms in enumerate(post_rows):
+        for sign, ref in terms:
+            if ref[0] == "S" and ref[1] < len(layers) - 1:
+                entries = stages.setdefault(ref[1], {})
+                if row in entries:
+                    raise DerivationError(
+                        f"N={n}: output {row} takes two special additions from layer {ref[1]}"
+                    )
+                entries[row] = (sign, ref[2])
+    special = tuple(SpecialAdditionVector(n, k, stages[k]) for k in sorted(stages))
+    return KernelPlan(n, mult_sites, special, post_rows, dead)
 
 
-def _plan_12() -> KernelPlan:
-    b = SQRT3_M1_HALF
-    sites = tuple(
-        _site(b, "(sqrt(3)-1)/2", (1, ("S", 3, idx))) for idx in (5, 6, 9, 10)
-    )
-    z = SpecialAdditionVector(
-        n=12,
-        source_order=2,
-        entries={
-            1: (1, 6),
-            2: (1, 5),
-            4: (-1, 8),
-            5: (-1, 11),
-            7: (-1, 7),
-            8: (-1, 4),
-            10: (-1, 9),
-            11: (-1, 10),
-        },
-    )
-    s3 = lambda i: ("S", 3, i)
-    s2 = lambda i: ("S", 2, i)
-    rows = (
-        ((1, s3(0)), (1, s3(2)), (1, s3(4))),
-        ((1, s3(1)), (1, s3(3)), (1, s2(6)), (1, ("m", 3))),
-        ((1, s3(0)), (-1, s3(2)), (1, s2(5)), (1, ("m", 1))),
-        ((1, s3(1)), (-1, s3(3)), (1, s3(8))),
-        ((1, s3(0)), (1, s3(2)), (-1, s2(8)), (1, ("m", 0))),
-        ((1, s3(1)), (1, s3(3)), (-1, s2(11)), (-1, ("m", 3))),
-        ((1, s3(0)), (-1, s3(2)), (-1, s3(7))),
-        ((1, s3(1)), (-1, s3(3)), (-1, s2(7)), (-1, ("m", 2))),
-        ((1, s3(0)), (1, s3(2)), (-1, s2(4)), (-1, ("m", 0))),
-        ((1, s3(1)), (1, s3(3)), (-1, s3(11))),
-        ((1, s3(0)), (-1, s3(2)), (-1, s2(9)), (-1, ("m", 1))),
-        ((1, s3(1)), (-1, s3(3)), (-1, s2(10)), (1, ("m", 2))),
-    )
-    return KernelPlan(12, sites, (z,), rows)
+def _check_live_slots(n, terms, slots, flow, vecs) -> tuple[tuple, ...]:
+    """Check every live layer slot is a flow node; return the dead slots.
 
+    A slot is live if the plan's terms reach it backwards through the layer
+    listings, or if some flow node adds or subtracts the two slots its
+    listing row combines.  A live slot whose coefficient vector no flow node
+    has means LAYER_SPECS and the flow disagree.
+    """
+    combined = {frozenset((vecs[a], vecs[b])) for op, a, b in flow if op in ("+", "-")}
+    live: set[tuple[int, int]] = set()
 
-def _plan_24() -> KernelPlan:
-    b, w, s6 = SQRT3_M1_HALF, SQRT2_HALF, SQRT6_HALF
-    sites = (
-        _site(b, "(sqrt(3)-1)/2", (1, ("S", 4, 9))),
-        _site(b, "(sqrt(3)-1)/2", (1, ("S", 4, 11))),
-        _site(b, "(sqrt(3)-1)/2", (1, ("S", 4, 13))),
-        _site(b, "(sqrt(3)-1)/2", (1, ("S", 4, 15))),
-        _site(b, "(sqrt(3)-1)/2", (1, ("S", 4, 20))),
-        _site(b, "(sqrt(3)-1)/2", (1, ("S", 4, 21))),
-        _site(w, "sqrt(2)/2", (1, ("S", 4, 16))),
-        _site(w, "sqrt(2)/2", (1, ("S", 4, 19))),
-        _site(w, "sqrt(2)/2", (1, ("S", 4, 18)), (1, ("S", 3, 21))),
-        _site(w, "sqrt(2)/2", (1, ("S", 4, 17)), (-1, ("S", 3, 23))),
-        _site(s6, "sqrt(6)/2", (1, ("S", 4, 22))),
-        _site(s6, "sqrt(6)/2", (1, ("S", 4, 23))),
-    )
-    z_odd = SpecialAdditionVector(
-        n=24,
-        source_order=2,
-        entries={
-            1: (1, 10),
-            5: (-1, 19),
-            7: (-1, 11),
-            11: (-1, 18),
-            13: (1, 10),
-            17: (-1, 19),
-            19: (-1, 11),
-            23: (-1, 18),
-        },
-    )
-    z_even = SpecialAdditionVector(
-        n=24,
-        source_order=3,
-        entries={
-            2: (1, 8),
-            4: (1, 7),
-            8: (-1, 10),
-            10: (-1, 13),
-            14: (-1, 9),
-            16: (-1, 6),
-            20: (-1, 11),
-            22: (-1, 12),
-        },
-    )
-    s4 = lambda i: ("S", 4, i)
-    s3 = lambda i: ("S", 3, i)
-    s2 = lambda i: ("S", 2, i)
-    m = lambda k: ("m", k)
-    rows = (
-        ((1, s4(0)), (1, s4(2)), (1, s4(4)), (1, s4(8))),
-        ((1, s4(1)), (1, s4(3)), (1, s2(10)), (1, m(4)), (1, m(6)), (1, m(10))),
-        ((1, s4(0)), (-1, s4(2)), (1, s4(5)), (1, s3(8)), (1, m(0))),
-        ((1, s4(1)), (-1, s4(3)), (1, s4(7)), (1, m(8))),
-        ((1, s4(0)), (1, s4(2)), (-1, s4(4)), (1, s3(7)), (1, m(2))),
-        ((1, s4(1)), (1, s4(3)), (-1, s2(19)), (-1, m(4)), (-1, m(6)), (1, m(10))),
-        ((1, s4(0)), (-1, s4(2)), (-1, s4(5)), (1, s4(12))),
-        ((1, s4(1)), (-1, s4(3)), (-1, s2(11)), (-1, m(5)), (-1, m(7)), (1, m(11))),
-        ((1, s4(0)), (1, s4(2)), (1, s4(4)), (-1, s3(10)), (1, m(1))),
-        ((1, s4(1)), (1, s4(3)), (-1, s4(6)), (1, m(9))),
-        ((1, s4(0)), (-1, s4(2)), (1, s4(5)), (-1, s3(13)), (-1, m(0))),
-        ((1, s4(1)), (-1, s4(3)), (-1, s2(18)), (1, m(5)), (1, m(7)), (1, m(11))),
-        ((1, s4(0)), (1, s4(2)), (-1, s4(4)), (-1, s4(14))),
-        ((1, s4(1)), (1, s4(3)), (1, s2(10)), (1, m(4)), (-1, m(6)), (-1, m(10))),
-        ((1, s4(0)), (-1, s4(2)), (-1, s4(5)), (-1, s3(9)), (-1, m(3))),
-        ((1, s4(1)), (-1, s4(3)), (1, s4(7)), (-1, m(8))),
-        ((1, s4(0)), (1, s4(2)), (1, s4(4)), (-1, s3(6)), (-1, m(1))),
-        ((1, s4(1)), (1, s4(3)), (-1, s2(19)), (-1, m(4)), (1, m(6)), (-1, m(10))),
-        ((1, s4(0)), (-1, s4(2)), (1, s4(5)), (-1, s4(10))),
-        ((1, s4(1)), (-1, s4(3)), (-1, s2(11)), (-1, m(5)), (1, m(7)), (-1, m(11))),
-        ((1, s4(0)), (1, s4(2)), (-1, s4(4)), (-1, s3(11)), (-1, m(2))),
-        ((1, s4(1)), (1, s4(3)), (-1, s4(6)), (-1, m(9))),
-        ((1, s4(0)), (-1, s4(2)), (-1, s4(5)), (-1, s3(12)), (1, m(3))),
-        ((1, s4(1)), (-1, s4(3)), (-1, s2(18)), (1, m(5)), (-1, m(7)), (-1, m(11))),
-    )
-    return KernelPlan(24, sites, (z_odd, z_even), rows)
+    def mark(order: int, idx: int) -> None:
+        if (order, idx) not in live:
+            live.add((order, idx))
+            if order:
+                for j in LAYER_SPECS[n][order - 1][idx][1:]:
+                    mark(order - 1, j)
+
+    for _, ref in terms:
+        if ref[0] == "S":
+            mark(ref[1], ref[2])
+    for k, spec in enumerate(LAYER_SPECS[n], start=1):
+        for i, (op, *args) in enumerate(spec):
+            if op != "pass" and frozenset(slots[k - 1, j] for j in args) in combined:
+                mark(k, i)
+    computed = set(vecs[: len(flow)])
+    dead = tuple(("S", k, i) for (k, i), vec in slots.items() if vec not in computed)
+    for _, k, i in dead:
+        if (k, i) in live:
+            raise DerivationError(
+                f"N={n}: layer {k} slot {i} (S{k}[{i}]) is live but no node of the "
+                f"kernel flow computes it; LAYER_SPECS[{n}] disagrees with the flow"
+            )
+    return dead
 
 
 _PLANS: dict[int, KernelPlan] = {}
 
 
 def kernel_plan(n: int) -> KernelPlan:
-    """Frozen factorization plan for one kernel (sites, specials, post rows)."""
+    """Factorization plan for one kernel (sites, specials, post rows).
+
+    Extracted from the traced kernel flow on first use and cached; raises
+    DerivationError if the flow and LAYER_SPECS disagree on a live slot.
+    """
     check_size(n)
     if n not in _PLANS:
-        _PLANS[n] = {4: _plan_4, 8: _plan_8, 12: _plan_12, 24: _plan_24}[n]()
+        _PLANS[n] = _extract_plan(n)
     return _PLANS[n]
 
 
@@ -552,8 +521,6 @@ def verify_decomposition(n: int) -> DecompositionReport:
     stages, and the scheduled operation counts of the kernel implementing the
     plan.
     """
-    from .counting import count_ops  # local import to avoid a cycle
-
     plan = kernel_plan(n)
     err = float(np.max(np.abs(plan_matrix(n) - dht_matrix(n))))
     ops = count_ops(n)

@@ -32,6 +32,7 @@ __all__ = [
     "SQRT2_HALF",
     "SQRT6_HALF",
     "SQRT3_M1_HALF",
+    "CONSTANT_LABELS",
     "fast_dht",
     "fast_dht4",
     "fast_dht8",
@@ -48,6 +49,14 @@ SQRT2 = math.sqrt(2.0)
 SQRT2_HALF = math.sqrt(2.0) / 2.0
 SQRT6_HALF = math.sqrt(6.0) / 2.0
 SQRT3_M1_HALF = (math.sqrt(3.0) - 1.0) / 2.0
+
+# Closed forms of the constants, as the derivation reports them.
+CONSTANT_LABELS = {
+    SQRT2: "sqrt(2)",
+    SQRT2_HALF: "sqrt(2)/2",
+    SQRT6_HALF: "sqrt(6)/2",
+    SQRT3_M1_HALF: "(sqrt(3)-1)/2",
+}
 
 
 def dht4_flow(v):

@@ -3,8 +3,10 @@
 Each fast kernel is organized as a cascade of layers built purely from
 additions and subtractions (2-point butterflies plus pass-throughs).  The
 tables below define, for every supported length, what each layer computes in
-terms of the previous one.  They are the single source of truth shared by the
-state evaluator here, the fast kernels, and the matrix derivation tooling.
+terms of the previous one.  The state evaluator here and the matrix
+derivation tooling read them; mindht.derivation.kernel_plan checks them
+against the traced kernel flows, raising DerivationError for any live slot
+that no node of the flow computes.
 
 A row op is one of
     ("pass", i)     value copied from slot i of the previous layer

@@ -17,13 +17,14 @@ from mindht import (
     residual_matrix,
     verify_decomposition,
 )
+from mindht import derivation
 from mindht.derivation import (
     DerivationError,
     ResidualMatrix,
     layer_matrix,
     merge_pairs,
 )
-from mindht.layers import max_order
+from mindht.layers import LAYER_SPECS, max_order
 
 SQRT2_HALF = math.sqrt(2.0) / 2.0
 SQRT3_M1_HALF = (math.sqrt(3.0) - 1.0) / 2.0
@@ -257,7 +258,7 @@ def test_derived_constants_closed_forms():
 
 
 def test_plan_matches_kernel_matrix():
-    # golden link: the frozen plans rebuild exactly the transform the kernels
+    # golden link: the extracted plans rebuild exactly the transform the kernels
     # compute, column by column
     from mindht import fast_dht
     from mindht.derivation import plan_matrix
@@ -283,3 +284,42 @@ def test_aux_sites_span_two_layers():
         orders = {ref[1] for _, ref in s.operand}
         assert orders == {3, 4}
         assert s.value == pytest.approx(SQRT2_HALF)
+
+
+# --- plans extracted from the traced flows ---
+
+
+def test_dead_slots_are_exactly_the_documented_pair():
+    # N=8 multiplies S1[5], S1[7] directly and never forms S2[6], S2[7]
+    # (docs/derivation-notes.md); every other layer slot is a flow node
+    dead = {n: kernel_plan(n).dead_slots for n in SUPPORTED_SIZES}
+    assert dead == {4: (), 8: (("S", 2, 6), ("S", 2, 7)), 12: (), 24: ()}
+
+
+def test_balance_transitions_follow_from_the_plans():
+    # the layers balance_stages peels at are the plans' special-stage sources
+    transitions = {
+        n: tuple(z.source_order for z in kernel_plan(n).special_stages)
+        for n in SUPPORTED_SIZES
+    }
+    assert transitions == {4: (), 8: (), 12: (2,), 24: (2, 3)}
+
+
+def test_corrupted_layer_row_names_layer_and_slot(monkeypatch):
+    # swapping a butterfly's operands negates one slot; the extracted plan
+    # must refuse the listing and name the slot, whichever row is corrupted
+    listing = LAYER_SPECS[24]
+    rows = [
+        (order, idx, op)
+        for order, spec in enumerate(listing, start=1)
+        for idx, op in enumerate(spec)
+        if op[0] == "sub"
+    ]
+    assert len(rows) == 35
+    for order, idx, (_, i, j) in rows:
+        spec = [list(layer) for layer in listing]
+        spec[order - 1][idx] = ("sub", j, i)
+        monkeypatch.setitem(LAYER_SPECS, 24, spec)
+        monkeypatch.setattr(derivation, "_PLANS", {})
+        with pytest.raises(DerivationError, match=rf"N=24: layer {order} slot {idx} \("):
+            kernel_plan(24)
