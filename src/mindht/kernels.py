@@ -17,6 +17,15 @@ The ``*_flow`` functions are generic over the scalar type: they use only
 binary +, - and constant * scalar, so the same code path runs on plain floats
 and on counting scalars (see mindht.counting).  Keep them free of any other
 arithmetic - the budgets above are asserted exactly by the test suite.
+
+``kernel_flow(n)`` runs a flow on arrays too.  Given an ndarray with
+ndim >= 2 (samples along axis 0, one block per column), it does not run the
+flow over whole rows, which would allocate a temporary per operation.  It
+traces the flow once into a straight-line program and replays that program
+over column chunks, with every operation written into reused register rows
+(mindht.replay).  The result is one (n, ...) ndarray of dtype
+``np.result_type(x, float)`` (float64 or wider), bit-identical column by
+column to the flow on that column's floats.
 """
 
 from __future__ import annotations
@@ -287,8 +296,29 @@ _FLOWS = {4: dht4_flow, 8: dht8_flow, 12: dht12_flow, 24: dht24_flow}
 
 
 def kernel_flow(n: int):
-    """Return the raw scalar-generic flow for a supported block length."""
-    return _FLOWS[check_size(n)]
+    """Return the kernel for a supported block length n.
+
+    On an ndarray with ndim >= 2, the n samples of each block along axis 0,
+    the kernel replays the flow's traced program over column chunks into
+    reused register rows (mindht.replay).  It returns one ndarray of shape
+    (n, ...) and dtype ``np.result_type(x, float)``, float64 or wider; the
+    input is never written to.  Each output is the same IEEE operations on
+    the same operands in the same order as the scalar path, so each column
+    equals the flow run on that column's floats bit for bit.  The program is
+    traced on the first array call, and again whenever ``_FLOWS[n]`` has
+    been replaced.  Any other input (a list, scalars, counting scalars, a
+    1-D array) runs the raw scalar-generic flow and gets its list back.
+    """
+    flow = _FLOWS[check_size(n)]
+
+    def kernel(v):
+        if isinstance(v, np.ndarray) and v.ndim >= 2:
+            from .replay import program  # replay imports counting, which imports this module
+
+            return program(n, flow)(v)
+        return flow(v)
+
+    return kernel
 
 
 def _run(v, n: int) -> np.ndarray:
@@ -298,7 +328,7 @@ def _run(v, n: int) -> np.ndarray:
             f"signal has shape {a.shape}, expected ({n},); "
             f"fast kernels exist for lengths {', '.join(map(str, SUPPORTED_SIZES))}"
         )
-    if not np.all(np.isfinite(a)):
+    if not np.isfinite(a).all():
         raise ValueError("signal contains non-finite samples")
     return np.array(_FLOWS[n](a.tolist()))
 

@@ -44,7 +44,7 @@ def _as_signal(v, name: str = "signal") -> np.ndarray:
     a = np.asarray(v, dtype=float)
     if a.ndim != 1 or a.size < 1:
         raise ValueError(f"{name} must be a non-empty 1-D array, got shape {a.shape}")
-    if not np.all(np.isfinite(a)):
+    if not np.isfinite(a).all():
         raise ValueError(f"{name} contains non-finite samples")
     return a
 
@@ -52,6 +52,7 @@ def _as_signal(v, name: str = "signal") -> np.ndarray:
 # Kernel matrices are cached: the verification suites hammer small sizes.
 _DHT_CACHE: dict[int, np.ndarray] = {}
 _DFT_CACHE: dict[int, np.ndarray] = {}
+_REVERSE_CACHE: dict[int, np.ndarray] = {}
 
 
 def _dht_kernel(n: int) -> np.ndarray:
@@ -75,6 +76,16 @@ def _dft_kernel(n: int) -> np.ndarray:
         m.flags.writeable = False
         _DFT_CACHE[n] = m
     return m
+
+
+def _reverse_index(n: int) -> np.ndarray:
+    """Index array r with r[k] = (N - k) % N."""
+    r = _REVERSE_CACHE.get(n)
+    if r is None:
+        r = (-np.arange(n)) % n
+        r.flags.writeable = False
+        _REVERSE_CACHE[n] = r
+    return r
 
 
 def dht_matrix(n: int) -> np.ndarray:
@@ -116,7 +127,7 @@ def dht_to_dft(V) -> np.ndarray:
     U[k] = (V[k] + V[N-k])/2 - j*(V[k] - V[N-k])/2, with V[N] read as V[0].
     """
     a = _as_signal(V, "spectrum")
-    rev = np.roll(a[::-1], 1)  # rev[k] = V[(N - k) % N]
+    rev = a[_reverse_index(a.size)]  # rev[k] = V[(N - k) % N]
     return (a + rev) / 2.0 - 1j * (a - rev) / 2.0
 
 
@@ -125,7 +136,7 @@ def dft_to_dht(U) -> np.ndarray:
     a = np.asarray(U, dtype=complex)
     if a.ndim != 1 or a.size < 1:
         raise ValueError(f"spectrum must be a non-empty 1-D array, got shape {a.shape}")
-    if not np.all(np.isfinite(a)):
+    if not np.isfinite(a).all():
         raise ValueError("spectrum contains non-finite coefficients")
     return a.real - a.imag
 

@@ -1,10 +1,16 @@
-"""Fast kernels against the brute-force oracle, plus layer-state checks."""
+"""Fast kernels against the brute-force oracle, the array path against the
+scalar path, plus layer-state checks."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import mindht
 from mindht import (
     SUPPORTED_SIZES,
     UnsupportedLengthError,
@@ -16,7 +22,10 @@ from mindht import (
     naive_dht,
     pre_addition_state,
 )
+from mindht import kernels
+from mindht.kernels import kernel_flow
 from mindht.layers import LAYER_SPECS, apply_layer, max_order
+from mindht.replay import CHUNK_COLUMNS
 
 KERNELS = {4: fast_dht4, 8: fast_dht8, 12: fast_dht12, 24: fast_dht24}
 
@@ -111,6 +120,103 @@ def test_non_finite_rejected():
     v[3] = np.inf
     with pytest.raises(ValueError):
         fast_dht8(v)
+
+
+# --- array path: chunked replay of the traced program ---
+
+
+def scalar_columns(n, x):
+    """The raw flow on each column's Python numbers, stacked as columns."""
+    cols = x.reshape(n, -1)
+    return np.array(
+        [kernel_flow(n)(cols[:, j].tolist()) for j in range(cols.shape[1])], dtype=float
+    ).T.reshape(x.shape)
+
+
+@pytest.mark.parametrize("n", SUPPORTED_SIZES)
+@pytest.mark.parametrize(
+    "blocks", [1, CHUNK_COLUMNS - 1, CHUNK_COLUMNS, CHUNK_COLUMNS + 1, 3 * CHUNK_COLUMNS + 5]
+)
+def test_array_path_matches_scalar_path_bit_for_bit(n, blocks):
+    x = np.random.default_rng([n, blocks]).uniform(-1.0, 1.0, (n, blocks))
+    before = x.copy()
+    out = kernel_flow(n)(x)
+    assert isinstance(out, np.ndarray)
+    assert out.shape == (n, blocks) and out.dtype == np.float64
+    assert np.array_equal(out, scalar_columns(n, x))
+    assert np.array_equal(x, before)
+
+
+@pytest.mark.parametrize("n", SUPPORTED_SIZES)
+def test_array_path_layouts(n):
+    rng = np.random.default_rng(n + 31)
+    blocks = CHUNK_COLUMNS + 3
+    fortran = np.asfortranarray(rng.uniform(-1.0, 1.0, (n, blocks)))
+    transposed = rng.uniform(-1.0, 1.0, (blocks, n)).T
+    cube = rng.uniform(-1.0, 1.0, (n, 5, 7))
+    for x in (fortran, transposed, cube):
+        before = x.copy()
+        out = kernel_flow(n)(x)
+        assert out.shape == x.shape
+        assert np.array_equal(out, scalar_columns(n, x))
+        assert np.array_equal(x, before)
+
+
+@pytest.mark.parametrize("n", SUPPORTED_SIZES)
+def test_array_path_int_and_float32_computed_in_float64(n):
+    rng = np.random.default_rng(n + 37)
+    ints = rng.integers(-1000, 1000, (n, 300))
+    singles = rng.uniform(-1.0, 1.0, (n, 300)).astype(np.float32)
+    for x in (ints, singles):
+        before = x.copy()
+        out = kernel_flow(n)(x)
+        assert out.dtype == np.float64
+        assert np.array_equal(out, scalar_columns(n, x))
+        assert np.array_equal(x, before) and x.dtype == before.dtype
+
+
+def test_array_path_rejects_wrong_block_axis():
+    with pytest.raises(UnsupportedLengthError):
+        kernel_flow(8)(np.zeros((12, 4)))
+
+
+def test_other_inputs_run_the_raw_flow():
+    v = np.arange(8.0)
+    assert isinstance(kernel_flow(8)(v.tolist()), list)
+    assert isinstance(kernel_flow(8)(v), list)
+
+
+def test_import_loads_no_replay():
+    code = "import sys, mindht; assert 'mindht.replay' not in sys.modules"
+    env = {**os.environ, "PYTHONPATH": str(Path(mindht.__file__).parents[1])}
+    subprocess.run([sys.executable, "-c", code], check=True, env=env)
+
+
+def test_array_path_retraces_a_replaced_flow(monkeypatch):
+    x = np.random.default_rng(41).uniform(-1.0, 1.0, (8, 100))
+    good = kernel_flow(8)(x)
+    real = kernels._FLOWS[8]
+
+    def bad(v):
+        out = real(v)
+        out[0] = 0.9999999 * out[0]  # one spurious multiplication
+        return out
+
+    monkeypatch.setitem(kernels._FLOWS, 8, bad)
+    out = kernel_flow(8)(x)
+    assert np.array_equal(out[0], 0.9999999 * good[0])
+    assert np.array_equal(out[1:], good[1:])
+    assert np.array_equal(out, scalar_columns(8, x))
+
+
+def test_array_path_copies_repeated_and_input_outputs(monkeypatch):
+    def passthrough(v):
+        s = v[1] + v[2]
+        return [v[0], s, s, v[3]]
+
+    monkeypatch.setitem(kernels._FLOWS, 4, passthrough)
+    x = np.random.default_rng(43).uniform(-1.0, 1.0, (4, 10))
+    assert np.array_equal(kernel_flow(4)(x), scalar_columns(4, x))
 
 
 # --- pre-addition layer states ---
