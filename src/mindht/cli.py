@@ -15,6 +15,7 @@ with --seed (default 2024), so any failure is reproducible from the report.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import time
@@ -279,9 +280,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# One parser serves every call.  A parser is a web of reference cycles: one
+# per call would leave cyclic garbage behind every in-process call, and the
+# memory peak of the calls after it would depend on when the collector runs.
+_parser = functools.cache(build_parser)
+
+
 def main(argv=None) -> int:
     try:
-        args = build_parser().parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:  # --help, or a usage error remapped to 3
         return int(exc.code or 0)
     if getattr(args, "trials", 1) < 1 or getattr(args, "reps", 1) < 1:

@@ -1,5 +1,6 @@
 """Command-line interface: formats, exit codes, reproducibility."""
 
+import gc
 import json
 
 import numpy as np
@@ -127,6 +128,27 @@ def test_missing_file_exit2(tmp_path, capsys):
 
 def test_usage_error_exit3(capsys):
     assert main(["transform", "--n", "13"]) == 3
+
+
+def test_repeated_calls_leave_no_cyclic_garbage(tmp_path, capsys):
+    # in-process callers see the same memory peak whenever the collector runs
+    src = tmp_path / "sig.txt"
+    write_signal(src, np.arange(8.0), "text")
+    argvs = [
+        ["count", "--format", "machine"],
+        ["derive", "--n", "24", "--format", "machine"],
+        ["transform", "--in", str(src), "--out", str(tmp_path / "out.txt")],
+    ]
+    for argv in argvs:  # fill the lazy caches first
+        main(argv)
+    gc.collect()
+    gc.disable()
+    try:
+        for argv in argvs:
+            main(argv)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_inverse_round_trip(tmp_path, capsys):
