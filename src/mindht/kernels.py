@@ -34,7 +34,7 @@ import math
 
 import numpy as np
 
-from .layers import SUPPORTED_SIZES, UnsupportedLengthError, check_size
+from .layers import SUPPORTED_SIZES, UnsupportedLengthError, all_finite, check_size
 
 __all__ = [
     "SQRT2",
@@ -294,6 +294,20 @@ def dht24_flow(v):
 
 _FLOWS = {4: dht4_flow, 8: dht8_flow, 12: dht12_flow, 24: dht24_flow}
 
+# mindht.replay.program, resolved on the first array call: replay imports
+# counting, which imports this module, and ``import mindht`` should not pay
+# for either.
+_program = None
+
+
+def _replay(n: int, flow, x: np.ndarray) -> np.ndarray:
+    global _program
+    if _program is None:
+        from .replay import program
+
+        _program = program
+    return _program(n, flow)(x)
+
 
 def kernel_flow(n: int):
     """Return the kernel for a supported block length n.
@@ -313,48 +327,39 @@ def kernel_flow(n: int):
 
     def kernel(v):
         if isinstance(v, np.ndarray) and v.ndim >= 2:
-            from .replay import program  # replay imports counting, which imports this module
-
-            return program(n, flow)(v)
+            return _replay(n, flow, v)
         return flow(v)
 
     return kernel
 
 
-def _run(v, n: int) -> np.ndarray:
-    a = np.asarray(v, dtype=float)
-    if a.shape != (n,):
-        raise UnsupportedLengthError(
-            f"signal has shape {a.shape}, expected ({n},); "
-            f"fast kernels exist for lengths {', '.join(map(str, SUPPORTED_SIZES))}"
-        )
-    if not np.isfinite(a).all():
-        raise ValueError("signal contains non-finite samples")
-    return np.array(_FLOWS[n](a.tolist()))
-
-
 def fast_dht4(v) -> np.ndarray:
     """4-point fast DHT (8 additions, 0 multiplications)."""
-    return _run(v, 4)
+    return fast_dht(v, 4)
 
 
 def fast_dht8(v) -> np.ndarray:
     """8-point fast DHT (22 additions, 2 multiplications)."""
-    return _run(v, 8)
+    return fast_dht(v, 8)
 
 
 def fast_dht12(v) -> np.ndarray:
     """12-point fast DHT (52 additions, 4 multiplications)."""
-    return _run(v, 12)
+    return fast_dht(v, 12)
 
 
 def fast_dht24(v) -> np.ndarray:
     """24-point fast DHT (138 additions, 12 multiplications)."""
-    return _run(v, 24)
+    return fast_dht(v, 24)
 
 
 def fast_dht(v, n: int | None = None) -> np.ndarray:
     """Fast DHT of a signal whose length is one of 4, 8, 12, 24.
+
+    The input is validated in one pass: converted to float64 once, its
+    length resolved to a flow once, its shape checked once, and its samples
+    turned into one list of floats, which is checked for inf and nan (by
+    its sum first, see ``layers.all_finite``) and handed to the flow.
 
     Parameters
     ----------
@@ -371,5 +376,13 @@ def fast_dht(v, n: int | None = None) -> np.ndarray:
                 f"signal must be 1-D, got shape {a.shape}"
             )
         n = a.size
-    check_size(n)
-    return _run(a, n)
+    flow = _FLOWS[check_size(n)]
+    if a.shape != (n,):
+        raise UnsupportedLengthError(
+            f"signal has shape {a.shape}, expected ({n},); "
+            f"fast kernels exist for lengths {', '.join(map(str, SUPPORTED_SIZES))}"
+        )
+    vals = a.tolist()
+    if not all_finite(vals):
+        raise ValueError("signal contains non-finite samples")
+    return np.array(flow(vals))

@@ -18,6 +18,7 @@ Layer 0 is always the input signal itself.
 
 from __future__ import annotations
 
+import cmath
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,6 +28,7 @@ __all__ = [
     "LAYER_SPECS",
     "UnsupportedLengthError",
     "check_size",
+    "all_finite",
     "max_order",
     "LayerState",
     "apply_layer",
@@ -46,6 +48,18 @@ def check_size(n: int) -> int:
             f"block length {n} is not supported; valid lengths are 4, 8, 12, 24"
         )
     return n
+
+
+def all_finite(vals: list) -> bool:
+    """Whether every sample in vals is finite: the check of every 1-D signal.
+
+    vals is the list of Python floats or complex numbers an array's
+    ``tolist()`` gives.  A sum of finite samples is finite unless it
+    overflows, and any inf or nan makes the sum non-finite, so the sum
+    settles the common case; only a non-finite sum falls back to checking
+    each sample.  The answer is exactly that of ``np.isfinite(a).all()``.
+    """
+    return cmath.isfinite(sum(vals)) or all(map(cmath.isfinite, vals))
 
 
 def _butterflies(*pairs):

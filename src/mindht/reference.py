@@ -17,6 +17,8 @@ import math
 
 import numpy as np
 
+from .layers import all_finite
+
 __all__ = [
     "cas",
     "cas_prime",
@@ -44,7 +46,7 @@ def _as_signal(v, name: str = "signal") -> np.ndarray:
     a = np.asarray(v, dtype=float)
     if a.ndim != 1 or a.size < 1:
         raise ValueError(f"{name} must be a non-empty 1-D array, got shape {a.shape}")
-    if not np.isfinite(a).all():
+    if not all_finite(a.tolist()):
         raise ValueError(f"{name} contains non-finite samples")
     return a
 
@@ -52,7 +54,7 @@ def _as_signal(v, name: str = "signal") -> np.ndarray:
 # Kernel matrices are cached: the verification suites hammer small sizes.
 _DHT_CACHE: dict[int, np.ndarray] = {}
 _DFT_CACHE: dict[int, np.ndarray] = {}
-_REVERSE_CACHE: dict[int, np.ndarray] = {}
+_BRIDGE_CACHE: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
 
 
 def _dht_kernel(n: int) -> np.ndarray:
@@ -78,14 +80,20 @@ def _dft_kernel(n: int) -> np.ndarray:
     return m
 
 
-def _reverse_index(n: int) -> np.ndarray:
-    """Index array r with r[k] = (N - k) % N."""
-    r = _REVERSE_CACHE.get(n)
-    if r is None:
-        r = (-np.arange(n)) % n
-        r.flags.writeable = False
-        _REVERSE_CACHE[n] = r
-    return r
+def _bridge_operands(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Read-only operands of dht_to_dft for length n.
+
+    The index r with r[k] = (N - k) % N, n zeros, and 2n halves (one per
+    float of a length-n complex array).  Array operands keep the ufunc calls
+    off NumPy's slower Python-scalar path.
+    """
+    ops = _BRIDGE_CACHE.get(n)
+    if ops is None:
+        ops = ((-np.arange(n)) % n, np.zeros(n), np.full(2 * n, 0.5))
+        for x in ops:
+            x.flags.writeable = False
+        _BRIDGE_CACHE[n] = ops
+    return ops
 
 
 def dht_matrix(n: int) -> np.ndarray:
@@ -125,10 +133,30 @@ def dht_to_dft(V) -> np.ndarray:
     """Convert a Hartley spectrum to the DFT spectrum of the same signal.
 
     U[k] = (V[k] + V[N-k])/2 - j*(V[k] - V[N-k])/2, with V[N] read as V[0].
+
+    The spectrum is checked once (``_as_signal``), and the bridge is fused:
+    the sums and differences are written straight into the real and
+    imaginary parts of one complex result, which is halved in place, with
+    no complex temporaries.  Each part is bit for bit what the complex
+    expression above gives in IEEE arithmetic, signed zeros included: with
+    s = V[k] + V[N-k] and d = V[k] - V[N-k], the real part is
+    s/2 - 0*d (-0.0 becomes +0.0 when d < 0) and the imaginary part
+    0*d - d/2 (a zero is always +0.0).
     """
     a = _as_signal(V, "spectrum")
-    rev = a[_reverse_index(a.size)]  # rev[k] = V[(N - k) % N]
-    return (a + rev) / 2.0 - 1j * (a - rev) / 2.0
+    n = a.size
+    reverse, zeros, halves = _bridge_operands(n)
+    rev = a[reverse]  # rev[k] = V[(N - k) % N]
+    out = np.empty(n, complex)
+    re, im = out.real, out.imag
+    np.add(a, rev, re)
+    np.subtract(a, rev, im)
+    signed_zero = np.multiply(im, zeros)  # 0*d: a zero with the sign of d
+    flat = out.view(np.float64)
+    np.multiply(flat, halves, flat)
+    np.subtract(re, signed_zero, re)
+    np.subtract(signed_zero, im, im)
+    return out
 
 
 def dft_to_dht(U) -> np.ndarray:
@@ -136,7 +164,7 @@ def dft_to_dht(U) -> np.ndarray:
     a = np.asarray(U, dtype=complex)
     if a.ndim != 1 or a.size < 1:
         raise ValueError(f"spectrum must be a non-empty 1-D array, got shape {a.shape}")
-    if not np.isfinite(a).all():
+    if not all_finite(a.tolist()):
         raise ValueError("spectrum contains non-finite coefficients")
     return a.real - a.imag
 

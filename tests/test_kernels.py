@@ -1,14 +1,17 @@
 """Fast kernels against the brute-force oracle, the array path against the
 scalar path, plus layer-state checks."""
 
+import cmath
 import math
 import os
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import mindht
 from mindht import (
@@ -22,7 +25,7 @@ from mindht import (
     naive_dht,
     pre_addition_state,
 )
-from mindht import kernels
+from mindht import kernels, layers
 from mindht.kernels import kernel_flow
 from mindht.layers import LAYER_SPECS, apply_layer, max_order
 from mindht.replay import CHUNK_COLUMNS
@@ -120,6 +123,93 @@ def test_non_finite_rejected():
     v[3] = np.inf
     with pytest.raises(ValueError):
         fast_dht8(v)
+
+
+# --- single-block path: one validation pass, same bits and errors as before ---
+
+
+def _frozen_fast_dht(v, n):
+    """The single-block path before it was cut to one pass: flow on a.tolist()."""
+    return np.array(kernels._FLOWS[n](np.asarray(v, float).tolist()))
+
+
+# Magnitudes from 1e-300 to 1e300, subnormals and both zeros.
+SAMPLES = st.one_of(
+    st.floats(min_value=-1e300, max_value=1e300),
+    st.builds(lambda m, e: m * 10.0**e, st.floats(-1.0, 1.0), st.integers(-300, 299)),
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, -1e-310]),
+)
+SIGNALS = st.sampled_from(SUPPORTED_SIZES).flatmap(
+    lambda n: st.lists(SAMPLES, min_size=n, max_size=n)
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(SIGNALS)
+def test_single_block_bit_identical(v):
+    n = len(v)
+    want = _frozen_fast_dht(v, n).tobytes()
+    for out in (fast_dht(v), fast_dht(np.array(v), n), KERNELS[n](v)):
+        assert out.dtype == np.float64 and out.shape == (n,)
+        assert out.tobytes() == want
+
+
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+@pytest.mark.parametrize("call", [fast_dht, fast_dht8])
+def test_non_finite_rejected_at_every_position(call, bad):
+    for i in range(8):
+        v = np.ones(8)
+        v[i] = bad
+        with pytest.raises(ValueError, match="^signal contains non-finite samples$"):
+            call(v)
+        with pytest.raises(ValueError, match="^signal contains non-finite samples$"):
+            call(v.tolist())
+
+
+@pytest.mark.parametrize(
+    "v", [np.full(8, 1e308), [1e308, 1e308, -1e308, 1.0, -2.0, 3.0, 0.0, -0.0]]
+)
+def test_finite_input_with_overflowing_sum_accepted(v, monkeypatch):
+    # the sum test fails, so the per-sample fallback must decide, and accept
+    assert not math.isfinite(sum(np.asarray(v, float).tolist()))
+    calls = []
+
+    def isfinite(x):
+        calls.append(x)
+        return cmath.isfinite(x)
+
+    monkeypatch.setattr(layers, "cmath", SimpleNamespace(isfinite=isfinite))
+    out = fast_dht(v)
+    assert len(calls) == 1 + 8
+    assert out.tobytes() == _frozen_fast_dht(v, 8).tobytes()
+
+
+_LENGTHS = "fast kernels exist for lengths 4, 8, 12, 24"
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: fast_dht(np.ones((2, 4))), "signal must be 1-D, got shape (2, 4)"),
+        (lambda: fast_dht([[1.0] * 8]), "signal must be 1-D, got shape (1, 8)"),
+        (lambda: fast_dht(np.ones(5)),
+         "block length 5 is not supported; valid lengths are 4, 8, 12, 24"),
+        (lambda: fast_dht(np.ones(8), n=6),
+         "block length 6 is not supported; valid lengths are 4, 8, 12, 24"),
+        (lambda: fast_dht(np.ones(8), n=4),
+         f"signal has shape (8,), expected (4,); {_LENGTHS}"),
+        (lambda: fast_dht(np.ones((1, 8)), n=8),
+         f"signal has shape (1, 8), expected (8,); {_LENGTHS}"),
+        (lambda: fast_dht8(np.ones(12)),
+         f"signal has shape (12,), expected (8,); {_LENGTHS}"),
+        (lambda: fast_dht24(np.ones((24, 1))),
+         f"signal has shape (24, 1), expected (24,); {_LENGTHS}"),
+    ],
+)
+def test_shape_and_length_errors_unchanged(call, message):
+    with pytest.raises(UnsupportedLengthError) as exc:
+        call()
+    assert str(exc.value) == message
 
 
 # --- array path: chunked replay of the traced program ---

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from mindht import (
     cas,
@@ -17,6 +17,7 @@ from mindht import (
     naive_idht,
     walsh_hadamard,
 )
+from mindht.layers import all_finite
 
 SIZES = (4, 8, 12, 24)
 
@@ -159,6 +160,91 @@ def test_dft_bridge_many_signals(n):
         U = naive_dft(v)
         assert np.max(np.abs(dht_to_dft(V) - U)) <= 1e-10
         assert np.max(np.abs(dft_to_dht(U) - V)) <= 1e-10
+
+
+def _frozen_dht_to_dft(V):
+    """The bridge as a complex expression, before it was fused."""
+    a = np.asarray(V, dtype=float)
+    rev = a[(-np.arange(a.size)) % a.size]
+    return (a + rev) / 2.0 - 1j * (a - rev) / 2.0
+
+
+# Magnitudes from 1e-300 to 1e300, subnormals and both zeros.
+SAMPLES = st.one_of(
+    st.floats(min_value=-1e300, max_value=1e300),
+    st.builds(lambda m, e: m * 10.0**e, st.floats(-1.0, 1.0), st.integers(-300, 299)),
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1.5e-323, 2.2250738585072014e-308]),
+)
+
+
+@st.composite
+def spectra(draw):
+    """A spectrum of a supported length, some mirrored bins made equal."""
+    n = draw(st.sampled_from(SIZES))
+    V = draw(st.lists(SAMPLES, min_size=n, max_size=n))
+    for k in draw(st.sets(st.integers(1, n - 1))):
+        V[n - k] = V[k]  # V[k] - V[N-k] == 0
+    return V
+
+
+@settings(max_examples=500, deadline=None)
+@given(spectra())
+def test_dht_to_dft_bit_identical(V):
+    want = _frozen_dht_to_dft(V)
+    for spectrum in (V, np.array(V)):
+        out = dht_to_dft(spectrum)
+        assert out.dtype == want.dtype and out.shape == want.shape
+        assert out.tobytes() == want.tobytes()
+
+
+def test_dht_to_dft_signed_zeros_bit_identical():
+    # every pair of special values as one mirrored pair of a 4-point spectrum
+    special = [0.0, -0.0, 5e-324, -5e-324, 1e-323, -1.5e-323, 1.0, -1.0, 1e300, -1e-300]
+    for p in special:
+        for q in special:
+            for V in ([p, q, 1.0, -q], [p, p, q, p], [q, p, -0.0, q]):
+                assert dht_to_dft(V).tobytes() == _frozen_dht_to_dft(V).tobytes(), V
+
+
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+def test_dht_to_dft_rejects_non_finite_at_every_position(bad):
+    for n in SIZES:
+        for i in range(n):
+            V = [1.0] * n
+            V[i] = bad
+            with pytest.raises(ValueError, match="^spectrum contains non-finite samples$"):
+                dht_to_dft(V)
+
+
+def test_dht_to_dft_shape_errors_unchanged():
+    for V, shape in (([], "(0,)"), (np.ones((2, 2)), "(2, 2)"), (3.0, "()")):
+        with pytest.raises(ValueError) as exc:
+            dht_to_dft(V)
+        assert str(exc.value) == f"spectrum must be a non-empty 1-D array, got shape {shape}"
+
+
+def test_all_finite_is_the_numpy_check():
+    cases = [
+        [1.0, 2.0],
+        [1e308, 1e308, -1e308],  # overflowing sum of finite samples
+        [1.0, math.inf],
+        [math.nan, 0.0],
+        [math.inf, -math.inf],
+        [1 + 2j, 1e308 + 1e308j, 1e308j],
+        [1 + 2j, complex(0.0, math.nan)],
+        [complex(math.inf, 0.0)],
+        [],
+    ]
+    for vals in cases:
+        assert all_finite(vals) == bool(np.isfinite(np.array(vals)).all()), vals
+
+
+def test_dft_to_dht_rejects_non_finite():
+    for bad in (complex(math.inf, 0), complex(0, math.nan), complex(1, -math.inf)):
+        with pytest.raises(ValueError, match="^spectrum contains non-finite coefficients$"):
+            dft_to_dht([1.0, bad, 2.0j])
+    with np.errstate(over="ignore"):  # finite coefficients whose Re - Im overflows
+        assert dft_to_dht([1e308 + 1e308j, 1e308 - 1e308j]).tolist() == [0.0, math.inf]
 
 
 @pytest.mark.parametrize("n", SIZES)
