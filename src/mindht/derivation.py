@@ -24,13 +24,12 @@ check the factorization reproduces H_N exactly.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from operator import add, sub
 
 import numpy as np
 
 from .counting import CountingScalar, OpTally, count_ops
-from .kernels import CONSTANT_LABELS, kernel_flow
+from .kernels import _FLOWS, CONSTANT_LABELS, kernel_flow
 from .layers import LAYER_SPECS, apply_layer, check_size, max_order
 from .reference import dht_matrix
 
@@ -105,32 +104,27 @@ def pre_addition_matrix(n: int, order: int) -> np.ndarray:
 
 
 def _exact_inverse(m: np.ndarray) -> np.ndarray:
-    """Invert an integer matrix exactly via Fraction Gauss-Jordan.
+    """Exact inverse of an integer matrix, each entry correctly rounded.
 
-    The layer compositions all have determinant +-2^k, so the inverse entries
-    are dyadic rationals and convert to float without rounding.
+    With D = round(|det m|) and A = rint(D * inv(m)), m @ A == D * I in int64
+    (exact while n * max|m| * max|A| < 2^63) proves A / D is the inverse, and
+    A, D < 2^53 are exact floats, so each IEEE division A / D rounds once.
     """
     n = m.shape[0]
-    a = [[Fraction(int(m[i, j])) for j in range(n)] for i in range(n)]
-    inv = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if a[r][col] != 0), None)
-        if pivot is None:
-            raise DerivationError(
-                f"pre-addition matrix is singular at column {col}; "
-                "a transcribed layer row is likely wrong"
-            )
-        a[col], a[pivot] = a[pivot], a[col]
-        inv[col], inv[pivot] = inv[pivot], inv[col]
-        p = a[col][col]
-        a[col] = [x / p for x in a[col]]
-        inv[col] = [x / p for x in inv[col]]
-        for r in range(n):
-            if r != col and a[r][col] != 0:
-                f = a[r][col]
-                a[r] = [x - f * y for x, y in zip(a[r], a[col])]
-                inv[r] = [x - f * y for x, y in zip(inv[r], inv[col])]
-    return np.array([[float(x) for x in row] for row in inv])
+    try:
+        d = round(abs(float(np.linalg.det(m))))
+        a = np.rint(d * np.linalg.inv(m)) if d else None
+    except np.linalg.LinAlgError:
+        d = 0
+    if not d:
+        raise DerivationError("pre-addition matrix is singular; a layer row is likely wrong")
+    big = float(np.max(np.abs(a)))
+    if not (big < 2**53 and d < 2**53 and n * int(np.max(np.abs(m))) * int(big) < 2**63):
+        raise DerivationError(f"inverse of a {n}x{n} matrix too large to certify in int64")
+    a = a.astype(np.int64)
+    if not np.array_equal(m @ a, d * np.eye(n, dtype=np.int64)):
+        raise DerivationError(f"float inverse of a {n}x{n} matrix failed its integer check")
+    return a / d
 
 
 @dataclass(frozen=True)
@@ -145,7 +139,8 @@ class ResidualMatrix:
 def residual_matrix(n: int, order: int) -> ResidualMatrix:
     """Compute T(order) = H_n @ P_order^{-1} and gate the reconstruction.
 
-    Raises DerivationError if the layer composition is singular or the
+    P_order^{-1} is exact (see _exact_inverse).  Raises DerivationError if
+    the layer composition is singular or fails its certificate, or if the
     product T @ P fails to reproduce H_n to within 1e-10 entrywise.
     """
     p = pre_addition_matrix(n, order)
@@ -447,19 +442,21 @@ def _check_live_slots(n, terms, slots, flow, vecs) -> tuple[tuple, ...]:
     return dead
 
 
-_PLANS: dict[int, KernelPlan] = {}
+_PLANS: dict[int, tuple] = {}  # n -> (flow, layer listing, plan traced from both)
 
 
 def kernel_plan(n: int) -> KernelPlan:
     """Factorization plan for one kernel (sites, specials, post rows).
 
-    Extracted from the traced kernel flow on first use and cached; raises
+    Extracted from the traced kernel flow on first use and cached; a replaced
+    ``kernels._FLOWS[n]`` or ``LAYER_SPECS[n]`` is extracted again.  Raises
     DerivationError if the flow and LAYER_SPECS disagree on a live slot.
     """
-    check_size(n)
-    if n not in _PLANS:
-        _PLANS[n] = _extract_plan(n)
-    return _PLANS[n]
+    flow, spec = _FLOWS[check_size(n)], LAYER_SPECS[n]
+    cached = _PLANS.get(n)
+    if cached is None or cached[0] is not flow or cached[1] is not spec:
+        cached = _PLANS[n] = (flow, spec, _extract_plan(n))
+    return cached[2]
 
 
 # ---------------------------------------------------------------------------

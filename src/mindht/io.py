@@ -14,6 +14,7 @@ write/read cycle reproduces every double bit for bit.
 from __future__ import annotations
 
 import csv
+import math
 from pathlib import Path
 
 import numpy as np
@@ -36,7 +37,7 @@ def _parse_real(token: str, path, where: str) -> float:
         x = float(token)
     except ValueError:
         raise SignalParseError(f"{path}: {where}: not a decimal real: {token!r}") from None
-    if not np.isfinite(x):
+    if not math.isfinite(x):
         raise SignalParseError(f"{path}: {where}: non-finite sample {token!r}")
     return x
 

@@ -2,6 +2,7 @@
 
 import gc
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -58,6 +59,38 @@ def test_parse_error_reports_line(tmp_path):
     with pytest.raises(SignalParseError) as exc:
         read_signal(path)
     assert "line 2" in str(exc.value)
+
+
+NON_FINITE_TOKENS = ("nan", "inf", "-inf", "1e999")
+
+# (file name, contents with the token as its third sample, expected location)
+NON_FINITE_FILES = (
+    ("sig.txt", "1.0\n# note\n2.0\n{}\n", "line 4"),
+    ("sig.csv", "1.0,2.0,{},4.0\n", "row 1, column 3"),
+    ("sig.csv", "1.0\n2.0\n{}\n4.0\n", "line 3"),
+)
+
+
+@pytest.mark.parametrize("token", NON_FINITE_TOKENS)
+@pytest.mark.parametrize("name, template, where", NON_FINITE_FILES)
+def test_non_finite_sample_names_its_location(tmp_path, token, name, template, where):
+    path = tmp_path / name
+    path.write_text(template.format(token))
+    with pytest.raises(SignalParseError) as exc:
+        read_signal(path)
+    assert f"{where}: non-finite sample {token!r}" in str(exc.value)
+
+
+@pytest.mark.parametrize("token", NON_FINITE_TOKENS)
+@pytest.mark.parametrize("name, template, where", NON_FINITE_FILES)
+def test_non_finite_sample_exit2(tmp_path, capsys, token, name, template, where):
+    src = tmp_path / name
+    src.write_text(template.format(token))
+    dst = tmp_path / ("out" + src.suffix)
+    code, _, err = run(capsys, "transform", "--in", str(src), "--out", str(dst))
+    assert code == 2
+    assert where in err
+    assert not dst.exists()
 
 
 # --- transform / inverse / dft ---
@@ -281,6 +314,17 @@ def test_derive_single_layer(capsys):
     code, out, _ = run(capsys, "derive", "--n", "12", "--layer", "2")
     assert code == 0
     assert "layer 2" in out and "layer 1" not in out
+
+
+@pytest.mark.parametrize("fmt", ("machine", "text"))
+@pytest.mark.parametrize("n", (8, 12, 24))
+def test_derive_output_matches_golden(capsys, n, fmt):
+    # tests/data/derive_n{n}_{fmt}.txt holds the stdout of the Fraction
+    # Gauss-Jordan derivation; every alphabet and residual bit must survive
+    golden = (Path(__file__).parent / "data" / f"derive_n{n}_{fmt}.txt").read_text()
+    code, out, _ = run(capsys, "derive", "--n", str(n), "--format", fmt)
+    assert code == 0
+    assert out == golden
 
 
 def test_derive_bad_layer(capsys):

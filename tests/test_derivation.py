@@ -1,6 +1,7 @@
 """Derivation machinery: residual matrices, balancing, plan verification."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -21,6 +22,7 @@ from mindht import derivation
 from mindht.derivation import (
     DerivationError,
     ResidualMatrix,
+    _exact_inverse,
     layer_matrix,
     merge_pairs,
 )
@@ -113,6 +115,63 @@ def test_residual_singular_layer_is_reported():
 
     with pytest.raises(DerivationError):
         _exact_inverse(np.array([[1, 1], [1, 1]], dtype=np.int64))
+
+
+def _fraction_inverse(m):
+    """Oracle: Gauss-Jordan over Fractions, each entry rounded once to float."""
+    n = m.shape[0]
+    a = [[Fraction(int(m[i, j])) for j in range(n)] for i in range(n)]
+    inv = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+    for col in range(n):
+        pivot = next(r for r in range(col, n) if a[r][col] != 0)
+        a[col], a[pivot] = a[pivot], a[col]
+        inv[col], inv[pivot] = inv[pivot], inv[col]
+        p = a[col][col]
+        a[col] = [x / p for x in a[col]]
+        inv[col] = [x / p for x in inv[col]]
+        for r in range(n):
+            if r != col and a[r][col] != 0:
+                f = a[r][col]
+                a[r] = [x - f * y for x, y in zip(a[r], a[col])]
+                inv[r] = [x - f * y for x, y in zip(inv[r], inv[col])]
+    return np.array([[float(x) for x in row] for row in inv])
+
+
+def _assert_same_bits(got, want):
+    assert got.dtype == want.dtype == np.float64
+    assert got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("n", SUPPORTED_SIZES)
+def test_exact_inverse_matches_fraction_oracle(n):
+    mats = [pre_addition_matrix(n, k) for k in range(max_order(n) + 1)]
+    mats += [layer_matrix(n, k) for k in range(1, max_order(n) + 1)]
+    for m in mats:
+        _assert_same_bits(_exact_inverse(m), _fraction_inverse(m))
+
+
+def test_exact_inverse_non_dyadic():
+    # determinants 3, 4 and 35: thirds and 35ths have no exact float, so
+    # each entry must be the correctly rounded quotient, as in the oracle
+    for rows in ([[3, 1], [0, 1]], [[2, 1, 0], [1, 2, 1], [0, 1, 2]], [[0, 5], [-7, 3]]):
+        m = np.array(rows, dtype=np.int64)
+        _assert_same_bits(_exact_inverse(m), _fraction_inverse(m))
+    assert _exact_inverse(np.array([[3, 1], [0, 1]]))[0, 0] == 1 / 3
+
+
+def test_exact_inverse_rejects_a_wrong_float_inverse(monkeypatch):
+    # the integer check, not the float inverse, is what makes the result exact
+    real_inv = np.linalg.inv
+    monkeypatch.setattr(np.linalg, "inv", lambda m: real_inv(m) + 0.3)
+    with pytest.raises(DerivationError, match="integer check"):
+        _exact_inverse(pre_addition_matrix(24, 3))
+
+
+def test_exact_inverse_rejects_entries_beyond_int64():
+    m = np.array([[2**40, 0], [0, 2**40 + 1]], dtype=np.int64)
+    with pytest.raises(DerivationError, match="too large"):
+        _exact_inverse(m)
 
 
 # --- alphabet clustering ---
@@ -323,3 +382,40 @@ def test_corrupted_layer_row_names_layer_and_slot(monkeypatch):
         monkeypatch.setattr(derivation, "_PLANS", {})
         with pytest.raises(DerivationError, match=rf"N=24: layer {order} slot {idx} \("):
             kernel_plan(24)
+
+
+def test_replaced_flow_is_planned_again(monkeypatch):
+    # the cached plan belongs to the flow it was traced from: a corrupted
+    # flow installed after a first call must fail, and the real one pass again
+    from mindht import kernels
+
+    real = kernels._FLOWS[24]
+
+    def bad(v):
+        out = real(v)
+        out[0] = 0.9999999 * out[0]  # one spurious multiplication
+        return out
+
+    assert verify_decomposition(24).ok
+    monkeypatch.setitem(kernels._FLOWS, 24, bad)
+    report = verify_decomposition(24)
+    assert not report.ok
+    assert report.multiplications_scheduled == 13
+    assert len(report.mult_sites) == 13
+    monkeypatch.setitem(kernels._FLOWS, 24, real)
+    report = verify_decomposition(24)
+    assert report.ok
+    assert len(report.mult_sites) == 12
+
+
+def test_replaced_layer_listing_is_planned_again(monkeypatch):
+    listing = LAYER_SPECS[24]
+    kernel_plan(24)
+    spec = [list(layer) for layer in listing]
+    _, i, j = spec[0][1]
+    spec[0][1] = ("sub", j, i)
+    monkeypatch.setitem(LAYER_SPECS, 24, spec)
+    with pytest.raises(DerivationError, match=r"N=24: layer 1 slot 1 \("):
+        kernel_plan(24)
+    monkeypatch.setitem(LAYER_SPECS, 24, listing)
+    assert kernel_plan(24).n == 24
