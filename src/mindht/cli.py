@@ -25,7 +25,7 @@ import numpy as np
 from .counting import audit_dict, audit_passes, audit_report, audit_table
 from .derivation import balance_stages, pre_addition_matrix, verify_decomposition
 from .io import SignalParseError, read_signal, write_complex, write_signal
-from .kernels import fast_dht
+from .kernels import fast_dht, kernel_flow
 from .layers import SUPPORTED_SIZES, UnsupportedLengthError, max_order
 from .reference import dht_to_dft, naive_dht, naive_idht
 
@@ -36,6 +36,7 @@ EXIT_USAGE = 3
 
 DEFAULT_SEED = 2024
 VERIFY_TOL_PER_N = 1e-10  # scaled by N; inputs are drawn uniform in [-1, 1]
+BENCH_BLOCKS = 4096  # columns of the (n, B) batch that bench times on the array path
 
 
 class _Parser(argparse.ArgumentParser):
@@ -222,6 +223,22 @@ def _cmd_bench(args) -> int:
             f"N={n:>2}  fast median {np.median(fast_times) * 1e6:8.2f} us"
             f"  naive median {np.median(naive_times) * 1e6:8.2f} us"
             f"  ({reps} reps)"
+        )
+    from ._cgen import backend  # not at module level: only bench needs the C backend
+
+    for n in SUPPORTED_SIZES:
+        x = rng.uniform(-1.0, 1.0, (n, BENCH_BLOCKS))
+        kernel = kernel_flow(n)
+        kernel(x)  # the first array call compiles or loads the C kernel
+        times = []
+        for _ in range(reps):
+            t0 = time.perf_counter()
+            kernel(x)
+            times.append(time.perf_counter() - t0)
+        print(
+            f"array n={n:>2}  backend {backend(n):<6}  median "
+            f"{np.median(times) / BENCH_BLOCKS * 1e9:8.2f} ns/block"
+            f"  ({BENCH_BLOCKS} blocks, {reps} reps)"
         )
     return EXIT_OK
 

@@ -168,16 +168,14 @@ def entry_alphabet(t, tol: float = 1e-9) -> tuple[float, ...]:
     entries = t.entries if isinstance(t, ResidualMatrix) else np.asarray(t)
     mags = np.sort(np.abs(np.asarray(entries, dtype=float)).ravel())
     reps: list[float] = []
-    start = 0
-    for i in range(1, mags.size + 1):
-        if i == mags.size or mags[i] - mags[i - 1] > tol:
-            rep = float(np.mean(mags[start:i]))
-            if abs(rep) <= tol:
-                rep = 0.0
-            elif abs(rep - 1.0) <= tol:
-                rep = 1.0
-            reps.append(rep)
-            start = i
+    clusters = np.split(mags, np.flatnonzero(np.diff(mags) > tol) + 1) if mags.size else []
+    for cluster in clusters:
+        rep = float(np.mean(cluster))
+        if abs(rep) <= tol:
+            rep = 0.0
+        elif abs(rep - 1.0) <= tol:
+            rep = 1.0
+        reps.append(rep)
     for a, b in zip(reps, reps[1:]):
         if b - a < 2 * tol:
             raise DerivationError(

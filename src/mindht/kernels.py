@@ -21,11 +21,14 @@ arithmetic - the budgets above are asserted exactly by the test suite.
 ``kernel_flow(n)`` runs a flow on arrays too.  Given an ndarray with
 ndim >= 2 (samples along axis 0, one block per column), it does not run the
 flow over whole rows, which would allocate a temporary per operation.  It
-traces the flow once into a straight-line program and replays that program
-over column chunks, with every operation written into reused register rows
-(mindht.replay).  The result is one (n, ...) ndarray of dtype
-``np.result_type(x, float)`` (float64 or wider), bit-identical column by
-column to the flow on that column's floats.
+traces the flow once into a straight-line program (mindht.replay).  A float64
+batch runs through C code emitted from that program, compiled once per N
+into a cached shared object (mindht._cgen).  Other dtypes, odd strides, and
+machines without a working C compiler replay the program over column chunks
+instead, with every operation written into reused register rows.  Either way
+the result is one (n, ...) ndarray of dtype ``np.result_type(x, float)``
+(float64 or wider), bit-identical column by column to the flow on that
+column's floats.
 """
 
 from __future__ import annotations
@@ -294,40 +297,42 @@ def dht24_flow(v):
 
 _FLOWS = {4: dht4_flow, 8: dht8_flow, 12: dht12_flow, 24: dht24_flow}
 
-# mindht.replay.program, resolved on the first array call: replay imports
-# counting, which imports this module, and ``import mindht`` should not pay
-# for either.
-_program = None
+# mindht._cgen.run, resolved on the first array call: _cgen imports replay,
+# which imports counting, which imports this module, and ``import mindht``
+# should not pay for any of them.
+_run = None
 
 
-def _replay(n: int, flow, x: np.ndarray) -> np.ndarray:
-    global _program
-    if _program is None:
-        from .replay import program
+def _array(n: int, flow, x: np.ndarray) -> np.ndarray:
+    global _run
+    if _run is None:
+        from ._cgen import run
 
-        _program = program
-    return _program(n, flow)(x)
+        _run = run
+    return _run(n, flow, x)
 
 
 def kernel_flow(n: int):
     """Return the kernel for a supported block length n.
 
     On an ndarray with ndim >= 2, the n samples of each block along axis 0,
-    the kernel replays the flow's traced program over column chunks into
-    reused register rows (mindht.replay).  It returns one ndarray of shape
-    (n, ...) and dtype ``np.result_type(x, float)``, float64 or wider; the
-    input is never written to.  Each output is the same IEEE operations on
-    the same operands in the same order as the scalar path, so each column
-    equals the flow run on that column's floats bit for bit.  The program is
-    traced on the first array call, and again whenever ``_FLOWS[n]`` has
-    been replaced.  Any other input (a list, scalars, counting scalars, a
-    1-D array) runs the raw scalar-generic flow and gets its list back.
+    the kernel runs the flow's traced program: as generated C on float64
+    input (mindht._cgen), else replayed over column chunks into reused
+    register rows (mindht.replay).  It returns one ndarray of shape (n, ...)
+    and dtype ``np.result_type(x, float)``, float64 or wider; the input is
+    never written to.  Each output is the same IEEE operations on the same
+    operands in the same order as the scalar path, so each column equals the
+    flow run on that column's floats bit for bit.  The program is traced,
+    and its C compiled or loaded from the cache, on the first array call, and
+    again whenever ``_FLOWS[n]`` has been replaced.  Any other input (a list,
+    scalars, counting scalars, a 1-D array) runs the raw scalar-generic flow
+    and gets its list back.
     """
     flow = _FLOWS[check_size(n)]
 
     def kernel(v):
         if isinstance(v, np.ndarray) and v.ndim >= 2:
-            return _replay(n, flow, v)
+            return _array(n, flow, v)
         return flow(v)
 
     return kernel

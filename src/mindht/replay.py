@@ -8,8 +8,10 @@ through memory.  Here the flow is traced once on counting scalars
 program runs chunk by chunk over CHUNK_COLUMNS columns, so the intermediates
 of a chunk stay in cache.  Each output is the same IEEE operations on the
 same operands in the same order as the flow run on one column's floats, so
-the result matches it bit for bit.  This module is imported on the first
-array call, not with mindht.
+the result matches it bit for bit.  The traced program (``ops``, ``consts``,
+``n_regs``) is also what mindht._cgen turns into C; the replay runs a batch
+when the C kernels cannot (another dtype, odd strides, no working compiler).
+This module is imported on the first array call, not with mindht.
 """
 
 from __future__ import annotations

@@ -2,12 +2,13 @@
 
 import gc
 import json
+import re
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from mindht import naive_dht
+from mindht import _cgen, naive_dht
 from mindht.cli import main
 from mindht.io import SignalParseError, read_signal, write_signal
 
@@ -342,3 +343,14 @@ def test_bench_single_rep_flagged(capsys):
     code, out, _ = run(capsys, "bench", "--reps", "1")
     assert code == 0
     assert "low confidence" in out
+
+
+def test_bench_prints_one_array_line_per_n(capsys):
+    code, out, _ = run(capsys, "bench", "--reps", "2")
+    assert code == 0
+    lines = [line for line in out.splitlines() if line.startswith("array")]
+    pattern = (r"array n=( 4| 8|12|24)  backend (c|replay) +median +\d+\.\d\d ns/block"
+               r"  \(4096 blocks, 2 reps\)")
+    assert [re.fullmatch(pattern, line).group(1).strip() for line in lines] == ["4", "8", "12", "24"]
+    for n, line in zip((4, 8, 12, 24), lines):
+        assert f"backend {_cgen.backend(n)}" in line

@@ -205,6 +205,51 @@ def test_entry_alphabet_rejects_bad_tol():
         entry_alphabet(np.eye(2), tol=0.0)
 
 
+def _loop_alphabet(t, tol=1e-9):
+    """entry_alphabet before the vectorized split: a Python loop over every magnitude."""
+    entries = t.entries if isinstance(t, ResidualMatrix) else np.asarray(t)
+    mags = np.sort(np.abs(np.asarray(entries, dtype=float)).ravel())
+    reps = []
+    start = 0
+    for i in range(1, mags.size + 1):
+        if i == mags.size or mags[i] - mags[i - 1] > tol:
+            rep = float(np.mean(mags[start:i]))
+            if abs(rep) <= tol:
+                rep = 0.0
+            elif abs(rep - 1.0) <= tol:
+                rep = 1.0
+            reps.append(rep)
+            start = i
+    return tuple(reps)
+
+
+def _same_floats(a, b):
+    return [x.hex() for x in a] == [x.hex() for x in b]
+
+
+@pytest.mark.parametrize("n", SUPPORTED_SIZES)
+def test_entry_alphabet_matches_loop_on_residuals(n):
+    for order in range(max_order(n) + 1):
+        t = residual_matrix(n, order)
+        assert _same_floats(entry_alphabet(t), _loop_alphabet(t))
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_entry_alphabet_matches_loop_on_clustered_inputs(seed):
+    rng = np.random.default_rng([seed, 71])
+    tol = 1e-9
+    centres = np.sort(rng.choice([0.0, 1.0, *rng.uniform(0.0, 3.0, 6)], 5, replace=False))
+    centres = centres[np.concatenate([[True], np.diff(centres) > 1e-6])]
+    size = rng.integers(1, 60)
+    m = rng.choice(centres, size) + rng.uniform(-tol / 3, tol / 3, size)
+    m = (m * rng.choice([-1.0, 1.0], size)).reshape(-1, 1)
+    assert _same_floats(entry_alphabet(m, tol), _loop_alphabet(m, tol))
+
+
+def test_entry_alphabet_of_empty_matrix():
+    assert entry_alphabet(np.zeros((0, 3))) == _loop_alphabet(np.zeros((0, 3))) == ()
+
+
 # --- balancing ---
 
 

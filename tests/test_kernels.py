@@ -2,10 +2,14 @@
 scalar path, plus layer-state checks."""
 
 import cmath
+import functools
 import math
 import os
 import subprocess
 import sys
+import threading
+import warnings
+from contextlib import contextmanager
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -25,10 +29,11 @@ from mindht import (
     naive_dht,
     pre_addition_state,
 )
-from mindht import kernels, layers
+from mindht import _cgen, kernels, layers
+from mindht._cgen import TILE
 from mindht.kernels import kernel_flow
 from mindht.layers import LAYER_SPECS, apply_layer, max_order
-from mindht.replay import CHUNK_COLUMNS
+from mindht.replay import CHUNK_COLUMNS, program as replay_program
 
 KERNELS = {4: fast_dht4, 8: fast_dht8, 12: fast_dht12, 24: fast_dht24}
 
@@ -212,7 +217,51 @@ def test_shape_and_length_errors_unchanged(call, message):
     assert str(exc.value) == message
 
 
-# --- array path: chunked replay of the traced program ---
+# --- array path: C kernels from the traced program, or the chunked replay ---
+
+BACKENDS = ("c", "replay")
+
+
+@contextmanager
+def forced(name):
+    """Run the array path on the C kernels ("c") or on a forced replay ("replay").
+
+    The replay is forced through the compiler lookup, on a fresh kernel table.
+    """
+    with pytest.MonkeyPatch.context() as mp:
+        if name == "replay":
+            mp.setattr(_cgen, "_KERNELS", {})
+            mp.setattr(_cgen, "find_compiler", lambda: None)
+            mp.setattr(_cgen, "_warned", True)
+        yield
+
+
+@functools.cache
+def c_works(find_compiler=_cgen.find_compiler):
+    """Whether this machine compiles and loads the C kernels (not under CC=/bin/false)."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(_cgen, "_KERNELS", {})
+        mp.setattr(_cgen, "find_compiler", find_compiler)
+        return _cgen.backend(4) == "c"
+
+
+def expect_backend(name, n):
+    assert _cgen.backend(n) == (name if c_works() else "replay")
+
+
+@pytest.fixture(params=BACKENDS)
+def backend(request):
+    with forced(request.param):
+        yield request.param
+
+
+@pytest.fixture
+def fresh_cache(tmp_path, monkeypatch):
+    """An empty object cache and kernel table, with the one-warning latch reset."""
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
+    monkeypatch.setattr(_cgen, "_KERNELS", {})
+    monkeypatch.setattr(_cgen, "_warned", False)
+    return tmp_path / "mindht"
 
 
 def scalar_columns(n, x):
@@ -223,6 +272,10 @@ def scalar_columns(n, x):
     ).T.reshape(x.shape)
 
 
+def same_bits(a, b):
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
 @pytest.mark.parametrize("n", SUPPORTED_SIZES)
 @pytest.mark.parametrize(
     "blocks", [1, CHUNK_COLUMNS - 1, CHUNK_COLUMNS, CHUNK_COLUMNS + 1, 3 * CHUNK_COLUMNS + 5]
@@ -230,11 +283,15 @@ def scalar_columns(n, x):
 def test_array_path_matches_scalar_path_bit_for_bit(n, blocks):
     x = np.random.default_rng([n, blocks]).uniform(-1.0, 1.0, (n, blocks))
     before = x.copy()
-    out = kernel_flow(n)(x)
-    assert isinstance(out, np.ndarray)
-    assert out.shape == (n, blocks) and out.dtype == np.float64
-    assert np.array_equal(out, scalar_columns(n, x))
-    assert np.array_equal(x, before)
+    want = scalar_columns(n, x)
+    for name in BACKENDS:
+        with forced(name):
+            expect_backend(name, n)
+            out = kernel_flow(n)(x)
+            assert isinstance(out, np.ndarray)
+            assert out.shape == (n, blocks) and out.dtype == np.float64
+            assert same_bits(out, want)
+            assert np.array_equal(x, before)
 
 
 @pytest.mark.parametrize("n", SUPPORTED_SIZES)
@@ -246,10 +303,13 @@ def test_array_path_layouts(n):
     cube = rng.uniform(-1.0, 1.0, (n, 5, 7))
     for x in (fortran, transposed, cube):
         before = x.copy()
-        out = kernel_flow(n)(x)
-        assert out.shape == x.shape
-        assert np.array_equal(out, scalar_columns(n, x))
-        assert np.array_equal(x, before)
+        want = scalar_columns(n, x)
+        for name in BACKENDS:
+            with forced(name):
+                out = kernel_flow(n)(x)
+                assert out.shape == x.shape
+                assert same_bits(out, want)
+                assert np.array_equal(x, before)
 
 
 @pytest.mark.parametrize("n", SUPPORTED_SIZES)
@@ -259,15 +319,19 @@ def test_array_path_int_and_float32_computed_in_float64(n):
     singles = rng.uniform(-1.0, 1.0, (n, 300)).astype(np.float32)
     for x in (ints, singles):
         before = x.copy()
-        out = kernel_flow(n)(x)
-        assert out.dtype == np.float64
-        assert np.array_equal(out, scalar_columns(n, x))
-        assert np.array_equal(x, before) and x.dtype == before.dtype
+        for name in BACKENDS:
+            with forced(name):
+                out = kernel_flow(n)(x)
+                assert out.dtype == np.float64
+                assert np.array_equal(out, scalar_columns(n, x))
+                assert np.array_equal(x, before) and x.dtype == before.dtype
 
 
 def test_array_path_rejects_wrong_block_axis():
-    with pytest.raises(UnsupportedLengthError):
-        kernel_flow(8)(np.zeros((12, 4)))
+    for name in BACKENDS:
+        with forced(name):
+            with pytest.raises(UnsupportedLengthError, match=r"expected \(8, \.\.\.\)"):
+                kernel_flow(8)(np.zeros((12, 4)))
 
 
 def test_other_inputs_run_the_raw_flow():
@@ -293,10 +357,13 @@ def test_array_path_retraces_a_replaced_flow(monkeypatch):
         return out
 
     monkeypatch.setitem(kernels._FLOWS, 8, bad)
-    out = kernel_flow(8)(x)
-    assert np.array_equal(out[0], 0.9999999 * good[0])
-    assert np.array_equal(out[1:], good[1:])
-    assert np.array_equal(out, scalar_columns(8, x))
+    for name in BACKENDS:
+        with forced(name):
+            expect_backend(name, 8)
+            out = kernel_flow(8)(x)
+            assert np.array_equal(out[0], 0.9999999 * good[0])
+            assert np.array_equal(out[1:], good[1:])
+            assert same_bits(out, scalar_columns(8, x))
 
 
 def test_array_path_copies_repeated_and_input_outputs(monkeypatch):
@@ -306,7 +373,195 @@ def test_array_path_copies_repeated_and_input_outputs(monkeypatch):
 
     monkeypatch.setitem(kernels._FLOWS, 4, passthrough)
     x = np.random.default_rng(43).uniform(-1.0, 1.0, (4, 10))
-    assert np.array_equal(kernel_flow(4)(x), scalar_columns(4, x))
+    x[:, 0] = -0.0
+    for name in BACKENDS:
+        with forced(name):
+            expect_backend(name, 4)
+            assert same_bits(kernel_flow(4)(x), scalar_columns(4, x))
+
+
+def test_replaced_flow_gets_its_own_c_source(monkeypatch):
+    good = _cgen.source(replay_program(8, kernels._FLOWS[8]))
+
+    def bad(v):
+        out = kernels.dht8_flow(v)
+        out[0] = 0.9999999 * out[0]
+        return out
+
+    monkeypatch.setitem(kernels._FLOWS, 8, bad)
+    assert _cgen.source(replay_program(8, bad)) != good
+    assert (0.9999999).hex() in _cgen.source(replay_program(8, bad))
+
+
+@pytest.mark.parametrize("n", SUPPORTED_SIZES)
+@pytest.mark.parametrize("blocks", [1, TILE - 1, TILE, TILE + 1, 3 * TILE + 5])
+def test_tile_edges_match_scalar_path(backend, n, blocks):
+    x = np.random.default_rng([n, blocks, 5]).uniform(-1.0, 1.0, (n, blocks))
+    x[:, ::7] = -0.0
+    expect_backend(backend, n)
+    assert same_bits(kernel_flow(n)(x), scalar_columns(n, x))
+
+
+@pytest.mark.parametrize("n", SUPPORTED_SIZES)
+def test_negative_and_non_unit_strides(backend, n):
+    base = np.random.default_rng(n + 47).uniform(-1.0, 1.0, (2 * n, 2 * TILE + 9))
+    views = (
+        base[:n, ::-1],  # negative column stride
+        base[:n, ::3],  # column stride 3
+        base[:n, ::-2],
+        base[n - 1::-1],  # negative row stride
+        base[::2, 1::5],  # row stride 2, column stride 5
+        base[:n].T.copy().T[:, ::-1],  # Fortran order, reversed
+    )
+    for x in views:
+        before = base.copy()
+        assert same_bits(kernel_flow(n)(x), scalar_columns(n, x))
+        assert np.array_equal(base, before)
+
+
+def test_inputs_the_c_kernels_do_not_take_run_the_replay(fresh_cache, monkeypatch):
+    def no_c(*args):
+        raise AssertionError("the C kernel ran")
+
+    monkeypatch.setattr(_cgen, "_call", no_c)
+    rng = np.random.default_rng(53)
+    x = rng.uniform(-1.0, 1.0, (8, 40))
+    raw = np.zeros(8 * 40 * 8 + 4, np.uint8)
+    unaligned = np.ndarray((8, 40), float, raw, offset=4)
+    unaligned[...] = x
+    packed = np.zeros((8, 40), [("a", "i4"), ("v", "f8")])["v"]  # 12-byte stride
+    packed[...] = x
+    assert packed.strides[1] % 8
+    for y in (unaligned, packed, x.astype(">f8"), x.astype(np.float32),
+              (1000 * x).astype(np.int64)):
+        out = kernel_flow(8)(y)
+        assert out.dtype == np.float64
+        assert same_bits(out, scalar_columns(8, np.asarray(y, float)))
+    wide = kernel_flow(8)(x.astype(np.longdouble))
+    assert wide.dtype == np.longdouble
+    assert not fresh_cache.exists()  # nothing was compiled
+
+
+def test_import_and_one_block_calls_load_no_c_backend(tmp_path):
+    code = (
+        "import sys, mindht\n"
+        "mindht.fast_dht([1.0, 2.0, 3.0, 4.0])\n"
+        "mindht.kernels.kernel_flow(8)(list(range(8)))\n"
+        "assert 'mindht._cgen' not in sys.modules\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(mindht.__file__).parents[1]),
+           "XDG_CACHE_HOME": str(tmp_path)}
+    subprocess.run([sys.executable, "-c", code], check=True, env=env)
+    assert not (tmp_path / "mindht").exists()
+
+
+def test_second_process_loads_the_cached_object(fresh_cache):
+    if not c_works():
+        pytest.skip("no working C compiler")
+    x = np.random.default_rng(59).uniform(-1.0, 1.0, (24, 300))
+    assert _cgen.backend(24) == "c"
+    objects = sorted(fresh_cache.iterdir())
+    np.save(fresh_cache.parent / "x.npy", x)
+    code = (
+        "import sys, numpy as np\n"
+        "from mindht import _cgen, kernels\n"
+        "def no_build(*args):\n"
+        "    raise AssertionError('compiled again')\n"
+        "_cgen._build = no_build\n"
+        "x = np.load(sys.argv[1])\n"
+        "assert _cgen.backend(24) == 'c'\n"
+        "np.save(sys.argv[2], kernels.kernel_flow(24)(x))\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(mindht.__file__).parents[1]),
+           "XDG_CACHE_HOME": str(fresh_cache.parent)}
+    out = fresh_cache.parent / "y.npy"
+    subprocess.run([sys.executable, "-W", "error", "-c", code, str(fresh_cache.parent / "x.npy"),
+                    str(out)], check=True, env=env)
+    assert same_bits(np.load(out), scalar_columns(24, x))
+    assert sorted(fresh_cache.iterdir()) == objects
+
+
+def test_cache_directory_is_private(fresh_cache):
+    if not c_works():
+        pytest.skip("no working C compiler")
+    _cgen.backend(8)
+    assert fresh_cache.stat().st_mode & 0o777 == 0o700
+    assert [p.suffix for p in fresh_cache.iterdir()] == [".so"]  # no temporary left over
+
+
+def test_failing_compiler_falls_back_with_one_warning(fresh_cache, monkeypatch):
+    monkeypatch.setenv("CC", "/bin/false")
+    with warnings.catch_warnings(record=True) as seen:
+        warnings.simplefilter("always")
+        for n in SUPPORTED_SIZES:
+            x = np.random.default_rng(n + 61).uniform(-1.0, 1.0, (n, 50))
+            assert same_bits(kernel_flow(n)(x), scalar_columns(n, x))
+            assert _cgen.backend(n) == "replay"
+    assert [w.category for w in seen] == [RuntimeWarning]
+    assert "kernel_flow runs the NumPy replay" in str(seen[0].message)
+
+
+def test_missing_compiler_falls_back_with_one_warning(fresh_cache, monkeypatch):
+    monkeypatch.setenv("CC", "no-such-compiler-anywhere")
+    assert _cgen.find_compiler() is None
+    with warnings.catch_warnings(record=True) as seen:
+        warnings.simplefilter("always")
+        for n in SUPPORTED_SIZES:
+            x = np.random.default_rng(n + 67).uniform(-1.0, 1.0, (n, 50))
+            assert same_bits(kernel_flow(n)(x), scalar_columns(n, x))
+    assert len(seen) == 1 and "no C compiler" in str(seen[0].message)
+
+
+def test_tampered_object_is_rejected_by_the_load_check(fresh_cache):
+    if not c_works():
+        pytest.skip("no working C compiler")
+    prog = replay_program(8, kernels._FLOWS[8])
+    src = _cgen.source(prog)
+    cut = src.index(" + ", src.index("double y0"))
+    tampered = src[:cut] + " - " + src[cut + 3:]  # one + flipped to -
+    cc = _cgen.find_compiler()
+    path = _cgen.object_path(src, cc)
+    _cgen._build(tampered, path, cc)
+    x = np.random.default_rng(71).uniform(-1.0, 1.0, (8, 30))
+    with warnings.catch_warnings(record=True) as seen:
+        warnings.simplefilter("always")
+        assert same_bits(kernel_flow(8)(x), scalar_columns(8, x))
+        assert _cgen.backend(8) == "replay"
+    assert len(seen) == 1 and "disagreed with the replay" in str(seen[0].message)
+    assert not path.exists()
+
+
+def test_threads_compile_each_kernel_once(fresh_cache, monkeypatch):
+    builds = []
+    real_build = _cgen._build
+
+    def counted(src, path, cc):
+        builds.append(src)
+        real_build(src, path, cc)
+
+    monkeypatch.setattr(_cgen, "_build", counted)
+    xs = {n: np.random.default_rng(n + 73).uniform(-1.0, 1.0, (n, 600)) for n in SUPPORTED_SIZES}
+    want = {n: scalar_columns(n, x) for n, x in xs.items()}
+    bad = []
+
+    def work():
+        for n in SUPPORTED_SIZES:
+            if not same_bits(kernel_flow(n)(xs[n]), want[n]):
+                bad.append(n)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=work) for _ in range(6)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert bad == []
+    assert len(builds) == len(set(builds)) == 4  # each kernel built (or tried) once
 
 
 # --- pre-addition layer states ---
