@@ -229,7 +229,7 @@ def _cmd_bench(args) -> int:
     for n in SUPPORTED_SIZES:
         x = rng.uniform(-1.0, 1.0, (n, BENCH_BLOCKS))
         kernel = kernel_flow(n)
-        kernel(x)  # the first array call compiles or loads the C kernel
+        kernel(x)  # the first array call compiles and loads the C kernel
         times = []
         for _ in range(reps):
             t0 = time.perf_counter()

@@ -23,7 +23,7 @@ ndim >= 2 (samples along axis 0, one block per column), it does not run the
 flow over whole rows, which would allocate a temporary per operation.  It
 traces the flow once into a straight-line program (mindht.replay).  A float64
 batch runs through C code emitted from that program, compiled once per N
-into a cached shared object (mindht._cgen).  Other dtypes, odd strides, and
+and process into a shared object (mindht._cgen).  Other dtypes, odd strides, and
 machines without a working C compiler replay the program over column chunks
 instead, with every operation written into reused register rows.  Either way
 the result is one (n, ...) ndarray of dtype ``np.result_type(x, float)``
@@ -323,7 +323,7 @@ def kernel_flow(n: int):
     never written to.  Each output is the same IEEE operations on the same
     operands in the same order as the scalar path, so each column equals the
     flow run on that column's floats bit for bit.  The program is traced,
-    and its C compiled or loaded from the cache, on the first array call, and
+    and its C compiled and loaded, on the first array call, and
     again whenever ``_FLOWS[n]`` has been replaced.  Any other input (a list,
     scalars, counting scalars, a 1-D array) runs the raw scalar-generic flow
     and gets its list back.

@@ -256,12 +256,10 @@ def backend(request):
 
 
 @pytest.fixture
-def fresh_cache(tmp_path, monkeypatch):
-    """An empty object cache and kernel table, with the one-warning latch reset."""
-    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
+def fresh_kernels(monkeypatch):
+    """An empty kernel table, with the one-warning latch reset."""
     monkeypatch.setattr(_cgen, "_KERNELS", {})
     monkeypatch.setattr(_cgen, "_warned", False)
-    return tmp_path / "mindht"
 
 
 def scalar_columns(n, x):
@@ -419,7 +417,7 @@ def test_negative_and_non_unit_strides(backend, n):
         assert np.array_equal(base, before)
 
 
-def test_inputs_the_c_kernels_do_not_take_run_the_replay(fresh_cache, monkeypatch):
+def test_inputs_the_c_kernels_do_not_take_run_the_replay(fresh_kernels, monkeypatch):
     def no_c(*args):
         raise AssertionError("the C kernel ran")
 
@@ -439,7 +437,7 @@ def test_inputs_the_c_kernels_do_not_take_run_the_replay(fresh_cache, monkeypatc
         assert same_bits(out, scalar_columns(8, np.asarray(y, float)))
     wide = kernel_flow(8)(x.astype(np.longdouble))
     assert wide.dtype == np.longdouble
-    assert not fresh_cache.exists()  # nothing was compiled
+    assert _cgen._KERNELS == {}  # nothing was compiled or loaded
 
 
 def test_import_and_one_block_calls_load_no_c_backend(tmp_path):
@@ -450,46 +448,39 @@ def test_import_and_one_block_calls_load_no_c_backend(tmp_path):
         "assert 'mindht._cgen' not in sys.modules\n"
     )
     env = {**os.environ, "PYTHONPATH": str(Path(mindht.__file__).parents[1]),
-           "XDG_CACHE_HOME": str(tmp_path)}
+           "TMPDIR": str(tmp_path)}
     subprocess.run([sys.executable, "-c", code], check=True, env=env)
-    assert not (tmp_path / "mindht").exists()
+    assert list(tmp_path.iterdir()) == []  # no object directory was made
 
 
-def test_second_process_loads_the_cached_object(fresh_cache):
+def test_objects_live_in_a_private_directory_removed_at_exit(tmp_path):
     if not c_works():
         pytest.skip("no working C compiler")
     x = np.random.default_rng(59).uniform(-1.0, 1.0, (24, 300))
-    assert _cgen.backend(24) == "c"
-    objects = sorted(fresh_cache.iterdir())
-    np.save(fresh_cache.parent / "x.npy", x)
+    np.save(tmp_path / "x.npy", x)
+    work = tmp_path / "tmp"
+    work.mkdir()
     code = (
         "import sys, numpy as np\n"
+        "from pathlib import Path\n"
         "from mindht import _cgen, kernels\n"
-        "def no_build(*args):\n"
-        "    raise AssertionError('compiled again')\n"
-        "_cgen._build = no_build\n"
         "x = np.load(sys.argv[1])\n"
-        "assert _cgen.backend(24) == 'c'\n"
         "np.save(sys.argv[2], kernels.kernel_flow(24)(x))\n"
+        "assert _cgen.backend(24) == 'c'\n"
+        "assert _cgen._dir.parent == Path(sys.argv[3])\n"
+        "assert _cgen._dir.stat().st_mode & 0o777 == 0o700\n"
+        "assert [p.suffix for p in _cgen._dir.iterdir()] == ['.so']\n"
     )
     env = {**os.environ, "PYTHONPATH": str(Path(mindht.__file__).parents[1]),
-           "XDG_CACHE_HOME": str(fresh_cache.parent)}
-    out = fresh_cache.parent / "y.npy"
-    subprocess.run([sys.executable, "-W", "error", "-c", code, str(fresh_cache.parent / "x.npy"),
-                    str(out)], check=True, env=env)
+           "TMPDIR": str(work)}
+    out = tmp_path / "y.npy"
+    subprocess.run([sys.executable, "-W", "error", "-c", code, str(tmp_path / "x.npy"), str(out),
+                    str(work)], check=True, env=env)
     assert same_bits(np.load(out), scalar_columns(24, x))
-    assert sorted(fresh_cache.iterdir()) == objects
+    assert list(work.iterdir()) == []
 
 
-def test_cache_directory_is_private(fresh_cache):
-    if not c_works():
-        pytest.skip("no working C compiler")
-    _cgen.backend(8)
-    assert fresh_cache.stat().st_mode & 0o777 == 0o700
-    assert [p.suffix for p in fresh_cache.iterdir()] == [".so"]  # no temporary left over
-
-
-def test_failing_compiler_falls_back_with_one_warning(fresh_cache, monkeypatch):
+def test_failing_compiler_falls_back_with_one_warning(fresh_kernels, monkeypatch):
     monkeypatch.setenv("CC", "/bin/false")
     with warnings.catch_warnings(record=True) as seen:
         warnings.simplefilter("always")
@@ -501,7 +492,7 @@ def test_failing_compiler_falls_back_with_one_warning(fresh_cache, monkeypatch):
     assert "kernel_flow runs the NumPy replay" in str(seen[0].message)
 
 
-def test_missing_compiler_falls_back_with_one_warning(fresh_cache, monkeypatch):
+def test_missing_compiler_falls_back_with_one_warning(fresh_kernels, monkeypatch):
     monkeypatch.setenv("CC", "no-such-compiler-anywhere")
     assert _cgen.find_compiler() is None
     with warnings.catch_warnings(record=True) as seen:
@@ -512,34 +503,34 @@ def test_missing_compiler_falls_back_with_one_warning(fresh_cache, monkeypatch):
     assert len(seen) == 1 and "no C compiler" in str(seen[0].message)
 
 
-def test_tampered_object_is_rejected_by_the_load_check(fresh_cache):
+def test_tampered_object_is_rejected_by_the_load_check(fresh_kernels, monkeypatch):
     if not c_works():
         pytest.skip("no working C compiler")
-    prog = replay_program(8, kernels._FLOWS[8])
-    src = _cgen.source(prog)
-    cut = src.index(" + ", src.index("double y0"))
-    tampered = src[:cut] + " - " + src[cut + 3:]  # one + flipped to -
-    cc = _cgen.find_compiler()
-    path = _cgen.object_path(src, cc)
-    _cgen._build(tampered, path, cc)
+    real_source = _cgen.source
+
+    def tampered(prog):
+        src = real_source(prog)
+        cut = src.index(" + ", src.index("double y0"))
+        return src[:cut] + " - " + src[cut + 3:]  # one + flipped to -
+
+    monkeypatch.setattr(_cgen, "source", tampered)
     x = np.random.default_rng(71).uniform(-1.0, 1.0, (8, 30))
     with warnings.catch_warnings(record=True) as seen:
         warnings.simplefilter("always")
         assert same_bits(kernel_flow(8)(x), scalar_columns(8, x))
         assert _cgen.backend(8) == "replay"
     assert len(seen) == 1 and "disagreed with the replay" in str(seen[0].message)
-    assert not path.exists()
 
 
-def test_threads_compile_each_kernel_once(fresh_cache, monkeypatch):
-    builds = []
-    real_build = _cgen._build
+def test_threads_load_each_kernel_once(fresh_kernels, monkeypatch):
+    loads = []
+    real_load = _cgen._load
 
-    def counted(src, path, cc):
-        builds.append(src)
-        real_build(src, path, cc)
+    def counted(prog):
+        loads.append(prog.n)
+        return real_load(prog)
 
-    monkeypatch.setattr(_cgen, "_build", counted)
+    monkeypatch.setattr(_cgen, "_load", counted)
     xs = {n: np.random.default_rng(n + 73).uniform(-1.0, 1.0, (n, 600)) for n in SUPPORTED_SIZES}
     want = {n: scalar_columns(n, x) for n, x in xs.items()}
     bad = []
@@ -561,7 +552,7 @@ def test_threads_compile_each_kernel_once(fresh_cache, monkeypatch):
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads)
     assert bad == []
-    assert len(builds) == len(set(builds)) == 4  # each kernel built (or tried) once
+    assert sorted(loads) == list(SUPPORTED_SIZES)  # each kernel compiled (or tried) once
 
 
 # --- pre-addition layer states ---
