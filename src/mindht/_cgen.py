@@ -1,13 +1,14 @@
 """C kernels generated from the traced program, for the array path.
 
 ``kernels.kernel_flow(n)(X)`` on a float64 ndarray runs a C function emitted
-from the straight-line program that mindht.replay traces and schedules: its
-``ops``, ``consts`` and ``n_regs``, so the kernel is still described only
-once, by its ``*_flow``.  The function gathers a tile of TILE columns into
-padded heap buffers (one malloc per call), runs the program once per column
-with one ``double`` local per input, output and register, and writes the tile
-into a C-contiguous (n_outputs, B) result.  It takes element strides for rows
-and columns, so Fortran-ordered, transposed and reversed inputs need no copy.
+from the kernel's one trace, ``counting.trace(n)``, as mindht.replay
+schedules it: its ``ops``, ``consts`` and ``n_regs``, so the kernel is still
+described only once, by its ``*_flow``.  The function gathers a tile of TILE
+columns into padded heap buffers (one malloc per call), runs the program once
+per column with one ``double`` local per input, output and register, and
+writes the tile into a C-contiguous (n_outputs, B) result.  It takes element
+strides for rows and columns, so Fortran-ordered, transposed and reversed
+inputs need no copy.
 
 Bit identity: every node is one IEEE double operation on the same operands in
 the same order as in the replay, constants are ``float.hex()`` literals, and
@@ -18,11 +19,12 @@ arithmetic carries excess precision.
 The source is compiled once per kernel and process, on the first array call
 for that length (0.1-0.25 s per N with gcc 12 on a 2.1 GHz Xeon), into a
 shared object in a private per-process temporary directory that is removed
-at exit; nothing is cached between processes.  A replaced
-``kernels._FLOWS[n]`` is traced again and so compiled again.  After loading,
-each object runs once on a fixed batch of signed zeros, subnormals and mixed
-magnitudes and must equal the replay bit for bit; an object that does not is
-not used.
+at exit; nothing is cached between processes.  The kernel table is keyed on
+the trace object, so threads whose first calls race compile once, and a
+replaced ``kernels._FLOWS[n]`` is traced again and so compiled again.  After
+loading, each object runs once on a fixed batch of signed zeros, subnormals
+and mixed magnitudes and must equal the replay bit for bit; an object that
+does not is not used.
 
 The replay runs instead when no compiler is found (``$CC``, else ``cc``) or
 compiling or loading fails (one RuntimeWarning per process), when the object
@@ -47,8 +49,6 @@ from pathlib import Path
 
 import numpy as np
 
-from .kernels import _FLOWS
-from .layers import check_size
 from .replay import program
 
 # Columns per tile.  At N = 24 the two tile buffers take 101 KiB, allocated
@@ -208,24 +208,24 @@ def _load(prog):
     return fn
 
 
-# n -> (program, its checked C function or None); one lock guards loading.
+# n -> (trace, its checked C function or None); one lock guards loading.
 _KERNELS: dict[int, tuple] = {}
 _LOCK = threading.Lock()
 
 
 def _kernel(prog):
     hit = _KERNELS.get(prog.n)
-    if hit is None or hit[0] is not prog:
+    if hit is None or hit[0] is not prog.trace:
         with _LOCK:
             hit = _KERNELS.get(prog.n)
-            if hit is None or hit[0] is not prog:
-                hit = _KERNELS[prog.n] = (prog, _load(prog))
+            if hit is None or hit[0] is not prog.trace:
+                hit = _KERNELS[prog.n] = (prog.trace, _load(prog))
     return hit[1]
 
 
-def run(n: int, flow, x: np.ndarray) -> np.ndarray:
+def run(n: int, x: np.ndarray) -> np.ndarray:
     """``kernel_flow(n)(x)`` for an ndarray x with ndim >= 2."""
-    prog = program(n, flow)
+    prog = program(n)
     if x.dtype == _F64 and x.shape[0] == n:
         cols = x.reshape(n, -1)
         if cols.flags.aligned and not (cols.strides[0] % 8 or cols.strides[1] % 8):
@@ -237,4 +237,4 @@ def run(n: int, flow, x: np.ndarray) -> np.ndarray:
 
 def backend(n: int) -> str:
     """``"c"`` or ``"replay"``: what runs float64 arrays for length n now."""
-    return "c" if _kernel(program(n, _FLOWS[check_size(n)])) is not None else "replay"
+    return "c" if _kernel(program(n)) is not None else "replay"

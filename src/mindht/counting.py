@@ -6,18 +6,22 @@ multiplication by a constant as one node of a straight-line program in a
 per-invocation OpTally.  The operation counts are counts over those nodes, so
 running a kernel on counting scalars *measures* its cost instead of trusting a
 hand count, and the audit compares the measurement against the declared
-budgets and the multiplicative-complexity lower bounds.  The same recorded
-program is what mindht.derivation extracts each kernel's factorization plan
-from.
+budgets and the multiplicative-complexity lower bounds.
+
+Each kernel's flow is traced in one place, ``trace(n)``: once per flow
+object, under one lock.  That one program is what count_ops counts, what
+mindht.replay schedules and mindht._cgen compiles for the array path, and
+what mindht.derivation labels to extract the kernel's factorization plan.
 """
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 
 import numpy as np
 
-from .kernels import kernel_flow
+from .kernels import _FLOWS, kernel_flow
 from .layers import SUPPORTED_SIZES, check_size
 
 __all__ = [
@@ -27,6 +31,7 @@ __all__ = [
     "EXPECTED_COUNTS",
     "MU_LOWER_BOUND",
     "mu_lower_bound",
+    "trace",
     "count_ops",
     "AuditRow",
     "audit_report",
@@ -68,13 +73,15 @@ class OpTally:
     nodes[k] is ("in", None, None) for a scalar created directly, ("+", a, b)
     or ("-", a, b) for the sum or difference of nodes a and b, and
     ("*", a, c) for node a times the constant c.  Negation is recorded as a
-    multiplication by -1.0.
+    multiplication by -1.0.  A program made by ``trace`` also lists the node
+    of each flow output in ``outputs``.
     """
 
-    __slots__ = ("nodes",)
+    __slots__ = ("nodes", "outputs")
 
     def __init__(self):
         self.nodes: list[tuple] = []
+        self.outputs: list[int] = []
 
     @property
     def additions(self) -> int:
@@ -155,15 +162,30 @@ def run_counted(n: int, v) -> tuple[np.ndarray, OpCount]:
     return np.array([s.value for s in out]), tally.snapshot()
 
 
-def count_ops(n: int, seed: int = 0) -> OpCount:
-    """Measure the operation count of the length-n kernel on a random input.
+_TRACES: dict[int, tuple] = {}  # n -> (flow, its program)
+_TRACE_LOCK = threading.Lock()
 
-    The dataflow has no data-dependent branches, so the count is the same for
-    every input; the seed only picks the probe signal.
+
+def trace(n: int) -> OpTally:
+    """The straight-line program of ``kernels._FLOWS[n]``, traced once per flow.
+
+    The flows have no data-dependent branches, so one run on counting scalars
+    is the program for every input.  One lock covers the cache check and the
+    tracing, so threads making their first calls together share one program.
     """
-    rng = np.random.default_rng(seed)
-    _, ops = run_counted(n, rng.uniform(-1.0, 1.0, check_size(n)))
-    return ops
+    flow = _FLOWS[check_size(n)]
+    with _TRACE_LOCK:
+        hit = _TRACES.get(n)
+        if hit is None or hit[0] is not flow:
+            tally = OpTally()
+            tally.outputs = [s.node for s in flow([CountingScalar(0.0, tally) for _ in range(n)])]
+            hit = _TRACES[n] = (flow, tally)
+    return hit[1]
+
+
+def count_ops(n: int) -> OpCount:
+    """The operation count of the length-n kernel, counted over its trace."""
+    return trace(n).snapshot()
 
 
 @dataclass(frozen=True)
@@ -175,21 +197,16 @@ class AuditRow:
     meets_bound: bool
 
 
-def audit_report(seed: int = 0) -> list[AuditRow]:
-    """Measure every kernel and compare against the lower bounds."""
+def audit_report(_seed=None, /) -> list[AuditRow]:
+    """Measure every kernel and compare against the lower bounds.
+
+    The counts come from each kernel's one trace; the positional argument is
+    ignored and only keeps callers of the former ``audit_report(seed)`` working.
+    """
     rows = []
     for n in SUPPORTED_SIZES:
-        ops = count_ops(n, seed=seed)
-        mu = MU_LOWER_BOUND[n]
-        rows.append(
-            AuditRow(
-                n=n,
-                additions=ops.additions,
-                multiplications=ops.multiplications,
-                mu=mu,
-                meets_bound=ops.multiplications == mu,
-            )
-        )
+        ops, mu = count_ops(n), MU_LOWER_BOUND[n]
+        rows.append(AuditRow(n, ops.additions, ops.multiplications, mu, ops.multiplications == mu))
     return rows
 
 

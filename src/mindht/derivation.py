@@ -6,16 +6,17 @@ The fast kernels factor the Hartley matrix H_N as
           + special-addition corrections
 
 Each kernel is described once, by its ``*_flow`` in mindht.kernels.
-kernel_plan traces that flow on counting scalars and expresses the recorded
-program against the pre-addition layer listings of mindht.layers: the
-multiplication sites, the special-addition stages and the post-addition rows
-are all extracted from the trace, and every live layer slot is checked to be
-a node of the flow.  Independently, the residual matrices T(k) - what remains
-of the transform after k layers, satisfying V = T(k) . S(k) - are
-reconstructed here as H_N . P_k^{-1} with P_k the exact integer layer
-composition.  Balancing splits oversized residual entries (magnitude above
-one) into an integer part, applied as a "special addition" of an
-already-computed layer value, plus a remainder that lands back in the
+kernel_plan reads that flow's one trace (mindht.counting.trace) and labels
+its nodes with the slots of the pre-addition layer listings of
+mindht.layers, whose coefficient vectors are the rows of the layer
+compositions P_k: the multiplication sites, the special-addition stages and
+the post-addition rows are all extracted from the trace, and every live
+layer slot is checked to be a node of the flow.  Independently, the residual
+matrices T(k) - what remains of the transform after k layers, satisfying
+V = T(k) . S(k) - are reconstructed here as H_N . P_k^{-1} with P_k the exact
+integer layer composition.  Balancing splits oversized residual entries
+(magnitude above one) into an integer part, applied as a "special addition"
+of an already-computed layer value, plus a remainder that lands back in the
 kernel's constant alphabet; it re-derives the extracted special stages from
 H_N alone.  verify_decomposition multiplies every plan stage back out to
 check the factorization reproduces H_N exactly.
@@ -28,8 +29,8 @@ from operator import add, sub
 
 import numpy as np
 
-from .counting import CountingScalar, OpTally, count_ops
-from .kernels import _FLOWS, CONSTANT_LABELS, kernel_flow
+from .counting import count_ops, trace
+from .kernels import CONSTANT_LABELS
 from .layers import LAYER_SPECS, apply_layer, check_size, max_order
 from .reference import dht_matrix
 
@@ -63,33 +64,20 @@ class DerivationError(ValueError):
 # pre-addition matrices and residuals
 
 
-def _rows_to_matrix(n: int, spec) -> np.ndarray:
-    m = np.zeros((n, n), dtype=np.int64)
-    for r, op in enumerate(spec):
-        if op[0] == "pass":
-            m[r, op[1]] = 1
-        elif op[0] == "add":
-            m[r, op[1]] = 1
-            m[r, op[2]] = 1
-        else:
-            m[r, op[1]] = 1
-            m[r, op[2]] = -1
-    return m
-
-
 def layer_matrix(n: int, order: int) -> np.ndarray:
     """Integer matrix of a single layer, mapping S(order-1) to S(order)."""
     check_size(n)
     specs = LAYER_SPECS[n]
     if not 1 <= order <= len(specs):
         raise ValueError(f"layer order {order} invalid for N={n}")
-    return _rows_to_matrix(n, specs[order - 1])
+    return np.array(apply_layer(specs[order - 1], np.eye(n, dtype=np.int64)))
 
 
 def pre_addition_matrix(n: int, order: int) -> np.ndarray:
     """Integer matrix P with P @ v = pre_addition_state(v, n, order).values.
 
-    Order 0 is the identity; higher orders compose the layer listings.
+    Order 0 is the identity; higher orders apply the layer listings to its
+    rows, so row i of P is the coefficient vector of slot i of S(order).
     """
     check_size(n)
     specs = LAYER_SPECS[n]
@@ -97,10 +85,10 @@ def pre_addition_matrix(n: int, order: int) -> np.ndarray:
         raise ValueError(
             f"layer order {order} invalid for N={n}; valid orders are 0..{len(specs)}"
         )
-    m = np.eye(n, dtype=np.int64)
-    for k in range(order):
-        m = _rows_to_matrix(n, specs[k]) @ m
-    return m
+    rows = np.eye(n, dtype=np.int64)
+    for spec in specs[:order]:
+        rows = apply_layer(spec, rows)
+    return np.array(rows)
 
 
 def _exact_inverse(m: np.ndarray) -> np.ndarray:
@@ -349,26 +337,21 @@ def _coefficients(nodes: list[tuple], n: int) -> list:
     return vecs
 
 
-def _extract_plan(n: int) -> KernelPlan:
-    """Trace kernel_flow(n) and express it against the LAYER_SPECS slots.
+def _extract_plan(n: int, program, mats: list[np.ndarray]) -> KernelPlan:
+    """Express the kernel's trace against the LAYER_SPECS slots.
 
-    A flow node is labelled with the layer slot whose coefficient vector it
+    mats[k] is P_k, whose row i is the coefficient vector of slot S(k)[i].  A
+    node of the trace is labelled with the slot whose coefficient vector it
     equals; where pass-throughs repeat a slot, the deepest layer wins.  Each
     constant multiplication becomes a site and each output a post row, both
     expanded down to labelled nodes.  Post-row terms below the deepest layer
     are the special additions, one stage per source layer.
     """
-    tally = OpTally()
-    layers = [[CountingScalar(0.0, tally) for _ in range(n)]]
-    outputs = kernel_flow(n)(layers[0])
-    flow_size = len(tally.nodes)
-    for spec in LAYER_SPECS[n]:
-        layers.append(apply_layer(spec, layers[-1]))
-    nodes = tally.nodes
+    nodes = program.nodes
     vecs = _coefficients(nodes, n)
-    slots = {(k, i): vecs[s.node] for k, layer in enumerate(layers) for i, s in enumerate(layer)}
+    slots = {(k, i): tuple(row) for k, m in enumerate(mats) for i, row in enumerate(m.tolist())}
     labels = {vec: ("S", k, i) for (k, i), vec in slots.items()}  # deeper layers overwrite
-    sites = [i for i in range(flow_size) if nodes[i][0] == "*"]
+    sites = [i for i, (op, _, _) in enumerate(nodes) if op == "*"]
     site_index = {node: k for k, node in enumerate(sites)}
 
     def expand(node: int, sign: int = 1) -> list:
@@ -386,14 +369,14 @@ def _extract_plan(n: int) -> KernelPlan:
         MultSite(value=c, label=CONSTANT_LABELS.get(c, repr(c)), operand=tuple(expand(a)))
         for _, a, c in (nodes[i] for i in sites)
     )
-    post_rows = tuple(tuple(expand(out.node)) for out in outputs)
+    post_rows = tuple(tuple(expand(out)) for out in program.outputs)
     plan_terms = [t for row in post_rows for t in row] + [t for m in mult_sites for t in m.operand]
-    dead = _check_live_slots(n, plan_terms, slots, nodes[:flow_size], vecs)
+    dead = _check_live_slots(n, plan_terms, slots, nodes, vecs)
 
     stages: dict[int, dict[int, tuple[int, int]]] = {}
     for row, terms in enumerate(post_rows):
         for sign, ref in terms:
-            if ref[0] == "S" and ref[1] < len(layers) - 1:
+            if ref[0] == "S" and ref[1] < len(mats) - 1:
                 entries = stages.setdefault(ref[1], {})
                 if row in entries:
                     raise DerivationError(
@@ -404,7 +387,7 @@ def _extract_plan(n: int) -> KernelPlan:
     return KernelPlan(n, mult_sites, special, post_rows, dead)
 
 
-def _check_live_slots(n, terms, slots, flow, vecs) -> tuple[tuple, ...]:
+def _check_live_slots(n, terms, slots, nodes, vecs) -> tuple[tuple, ...]:
     """Check every live layer slot is a flow node; return the dead slots.
 
     A slot is live if the plan's terms reach it backwards through the layer
@@ -412,7 +395,7 @@ def _check_live_slots(n, terms, slots, flow, vecs) -> tuple[tuple, ...]:
     listing row combines.  A live slot whose coefficient vector no flow node
     has means LAYER_SPECS and the flow disagree.
     """
-    combined = {frozenset((vecs[a], vecs[b])) for op, a, b in flow if op in ("+", "-")}
+    combined = {frozenset((vecs[a], vecs[b])) for op, a, b in nodes if op in ("+", "-")}
     live: set[tuple[int, int]] = set()
 
     def mark(order: int, idx: int) -> None:
@@ -429,7 +412,7 @@ def _check_live_slots(n, terms, slots, flow, vecs) -> tuple[tuple, ...]:
         for i, (op, *args) in enumerate(spec):
             if op != "pass" and frozenset(slots[k - 1, j] for j in args) in combined:
                 mark(k, i)
-    computed = set(vecs[: len(flow)])
+    computed = set(vecs)
     dead = tuple(("S", k, i) for (k, i), vec in slots.items() if vec not in computed)
     for _, k, i in dead:
         if (k, i) in live:
@@ -440,21 +423,27 @@ def _check_live_slots(n, terms, slots, flow, vecs) -> tuple[tuple, ...]:
     return dead
 
 
-_PLANS: dict[int, tuple] = {}  # n -> (flow, layer listing, plan traced from both)
+_PLANS: dict[int, tuple] = {}  # n -> (trace, layer listing, plan, [P_0, ..., P_max])
+
+
+def _plan_and_mats(n: int) -> tuple:
+    """(kernel_plan(n), [P_0, ..., P_max]), extracted together and cached."""
+    program, spec = trace(n), LAYER_SPECS[n]
+    cached = _PLANS.get(n)
+    if cached is None or cached[0] is not program or cached[1] is not spec:
+        mats = [pre_addition_matrix(n, k) for k in range(len(spec) + 1)]
+        cached = _PLANS[n] = (program, spec, _extract_plan(n, program, mats), mats)
+    return cached[2:]
 
 
 def kernel_plan(n: int) -> KernelPlan:
     """Factorization plan for one kernel (sites, specials, post rows).
 
-    Extracted from the traced kernel flow on first use and cached; a replaced
+    Extracted from the kernel's trace on first use and cached; a replaced
     ``kernels._FLOWS[n]`` or ``LAYER_SPECS[n]`` is extracted again.  Raises
     DerivationError if the flow and LAYER_SPECS disagree on a live slot.
     """
-    flow, spec = _FLOWS[check_size(n)], LAYER_SPECS[n]
-    cached = _PLANS.get(n)
-    if cached is None or cached[0] is not flow or cached[1] is not spec:
-        cached = _PLANS[n] = (flow, spec, _extract_plan(n))
-    return cached[2]
+    return _plan_and_mats(n)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -473,17 +462,6 @@ class DecompositionReport:
     multiplications_scheduled: int
 
 
-def _site_vectors(n: int, plan: KernelPlan) -> list[np.ndarray]:
-    mats = {order: pre_addition_matrix(n, order) for order in range(max_order(n) + 1)}
-    vecs = []
-    for site in plan.mult_sites:
-        v = np.zeros(n)
-        for sign, (_, order, idx) in site.operand:
-            v = v + sign * mats[order][idx].astype(float)
-        vecs.append(site.value * v)
-    return vecs
-
-
 def plan_matrix(n: int) -> np.ndarray:
     """Multiply the plan's stages out into one n x n matrix.
 
@@ -491,18 +469,15 @@ def plan_matrix(n: int) -> np.ndarray:
     slots contribute the matching row of P_order, multiplication sites their
     constant times the operand vector.
     """
-    plan = kernel_plan(n)
-    mats = {order: pre_addition_matrix(n, order) for order in range(max_order(n) + 1)}
-    sites = _site_vectors(n, plan)
+    plan, mats = _plan_and_mats(n)
+    sites = [
+        site.value * sum(sign * mats[order][idx] for sign, (_, order, idx) in site.operand)
+        for site in plan.mult_sites
+    ]
     rebuilt = np.zeros((n, n))
     for k, terms in enumerate(plan.post_rows):
-        acc = np.zeros(n)
         for sign, ref in terms:
-            if ref[0] == "S":
-                acc = acc + sign * mats[ref[1]][ref[2]].astype(float)
-            else:
-                acc = acc + sign * sites[ref[1]]
-        rebuilt[k] = acc
+            rebuilt[k] += sign * (mats[ref[1]][ref[2]] if ref[0] == "S" else sites[ref[1]])
     return rebuilt
 
 

@@ -21,14 +21,14 @@ arithmetic - the budgets above are asserted exactly by the test suite.
 ``kernel_flow(n)`` runs a flow on arrays too.  Given an ndarray with
 ndim >= 2 (samples along axis 0, one block per column), it does not run the
 flow over whole rows, which would allocate a temporary per operation.  It
-traces the flow once into a straight-line program (mindht.replay).  A float64
-batch runs through C code emitted from that program, compiled once per N
-and process into a shared object (mindht._cgen).  Other dtypes, odd strides, and
+runs the flow's straight-line program, traced once (mindht.counting.trace)
+and scheduled onto reused register rows (mindht.replay).  A float64 batch
+runs through C code emitted from that program, compiled once per N and
+process into a shared object (mindht._cgen).  Other dtypes, odd strides, and
 machines without a working C compiler replay the program over column chunks
-instead, with every operation written into reused register rows.  Either way
-the result is one (n, ...) ndarray of dtype ``np.result_type(x, float)``
-(float64 or wider), bit-identical column by column to the flow on that
-column's floats.
+instead.  Either way the result is one (n, ...) ndarray of dtype
+``np.result_type(x, float)`` (float64 or wider), bit-identical column by
+column to the flow on that column's floats.
 """
 
 from __future__ import annotations
@@ -303,13 +303,13 @@ _FLOWS = {4: dht4_flow, 8: dht8_flow, 12: dht12_flow, 24: dht24_flow}
 _run = None
 
 
-def _array(n: int, flow, x: np.ndarray) -> np.ndarray:
+def _array(n: int, x: np.ndarray) -> np.ndarray:
     global _run
     if _run is None:
         from ._cgen import run
 
         _run = run
-    return _run(n, flow, x)
+    return _run(n, x)
 
 
 def kernel_flow(n: int):
@@ -322,18 +322,20 @@ def kernel_flow(n: int):
     and dtype ``np.result_type(x, float)``, float64 or wider; the input is
     never written to.  Each output is the same IEEE operations on the same
     operands in the same order as the scalar path, so each column equals the
-    flow run on that column's floats bit for bit.  The program is traced,
-    and its C compiled and loaded, on the first array call, and
-    again whenever ``_FLOWS[n]`` has been replaced.  Any other input (a list,
+    flow run on that column's floats bit for bit.  The program is the one
+    ``counting.trace(n)`` shares with the audit and the derivation; its C is
+    compiled and loaded on the first array call, and both are made again
+    whenever ``_FLOWS[n]`` has been replaced.  Any other input (a list,
     scalars, counting scalars, a 1-D array) runs the raw scalar-generic flow
-    and gets its list back.
+    and gets its list back.  Both paths run the flow ``_FLOWS[n]`` holds at
+    the time of the call.
     """
-    flow = _FLOWS[check_size(n)]
+    check_size(n)
 
     def kernel(v):
         if isinstance(v, np.ndarray) and v.ndim >= 2:
-            return _array(n, flow, v)
-        return flow(v)
+            return _array(n, v)
+        return _FLOWS[n](v)
 
     return kernel
 

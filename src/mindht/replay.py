@@ -3,12 +3,12 @@
 ``kernels.kernel_flow(n)`` hands an ndarray with ndim >= 2 to the program of
 its flow.  Running the scalar-generic flow over whole rows instead would
 allocate one temporary row per operation and stream every intermediate
-through memory.  Here the flow is traced once on counting scalars
-(mindht.counting); every node becomes one in-place ufunc call, and the
-program runs chunk by chunk over CHUNK_COLUMNS columns, so the intermediates
-of a chunk stay in cache.  Each output is the same IEEE operations on the
-same operands in the same order as the flow run on one column's floats, so
-the result matches it bit for bit.  The traced program (``ops``, ``consts``,
+through memory.  Here the one program that ``counting.trace(n)`` records is
+scheduled: every node becomes one in-place ufunc call, and the program runs
+chunk by chunk over CHUNK_COLUMNS columns, so the intermediates of a chunk
+stay in cache.  Each output is the same IEEE operations on the same operands
+in the same order as the flow run on one column's floats, so the result
+matches it bit for bit.  The scheduled program (``ops``, ``consts``,
 ``n_regs``) is also what mindht._cgen turns into C; the replay runs a batch
 when the C kernels cannot (another dtype, odd strides, no working compiler).
 This module is imported on the first array call, not with mindht.
@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .counting import CountingScalar, OpTally
+from .counting import OpTally, trace
 from .layers import UnsupportedLengthError
 
 # Columns per chunk of the array path.  At N = 24 one chunk's 38 register
@@ -46,10 +46,8 @@ class _Program:
     is written before it is read, so old contents never reach a result.
     """
 
-    def __init__(self, n: int, flow):
-        tally = OpTally()
-        outputs = [s.node for s in flow([CountingScalar(0.0, tally) for _ in range(n)])]
-        nodes = tally.nodes
+    def __init__(self, n: int, traced: OpTally):
+        nodes, outputs = traced.nodes, traced.outputs
         operands = [(a,) if op == "*" else (a, b) for op, a, b in nodes]
         last_use: dict[int, int] = {}
         live = set(outputs)
@@ -91,7 +89,7 @@ class _Program:
                             ("y", row)))
 
         base = {"x": 0, "y": n, "c": n + len(outputs), "r": n + len(outputs) + len(consts)}
-        self.flow = flow
+        self.trace = traced
         self.n = n
         self.n_outputs = len(outputs)
         self.n_regs = n_regs
@@ -132,13 +130,14 @@ class _Program:
 _PROGRAMS: dict[int, _Program] = {}
 
 
-def program(n: int, flow) -> _Program:
-    """The cached program of flow, the length-n kernel.
+def program(n: int) -> _Program:
+    """The scheduled program of the length-n kernel's ``counting.trace(n)``.
 
-    The cache keeps one program per n and checks it was traced from this
-    very flow, so a replaced ``kernels._FLOWS[n]`` is traced again.
+    The cache keeps one program per n and schedules again when the trace is
+    another object, that is when ``kernels._FLOWS[n]`` was replaced.
     """
+    t = trace(n)
     prog = _PROGRAMS.get(n)
-    if prog is None or prog.flow is not flow:
-        prog = _PROGRAMS[n] = _Program(n, flow)
+    if prog is None or prog.trace is not t:
+        prog = _PROGRAMS[n] = _Program(n, t)
     return prog

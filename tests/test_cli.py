@@ -256,23 +256,16 @@ def test_count_machine(capsys):
 
 def test_count_detects_corrupted_kernel(capsys, monkeypatch):
     # negative control: a kernel with one extra multiplication must fail
-    import mindht.counting as counting
+    import mindht.kernels as kernels
 
-    real_flow = counting.kernel_flow
+    real = kernels._FLOWS[8]
 
-    def corrupted(n):
-        flow = real_flow(n)
-        if n != 8:
-            return flow
+    def bad(v):
+        out = real(v)
+        out[0] = 0.9999999 * out[0]  # one spurious multiplication
+        return out
 
-        def bad(v):
-            out = flow(v)
-            out[0] = 0.9999999 * out[0]  # one spurious multiplication
-            return out
-
-        return bad
-
-    monkeypatch.setattr(counting, "kernel_flow", corrupted)
+    monkeypatch.setitem(kernels._FLOWS, 8, bad)
     code, _, _ = run(capsys, "count")
     assert code == 1
 

@@ -8,6 +8,7 @@ import os
 import subprocess
 import sys
 import threading
+import time
 import warnings
 from contextlib import contextmanager
 from pathlib import Path
@@ -29,7 +30,7 @@ from mindht import (
     naive_dht,
     pre_addition_state,
 )
-from mindht import _cgen, kernels, layers
+from mindht import _cgen, counting, kernels, layers, replay
 from mindht._cgen import TILE
 from mindht.kernels import kernel_flow
 from mindht.layers import LAYER_SPECS, apply_layer, max_order
@@ -257,7 +258,9 @@ def backend(request):
 
 @pytest.fixture
 def fresh_kernels(monkeypatch):
-    """An empty kernel table, with the one-warning latch reset."""
+    """Empty trace, program and kernel tables, with the one-warning latch reset."""
+    monkeypatch.setattr(counting, "_TRACES", {})
+    monkeypatch.setattr(replay, "_PROGRAMS", {})
     monkeypatch.setattr(_cgen, "_KERNELS", {})
     monkeypatch.setattr(_cgen, "_warned", False)
 
@@ -379,7 +382,7 @@ def test_array_path_copies_repeated_and_input_outputs(monkeypatch):
 
 
 def test_replaced_flow_gets_its_own_c_source(monkeypatch):
-    good = _cgen.source(replay_program(8, kernels._FLOWS[8]))
+    good = _cgen.source(replay_program(8))
 
     def bad(v):
         out = kernels.dht8_flow(v)
@@ -387,8 +390,8 @@ def test_replaced_flow_gets_its_own_c_source(monkeypatch):
         return out
 
     monkeypatch.setitem(kernels._FLOWS, 8, bad)
-    assert _cgen.source(replay_program(8, bad)) != good
-    assert (0.9999999).hex() in _cgen.source(replay_program(8, bad))
+    assert _cgen.source(replay_program(8)) != good
+    assert (0.9999999).hex() in _cgen.source(replay_program(8))
 
 
 @pytest.mark.parametrize("n", SUPPORTED_SIZES)
@@ -530,9 +533,18 @@ def test_threads_load_each_kernel_once(fresh_kernels, monkeypatch):
         loads.append(prog.n)
         return real_load(prog)
 
+    def slowed(flow):
+        def slow(v):  # widens the window between a cold-cache check and its fill
+            time.sleep(0.02)
+            return flow(v)
+
+        return slow
+
     monkeypatch.setattr(_cgen, "_load", counted)
     xs = {n: np.random.default_rng(n + 73).uniform(-1.0, 1.0, (n, 600)) for n in SUPPORTED_SIZES}
     want = {n: scalar_columns(n, x) for n, x in xs.items()}
+    for n in SUPPORTED_SIZES:
+        monkeypatch.setitem(kernels._FLOWS, n, slowed(kernels._FLOWS[n]))
     bad = []
 
     def work():
