@@ -20,12 +20,23 @@ of an already-computed layer value, plus a remainder that lands back in the
 kernel's constant alphabet; it re-derives the extracted special stages from
 H_N alone.  verify_decomposition multiplies every plan stage back out to
 check the factorization reproduces H_N exactly.
+
+Each kernel is derived once.  The first call for N makes one record, keyed
+on the identities of ``counting.trace(n)`` and ``LAYER_SPECS[n]``, that
+composes P_0..P_max; the plan, the residuals T(k), the balancing at the
+default tol and the DecompositionReport are filled into it on first use and
+read from it afterwards, and a replaced flow or listing gets a new record.
+The arrays handed out (P_k, the entries of T(k) and of the balanced
+terminal) are read-only views of that record, and the report's alphabets a
+read-only mapping.
 """
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass
 from operator import add, sub
+from types import MappingProxyType
 
 import numpy as np
 
@@ -54,6 +65,7 @@ __all__ = [
 ]
 
 RECONSTRUCTION_TOL = 1e-10
+ALPHABET_TOL = 1e-9  # default tol of entry_alphabet and of balancing
 
 
 class DerivationError(ValueError):
@@ -78,17 +90,14 @@ def pre_addition_matrix(n: int, order: int) -> np.ndarray:
 
     Order 0 is the identity; higher orders apply the layer listings to its
     rows, so row i of P is the coefficient vector of slot i of S(order).
+    The matrix is read from the kernel's cached derivation and is read-only.
     """
-    check_size(n)
-    specs = LAYER_SPECS[n]
-    if not 0 <= order <= len(specs):
+    mats = _record(n).mats
+    if not 0 <= order < len(mats):
         raise ValueError(
-            f"layer order {order} invalid for N={n}; valid orders are 0..{len(specs)}"
+            f"layer order {order} invalid for N={n}; valid orders are 0..{len(mats) - 1}"
         )
-    rows = np.eye(n, dtype=np.int64)
-    for spec in specs[:order]:
-        rows = apply_layer(spec, rows)
-    return np.array(rows)
+    return mats[order]
 
 
 def _exact_inverse(m: np.ndarray) -> np.ndarray:
@@ -129,21 +138,26 @@ def residual_matrix(n: int, order: int) -> ResidualMatrix:
 
     P_order^{-1} is exact (see _exact_inverse).  Raises DerivationError if
     the layer composition is singular or fails its certificate, or if the
-    product T @ P fails to reproduce H_n to within 1e-10 entrywise.
+    product T @ P fails to reproduce H_n to within 1e-10 entrywise.  The
+    result is cached with the kernel's derivation; its entries are read-only.
     """
-    p = pre_addition_matrix(n, order)
-    h = dht_matrix(n)
-    t = h @ _exact_inverse(p)
-    err = float(np.max(np.abs(h - t @ p)))
-    if err > RECONSTRUCTION_TOL:
-        raise DerivationError(
-            f"residual reconstruction failed for N={n} order {order}: "
-            f"max deviation {err:.3e}"
-        )
-    return ResidualMatrix(n=n, order=order, entries=t)
+    rec = _record(n)
+    t = rec.residuals.get(order)
+    if t is None:
+        p = pre_addition_matrix(n, order)
+        h = dht_matrix(n)
+        entries = h @ _exact_inverse(p)
+        err = float(np.max(np.abs(h - entries @ p)))
+        if err > RECONSTRUCTION_TOL:
+            raise DerivationError(
+                f"residual reconstruction failed for N={n} order {order}: "
+                f"max deviation {err:.3e}"
+            )
+        t = rec.residuals[order] = ResidualMatrix(n=n, order=order, entries=_frozen(entries))
+    return t
 
 
-def entry_alphabet(t, tol: float = 1e-9) -> tuple[float, ...]:
+def entry_alphabet(t, tol: float = ALPHABET_TOL) -> tuple[float, ...]:
     """Cluster the absolute entry values of a matrix and return representatives.
 
     Clusters are formed by gaps larger than tol in the sorted magnitudes;
@@ -218,7 +232,7 @@ def merge_pairs(n: int, order: int) -> list[tuple[int, int]]:
     return pairs
 
 
-def balance_split(t: ResidualMatrix, tol: float = 1e-9):
+def balance_split(t: ResidualMatrix, tol: float = ALPHABET_TOL):
     """Split T into a special-addition vector Z plus a balanced remainder.
 
     Wherever the next layer merges two residual columns whose entries disagree
@@ -266,14 +280,26 @@ def balance_split(t: ResidualMatrix, tol: float = 1e-9):
     )
 
 
-def balance_stages(n: int, tol: float = 1e-9):
+def balance_stages(n: int, tol: float = ALPHABET_TOL):
     """Run the full balancing pipeline for one kernel.
 
     Balancing peels one special-addition vector at each source layer of the
     plan's special stages.  Returns (stages, terminal) where stages is the
     list of special-addition vectors in the order they are peeled and
-    terminal is the balanced residual at the deepest layer.
+    terminal is the balanced residual at the deepest layer.  The result at
+    the default tol is cached with the kernel's derivation: each call gets
+    its own list, and the terminal's entries are read-only.
     """
+    if tol != ALPHABET_TOL:
+        return _balance(n, tol)
+    rec = _record(n)
+    if rec.balance is None:
+        rec.balance = _balance(n, tol)
+    stages, terminal = rec.balance
+    return list(stages), terminal
+
+
+def _balance(n: int, tol: float):
     transitions = tuple(z.source_order for z in kernel_plan(n).special_stages)
     order = min(transitions) if transitions else max_order(n)
     t = residual_matrix(n, order)
@@ -283,8 +309,8 @@ def balance_stages(n: int, tol: float = 1e-9):
             raise DerivationError(f"pipeline out of step: at order {t.order}, expected {k}")
         z, t_bal = balance_split(t, tol=tol)
         stages.append(z)
-        nxt = layer_matrix(n, k + 1)
-        t = ResidualMatrix(n=n, order=k + 1, entries=t_bal.entries @ _exact_inverse(nxt))
+        entries = t_bal.entries @ _exact_inverse(layer_matrix(n, k + 1))
+        t = ResidualMatrix(n=n, order=k + 1, entries=_frozen(entries))
     return stages, t
 
 
@@ -423,19 +449,6 @@ def _check_live_slots(n, terms, slots, nodes, vecs) -> tuple[tuple, ...]:
     return dead
 
 
-_PLANS: dict[int, tuple] = {}  # n -> (trace, layer listing, plan, [P_0, ..., P_max])
-
-
-def _plan_and_mats(n: int) -> tuple:
-    """(kernel_plan(n), [P_0, ..., P_max]), extracted together and cached."""
-    program, spec = trace(n), LAYER_SPECS[n]
-    cached = _PLANS.get(n)
-    if cached is None or cached[0] is not program or cached[1] is not spec:
-        mats = [pre_addition_matrix(n, k) for k in range(len(spec) + 1)]
-        cached = _PLANS[n] = (program, spec, _extract_plan(n, program, mats), mats)
-    return cached[2:]
-
-
 def kernel_plan(n: int) -> KernelPlan:
     """Factorization plan for one kernel (sites, specials, post rows).
 
@@ -443,7 +456,10 @@ def kernel_plan(n: int) -> KernelPlan:
     ``kernels._FLOWS[n]`` or ``LAYER_SPECS[n]`` is extracted again.  Raises
     DerivationError if the flow and LAYER_SPECS disagree on a live slot.
     """
-    return _plan_and_mats(n)[0]
+    rec = _record(n)
+    if rec.plan is None:
+        rec.plan = _extract_plan(n, rec.program, rec.mats)
+    return rec.plan
 
 
 # ---------------------------------------------------------------------------
@@ -455,7 +471,7 @@ class DecompositionReport:
     n: int
     ok: bool
     max_error: float
-    alphabets: dict[int, tuple[float, ...]]
+    alphabets: Mapping[int, tuple[float, ...]]  # read-only
     mult_sites: tuple[MultSite, ...]
     special_stages: tuple[SpecialAdditionVector, ...]
     additions_scheduled: int
@@ -469,7 +485,7 @@ def plan_matrix(n: int) -> np.ndarray:
     slots contribute the matching row of P_order, multiplication sites their
     constant times the operand vector.
     """
-    plan, mats = _plan_and_mats(n)
+    plan, mats = kernel_plan(n), _record(n).mats
     sites = [
         site.value * sum(sign * mats[order][idx] for sign, (_, order, idx) in site.operand)
         for site in plan.mult_sites
@@ -489,21 +505,65 @@ def verify_decomposition(n: int) -> DecompositionReport:
     checks the result equals dht_matrix(n) to within 1e-10 entrywise.  The
     report also carries the per-layer residual alphabets, the balancing
     stages, and the scheduled operation counts of the kernel implementing the
-    plan.
+    plan.  It is made once per kernel derivation and shared by every call.
     """
-    plan = kernel_plan(n)
-    err = float(np.max(np.abs(plan_matrix(n) - dht_matrix(n))))
-    ops = count_ops(n)
-    return DecompositionReport(
-        n=n,
-        ok=err <= RECONSTRUCTION_TOL,
-        max_error=err,
-        alphabets={
-            order: entry_alphabet(residual_matrix(n, order))
-            for order in range(max_order(n) + 1)
-        },
-        mult_sites=plan.mult_sites,
-        special_stages=plan.special_stages,
-        additions_scheduled=ops.additions,
-        multiplications_scheduled=ops.multiplications,
-    )
+    rec = _record(n)
+    if rec.report is None:
+        plan = kernel_plan(n)
+        err = float(np.max(np.abs(plan_matrix(n) - dht_matrix(n))))
+        ops = count_ops(n)
+        alphabets = {k: entry_alphabet(residual_matrix(n, k)) for k in range(len(rec.mats))}
+        rec.report = DecompositionReport(
+            n=n,
+            ok=err <= RECONSTRUCTION_TOL,
+            max_error=err,
+            alphabets=MappingProxyType(alphabets),
+            mult_sites=plan.mult_sites,
+            special_stages=plan.special_stages,
+            additions_scheduled=ops.additions,
+            multiplications_scheduled=ops.multiplications,
+        )
+    return rec.report
+
+
+# ---------------------------------------------------------------------------
+# the derivation record
+
+
+def _frozen(a: np.ndarray) -> np.ndarray:
+    """A read-only view of a, which nobody can make writable again."""
+    a.flags.writeable = False
+    return a.view()
+
+
+class _Derivation:
+    """Everything derived about one kernel from one trace and one listing.
+
+    P_0..P_max are composed when the record is made, since kernel_plan needs
+    them all; the plan, the residuals T(k), the default-tol balancing and the
+    report are filled on first use.  Its arrays are read-only views.
+    """
+
+    def __init__(self, n: int, program, spec: list):
+        self.program, self.spec = program, spec
+        rows = np.eye(n, dtype=np.int64)
+        self.mats = [_frozen(rows)]
+        for layer in spec:
+            rows = np.array(apply_layer(layer, rows))
+            self.mats.append(_frozen(rows))
+        self.plan: KernelPlan | None = None
+        self.residuals: dict[int, ResidualMatrix] = {}
+        self.balance: tuple | None = None
+        self.report: DecompositionReport | None = None
+
+
+_PLANS: dict[int, _Derivation] = {}  # n -> the derivation of (trace(n), LAYER_SPECS[n])
+
+
+def _record(n: int) -> _Derivation:
+    """The cached derivation of kernel n, made again when its trace or listing changes."""
+    program, spec = trace(n), LAYER_SPECS[n]
+    rec = _PLANS.get(n)
+    if rec is None or rec.program is not program or rec.spec is not spec:
+        rec = _PLANS[n] = _Derivation(n, program, spec)
+    return rec

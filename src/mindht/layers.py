@@ -43,11 +43,18 @@ class UnsupportedLengthError(ValueError):
 
 
 def check_size(n: int) -> int:
-    if n not in SUPPORTED_SIZES:
-        raise UnsupportedLengthError(
-            f"block length {n} is not supported; valid lengths are 4, 8, 12, 24"
-        )
-    return n
+    """Return n if it is a supported block length: an int or NumPy integer.
+
+    An equal float or string (8.0, np.float64(8), "8") is refused too.  The
+    membership test comes first, so a supported int pays one type check.
+    """
+    if n in SUPPORTED_SIZES and (type(n) is int or isinstance(n, np.integer)):
+        return n
+    if not isinstance(n, (int, np.integer)):
+        raise UnsupportedLengthError(f"block length must be an integer, got {n!r}")
+    raise UnsupportedLengthError(
+        f"block length {n} is not supported; valid lengths are 4, 8, 12, 24"
+    )
 
 
 def all_finite(vals: list) -> bool:

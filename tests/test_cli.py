@@ -229,6 +229,17 @@ def test_verify_machine_mode_reproducible(capsys):
     assert all(r["ok"] for r in doc["results"])
 
 
+@pytest.mark.parametrize("fmt", ("machine", "text"))
+def test_verify_output_matches_golden(capsys, fmt):
+    # tests/data/verify_seed2024_trials50_{fmt}.txt holds the stdout of the
+    # verify that drew one signal per trial; the one (trials, n) draw per N
+    # must give the same signals, errors and bytes
+    golden = (Path(__file__).parent / "data" / f"verify_seed2024_trials50_{fmt}.txt").read_text()
+    code, out, _ = run(capsys, "verify", "--trials", "50", "--seed", "2024", "--format", fmt)
+    assert code == 0
+    assert out == golden
+
+
 def test_verify_rejects_zero_trials(capsys):
     code, _, _ = run(capsys, "verify", "--trials", "0")
     assert code == 3
@@ -319,6 +330,27 @@ def test_derive_output_matches_golden(capsys, n, fmt):
     code, out, _ = run(capsys, "derive", "--n", str(n), "--format", fmt)
     assert code == 0
     assert out == golden
+
+
+def test_second_derive_composes_no_layer(capsys, monkeypatch):
+    # the first derive fills the kernel's derivation record; the second
+    # reads P_k, T(k), the balancing and the report from it
+    from mindht import derivation
+
+    calls = []
+    real = derivation.apply_layer
+
+    def counted(spec, values):
+        calls.append(len(spec))
+        return real(spec, values)
+
+    monkeypatch.setattr(derivation, "apply_layer", counted)
+    monkeypatch.setattr(derivation, "_PLANS", {})
+    first = run(capsys, "derive", "--n", "24", "--format", "machine")
+    assert calls  # the record was built through the counted apply_layer
+    calls.clear()
+    assert run(capsys, "derive", "--n", "24", "--format", "machine") == first
+    assert calls == []
 
 
 def test_derive_bad_layer(capsys):

@@ -429,9 +429,31 @@ def test_corrupted_layer_row_names_layer_and_slot(monkeypatch):
             kernel_plan(24)
 
 
+def _derived(n):
+    """The cached derivation reads: P_k and T(k) per layer, balancing, report."""
+    orders = range(max_order(n) + 1)
+    return (
+        [pre_addition_matrix(n, k) for k in orders],
+        [residual_matrix(n, k) for k in orders],
+        balance_stages(n),
+        verify_decomposition(n),
+    )
+
+
+def _assert_same_values(got, want):
+    """P_k, T(k) and the balancing of two _derived reads agree bit for bit."""
+    for g, w in zip(got[0], want[0]):
+        assert np.array_equal(g, w)
+    for g, w in zip(got[1], want[1]):
+        assert g.entries.tobytes() == w.entries.tobytes()
+    assert [z.entries for z in got[2][0]] == [z.entries for z in want[2][0]]
+    assert got[2][1].entries.tobytes() == want[2][1].entries.tobytes()
+
+
 def test_replaced_flow_is_planned_again(monkeypatch):
-    # the cached plan belongs to the flow it was traced from: a corrupted
-    # flow installed after a first call must fail, and the real one pass again
+    # the cached derivation belongs to the flow it was traced from: a
+    # corrupted flow installed after a first call must fail, and the real
+    # one pass again; every derived read is made afresh both times
     from mindht import kernels
 
     real = kernels._FLOWS[24]
@@ -441,26 +463,72 @@ def test_replaced_flow_is_planned_again(monkeypatch):
         out[0] = 0.9999999 * out[0]  # one spurious multiplication
         return out
 
-    assert verify_decomposition(24).ok
+    before = _derived(24)
+    assert before[3].ok
     monkeypatch.setitem(kernels._FLOWS, 24, bad)
-    report = verify_decomposition(24)
+    swapped = _derived(24)
+    report = swapped[3]
     assert not report.ok
     assert report.multiplications_scheduled == 13
     assert len(report.mult_sites) == 13
+    # the listing is unchanged, so P_k, T(k) and the balancing keep their
+    # values, but they come from a new record
+    assert swapped[0][1] is not before[0][1]
+    assert swapped[1][1] is not before[1][1]
+    assert swapped[2][1] is not before[2][1]
+    _assert_same_values(swapped, before)
     monkeypatch.setitem(kernels._FLOWS, 24, real)
-    report = verify_decomposition(24)
-    assert report.ok
-    assert len(report.mult_sites) == 12
+    after = _derived(24)
+    assert after[3].ok
+    assert len(after[3].mult_sites) == 12
+    assert after[3] is not before[3]
+    assert after[3] == before[3]
+    _assert_same_values(after, before)
 
 
 def test_replaced_layer_listing_is_planned_again(monkeypatch):
     listing = LAYER_SPECS[24]
     kernel_plan(24)
+    before = _derived(24)
     spec = [list(layer) for layer in listing]
     _, i, j = spec[0][1]
     spec[0][1] = ("sub", j, i)
     monkeypatch.setitem(LAYER_SPECS, 24, spec)
     with pytest.raises(DerivationError, match=r"N=24: layer 1 slot 1 \("):
         kernel_plan(24)
+    # the swap negates slot 1 of S(1): row 1 of P_1 and column 1 of T(1)
+    flip = np.ones(24)
+    flip[1] = -1
+    assert np.array_equal(pre_addition_matrix(24, 1), flip[:, None] * before[0][1])
+    assert np.array_equal(residual_matrix(24, 1).entries, before[1][1].entries * flip)
+    with pytest.raises(DerivationError, match=r"N=24: layer 1 slot 1 \("):
+        balance_stages(24)
+    with pytest.raises(DerivationError, match=r"N=24: layer 1 slot 1 \("):
+        verify_decomposition(24)
     monkeypatch.setitem(LAYER_SPECS, 24, listing)
     assert kernel_plan(24).n == 24
+    after = _derived(24)
+    assert after[3] == before[3]
+    _assert_same_values(after, before)
+
+
+@pytest.mark.parametrize("n", (8, 24))
+def test_arrays_handed_out_are_read_only(n):
+    # a caller writing into a returned array must not reach the cache
+    top = max_order(n)
+    _, terminal = balance_stages(n)
+    arrays = [pre_addition_matrix(n, top), residual_matrix(n, top).entries, terminal.entries]
+    for a in arrays:
+        with pytest.raises(ValueError, match="read-only"):
+            a[0, 0] = 7
+        with pytest.raises(ValueError):
+            a.flags.writeable = True
+    with pytest.raises(TypeError):
+        verify_decomposition(n).alphabets[0] = (7.0,)
+    stages, _ = balance_stages(n)
+    stages.append("not a stage")
+    assert "not a stage" not in balance_stages(n)[0]
+    # copies are writable and leave the cache alone
+    p = pre_addition_matrix(n, top).copy()
+    p[0, 0] = 7
+    assert pre_addition_matrix(n, top)[0, 0] != 7

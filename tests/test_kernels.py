@@ -218,6 +218,32 @@ def test_shape_and_length_errors_unchanged(call, message):
     assert str(exc.value) == message
 
 
+@pytest.mark.parametrize("n", (8.0, np.float64(8), "8"))
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda n: fast_dht(np.ones(8), n),
+        lambda n: kernel_flow(n),
+        lambda n: counting.count_ops(n),
+        lambda n: layers.check_size(n),
+    ],
+    ids=["fast_dht", "kernel_flow", "count_ops", "check_size"],
+)
+def test_non_integral_block_lengths_are_refused(call, n):
+    # 8.0 == 8, so only a type check tells a float block length apart
+    with pytest.raises(UnsupportedLengthError, match="block length must be an integer"):
+        call(n)
+
+
+def test_numpy_integer_block_lengths_are_accepted():
+    v = np.arange(8.0)
+    for n in (np.int64(8), np.int32(8), np.uint8(8)):
+        assert layers.check_size(n) == 8
+        assert fast_dht(v, n).tobytes() == fast_dht(v, 8).tobytes()
+        assert kernel_flow(n)(list(v)) == kernel_flow(8)(list(v))
+        assert counting.count_ops(n) == counting.count_ops(8)
+
+
 # --- array path: C kernels from the traced program, or the chunked replay ---
 
 BACKENDS = ("c", "replay")
