@@ -3,12 +3,12 @@
 ``kernels.kernel_flow(n)(X)`` on a float64 ndarray runs a C function emitted
 from the kernel's one trace, ``counting.trace(n)``, as mindht.replay
 schedules it: its ``ops``, ``consts`` and ``n_regs``, so the kernel is still
-described only once, by its ``*_flow``.  The function gathers a tile of TILE
-columns into padded heap buffers (one malloc per call), runs the program once
-per column with one ``double`` local per input, output and register, and
-writes the tile into a C-contiguous (n_outputs, B) result.  It takes element
-strides for rows and columns, so Fortran-ordered, transposed and reversed
-inputs need no copy.
+described only once, by its ``*_flow`` and its layer listing.  The function
+gathers a tile of TILE columns into padded heap buffers (one malloc per
+call), runs the program once per column with one ``double`` local per input,
+output and register, and writes the tile into a C-contiguous (n_outputs, B)
+result.  It takes element strides for rows and columns, so Fortran-ordered,
+transposed and reversed inputs need no copy.
 
 Bit identity: every node is one IEEE double operation on the same operands in
 the same order as in the replay, constants are ``float.hex()`` literals, and
@@ -21,10 +21,10 @@ for that length (0.1-0.25 s per N with gcc 12 on a 2.1 GHz Xeon), into a
 shared object in a private per-process temporary directory that is removed
 at exit; nothing is cached between processes.  The kernel table is keyed on
 the trace object, so threads whose first calls race compile once, and a
-replaced ``kernels._FLOWS[n]`` is traced again and so compiled again.  After
-loading, each object runs once on a fixed batch of signed zeros, subnormals
-and mixed magnitudes and must equal the replay bit for bit; an object that
-does not is not used.
+replaced ``kernels._FLOWS[n]`` or ``LAYER_SPECS[n]`` is traced again and so
+compiled again.  After loading, each object runs once on a fixed batch of
+signed zeros, subnormals and mixed magnitudes and must equal the replay bit
+for bit; an object that does not is not used.
 
 The replay runs instead when no compiler is found (``$CC``, else ``cc``) or
 compiling or loading fails (one RuntimeWarning per process), when the object
@@ -56,7 +56,6 @@ from .replay import program
 TILE = 256
 FLAGS = ("-O3", "-fPIC", "-shared", "-ffp-contract=off")
 
-_C_OPS = {np.add: "+", np.subtract: "-", np.multiply: "*"}
 _F64 = np.dtype(np.float64)
 _ARGTYPES = [ctypes.c_void_p, ctypes.c_ssize_t, ctypes.c_ssize_t, ctypes.c_void_p,
              ctypes.c_ssize_t]
@@ -101,22 +100,12 @@ int mindht_kernel(const double *x, ptrdiff_t rs, ptrdiff_t cs, double *y, ptrdif
 
 def source(prog) -> str:
     """The C source of a traced program (a ``replay._Program``)."""
-    n, n_out, consts = prog.n, prog.n_outputs, prog.consts
-
-    def name(i: int) -> str:
-        if i < n:
-            return f"x{i}"
-        if i < n + n_out:
-            return f"y{i - n}"
-        if i < n + n_out + len(consts):
-            return f"({consts[i - n - n_out].hex()})"
-        return f"r{i - n - n_out - len(consts)}"
-
+    n, n_out = prog.n, prog.n_outputs
     pad = " " * 12
     lines = [pad + "double " + ", ".join(f"x{i} = xb[{i}][j]" for i in range(n)) + ";"]
     lines.append(pad + "double " + ", ".join(
         [f"y{i}" for i in range(n_out)] + [f"r{i}" for i in range(prog.n_regs)]) + ";")
-    lines += [f"{pad}{name(o)} = {name(a)} {_C_OPS[f]} {name(b)};" for f, a, b, o in prog.ops]
+    lines += [f"{pad}{s};" for s in prog.statements(lambda c: f"({c.hex()})")]
     lines += [f"{pad}yb[{i}][j] = y{i};" for i in range(n_out)]
     return _TEMPLATE.format(n=n, n_out=n_out, tile=TILE, body="\n".join(lines))
 

@@ -8,10 +8,10 @@ running a kernel on counting scalars *measures* its cost instead of trusting a
 hand count, and the audit compares the measurement against the declared
 budgets and the multiplicative-complexity lower bounds.
 
-Each kernel's flow is traced in one place, ``trace(n)``: once per flow
-object, under one lock.  That one program is what count_ops counts, what
-mindht.replay schedules and mindht._cgen compiles for the array path, and
-what mindht.derivation labels to extract the kernel's factorization plan.
+Each kernel's flow is traced in one place, ``trace(n)``, into one pruned
+program.  It is what count_ops counts, what every kernel call runs
+(mindht.replay, mindht._cgen), and what mindht.derivation labels to extract
+the kernel's factorization plan.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .kernels import _FLOWS, kernel_flow
-from .layers import SUPPORTED_SIZES, check_size
+from .layers import LAYER_SPECS, SUPPORTED_SIZES, check_size
 
 __all__ = [
     "OpCount",
@@ -162,25 +162,49 @@ def run_counted(n: int, v) -> tuple[np.ndarray, OpCount]:
     return np.array([s.value for s in out]), tally.snapshot()
 
 
-_TRACES: dict[int, tuple] = {}  # n -> (flow, its program)
+_TRACES: dict[int, tuple] = {}  # n -> (flow, listing, their pruned program)
 _TRACE_LOCK = threading.Lock()
 
 
 def trace(n: int) -> OpTally:
-    """The straight-line program of ``kernels._FLOWS[n]``, traced once per flow.
+    """The program of ``kernels._FLOWS[n]``, traced once per flow and ``LAYER_SPECS[n]``.
 
     The flows have no data-dependent branches, so one run on counting scalars
-    is the program for every input.  One lock covers the cache check and the
-    tracing, so threads making their first calls together share one program.
+    is the program for every input.  It keeps the n inputs and the nodes the
+    outputs reach, renumbered in order, so a listing slot no output needs is
+    never counted or run.  One lock covers the cache check and the tracing,
+    so threads making their first calls together share one program.
     """
-    flow = _FLOWS[check_size(n)]
+    return _traced(n)[2]
+
+
+def _traced(n: int) -> tuple:
+    """(flow, listing, trace(n)): the program and what it was traced from."""
+    flow, spec = _FLOWS[check_size(n)], LAYER_SPECS[n]
     with _TRACE_LOCK:
         hit = _TRACES.get(n)
-        if hit is None or hit[0] is not flow:
-            tally = OpTally()
-            tally.outputs = [s.node for s in flow([CountingScalar(0.0, tally) for _ in range(n)])]
-            hit = _TRACES[n] = (flow, tally)
-    return hit[1]
+        if hit is None or hit[0] is not flow or hit[1] is not spec:
+            raw = OpTally()
+            outputs = [s.node for s in flow([CountingScalar(0.0, raw) for _ in range(n)])]
+            hit = _TRACES[n] = (flow, spec, _pruned(raw.nodes, outputs, n))
+    return hit
+
+
+def _pruned(nodes: list[tuple], outputs: list[int], n: int) -> OpTally:
+    """The inputs and the nodes that reach an output, renumbered in order."""
+    live = set(outputs).union(range(n))
+    for k in range(len(nodes) - 1, n - 1, -1):
+        if k in live:
+            op, a, b = nodes[k]
+            live.update((a,) if op == "*" else (a, b))
+    new: dict = {None: None}  # an input's operands are None
+    prog = OpTally()
+    for k in sorted(live):
+        op, a, b = nodes[k]
+        new[k] = len(prog.nodes)
+        prog.nodes.append((op, new[a], b if op == "*" else new[b]))
+    prog.outputs = [new[k] for k in outputs]
+    return prog
 
 
 def count_ops(n: int) -> OpCount:

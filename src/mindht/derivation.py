@@ -5,21 +5,22 @@ The fast kernels factor the Hartley matrix H_N as
     H_N = (post additions) . (constant diagonal) . (pre-addition layers)
           + special-addition corrections
 
-Each kernel is described once, by its ``*_flow`` in mindht.kernels.
-kernel_plan reads that flow's one trace (mindht.counting.trace) and labels
-its nodes with the slots of the pre-addition layer listings of
-mindht.layers, whose coefficient vectors are the rows of the layer
-compositions P_k: the multiplication sites, the special-addition stages and
-the post-addition rows are all extracted from the trace, and every live
-layer slot is checked to be a node of the flow.  Independently, the residual
-matrices T(k) - what remains of the transform after k layers, satisfying
-V = T(k) . S(k) - are reconstructed here as H_N . P_k^{-1} with P_k the exact
-integer layer composition.  Balancing splits oversized residual entries
-(magnitude above one) into an integer part, applied as a "special addition"
-of an already-computed layer value, plus a remainder that lands back in the
-kernel's constant alphabet; it re-derives the extracted special stages from
-H_N alone.  verify_decomposition multiplies every plan stage back out to
-check the factorization reproduces H_N exactly.
+Each kernel is described once: its pre-addition layers by their listing in
+mindht.layers, the rest by its ``*_flow`` in mindht.kernels, which runs that
+listing.  kernel_plan reads the flow's one trace (mindht.counting.trace) and
+labels its nodes with the listing's slots, whose coefficient vectors are the
+rows of the layer compositions P_k: the multiplication sites, the
+special-addition stages and the post-addition rows are all extracted from
+the trace.  Every slot is a node by construction, except the slots no output
+needs, which the trace prunes (``KernelPlan.dead_slots``).  Independently,
+the residual matrices T(k) - what remains of the transform after k layers,
+satisfying V = T(k) . S(k) - are reconstructed here as H_N . P_k^{-1} with
+P_k the exact integer layer composition.  Balancing splits oversized
+residual entries (magnitude above one) into an integer part, applied as a
+"special addition" of an already-computed layer value, plus a remainder that
+lands back in the kernel's constant alphabet; it re-derives the extracted
+special stages from H_N alone.  verify_decomposition multiplies every plan
+stage back out to check the factorization reproduces H_N exactly.
 
 Each kernel is derived once.  The first call for N makes one record, keyed
 on the identities of ``counting.trace(n)`` and ``LAYER_SPECS[n]``, that
@@ -42,7 +43,7 @@ import numpy as np
 
 from .counting import count_ops, trace
 from .kernels import CONSTANT_LABELS
-from .layers import LAYER_SPECS, apply_layer, check_size, max_order
+from .layers import LAYER_SPECS, apply_layer, cascade, check_size, max_order
 from .reference import dht_matrix
 
 __all__ = [
@@ -343,7 +344,7 @@ class KernelPlan:
     mult_sites: tuple[MultSite, ...]
     special_stages: tuple[SpecialAdditionVector, ...]
     post_rows: tuple[tuple, ...]  # row k -> tuple of (sign, ref)
-    dead_slots: tuple[tuple, ...]  # layer slots ("S", order, idx) no flow node computes
+    dead_slots: tuple[tuple, ...]  # layer slots ("S", order, idx) the pruned trace lacks
 
 
 def _coefficients(nodes: list[tuple], n: int) -> list:
@@ -396,8 +397,8 @@ def _extract_plan(n: int, program, mats: list[np.ndarray]) -> KernelPlan:
         for _, a, c in (nodes[i] for i in sites)
     )
     post_rows = tuple(tuple(expand(out)) for out in program.outputs)
-    plan_terms = [t for row in post_rows for t in row] + [t for m in mult_sites for t in m.operand]
-    dead = _check_live_slots(n, plan_terms, slots, nodes, vecs)
+    computed = set(vecs)
+    dead = tuple(("S", k, i) for (k, i), vec in slots.items() if vec not in computed)
 
     stages: dict[int, dict[int, tuple[int, int]]] = {}
     for row, terms in enumerate(post_rows):
@@ -413,48 +414,11 @@ def _extract_plan(n: int, program, mats: list[np.ndarray]) -> KernelPlan:
     return KernelPlan(n, mult_sites, special, post_rows, dead)
 
 
-def _check_live_slots(n, terms, slots, nodes, vecs) -> tuple[tuple, ...]:
-    """Check every live layer slot is a flow node; return the dead slots.
-
-    A slot is live if the plan's terms reach it backwards through the layer
-    listings, or if some flow node adds or subtracts the two slots its
-    listing row combines.  A live slot whose coefficient vector no flow node
-    has means LAYER_SPECS and the flow disagree.
-    """
-    combined = {frozenset((vecs[a], vecs[b])) for op, a, b in nodes if op in ("+", "-")}
-    live: set[tuple[int, int]] = set()
-
-    def mark(order: int, idx: int) -> None:
-        if (order, idx) not in live:
-            live.add((order, idx))
-            if order:
-                for j in LAYER_SPECS[n][order - 1][idx][1:]:
-                    mark(order - 1, j)
-
-    for _, ref in terms:
-        if ref[0] == "S":
-            mark(ref[1], ref[2])
-    for k, spec in enumerate(LAYER_SPECS[n], start=1):
-        for i, (op, *args) in enumerate(spec):
-            if op != "pass" and frozenset(slots[k - 1, j] for j in args) in combined:
-                mark(k, i)
-    computed = set(vecs)
-    dead = tuple(("S", k, i) for (k, i), vec in slots.items() if vec not in computed)
-    for _, k, i in dead:
-        if (k, i) in live:
-            raise DerivationError(
-                f"N={n}: layer {k} slot {i} (S{k}[{i}]) is live but no node of the "
-                f"kernel flow computes it; LAYER_SPECS[{n}] disagrees with the flow"
-            )
-    return dead
-
-
 def kernel_plan(n: int) -> KernelPlan:
     """Factorization plan for one kernel (sites, specials, post rows).
 
     Extracted from the kernel's trace on first use and cached; a replaced
-    ``kernels._FLOWS[n]`` or ``LAYER_SPECS[n]`` is extracted again.  Raises
-    DerivationError if the flow and LAYER_SPECS disagree on a live slot.
+    ``kernels._FLOWS[n]`` or ``LAYER_SPECS[n]`` is extracted again.
     """
     rec = _record(n)
     if rec.plan is None:
@@ -546,11 +510,7 @@ class _Derivation:
 
     def __init__(self, n: int, program, spec: list):
         self.program, self.spec = program, spec
-        rows = np.eye(n, dtype=np.int64)
-        self.mats = [_frozen(rows)]
-        for layer in spec:
-            rows = np.array(apply_layer(layer, rows))
-            self.mats.append(_frozen(rows))
+        self.mats = [_frozen(np.array(s)) for s in cascade(spec, np.eye(n, dtype=np.int64))]
         self.plan: KernelPlan | None = None
         self.residuals: dict[int, ResidualMatrix] = {}
         self.balance: tuple | None = None

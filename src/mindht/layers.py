@@ -3,10 +3,10 @@
 Each fast kernel is organized as a cascade of layers built purely from
 additions and subtractions (2-point butterflies plus pass-throughs).  The
 tables below define, for every supported length, what each layer computes in
-terms of the previous one.  The state evaluator here and the matrix
-derivation tooling read them; mindht.derivation.kernel_plan checks them
-against the traced kernel flows, raising DerivationError for any live slot
-that no node of the flow computes.
+terms of the previous one.  They are the only description of the
+pre-additions: the kernel flows of mindht.kernels, the state evaluator here
+and the matrix derivation of mindht.derivation all run them through
+``cascade``, on floats, counting scalars or integer identity rows.
 
 A row op is one of
     ("pass", i)     value copied from slot i of the previous layer
@@ -32,6 +32,7 @@ __all__ = [
     "max_order",
     "LayerState",
     "apply_layer",
+    "cascade",
     "pre_addition_state",
 ]
 
@@ -169,6 +170,14 @@ def apply_layer(spec, values):
     return out
 
 
+def cascade(specs, values) -> list:
+    """The states S(0) = values, S(1), ..., S(len(specs)) of a layer cascade."""
+    states = [values]
+    for spec in specs:
+        states.append(apply_layer(spec, states[-1]))
+    return states
+
+
 def pre_addition_state(v, n: int, order: int) -> LayerState:
     """Return S(order) for the length-n kernel applied to signal v.
 
@@ -186,7 +195,5 @@ def pre_addition_state(v, n: int, order: int) -> LayerState:
         raise ValueError(
             f"layer order {order} invalid for N={n}; valid orders are 0..{len(specs)}"
         )
-    values = list(a)
-    for spec in specs[:order]:
-        values = apply_layer(spec, values)
+    values = cascade(specs[:order], list(a))[-1]
     return LayerState(n=n, order=order, values=np.array(values))

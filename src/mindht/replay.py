@@ -1,24 +1,26 @@
-"""Replay of a kernel's traced straight-line program over array columns.
+"""The executors of a kernel's one program, ``counting.trace(n)``.
 
-``kernels.kernel_flow(n)`` hands an ndarray with ndim >= 2 to the program of
-its flow.  Running the scalar-generic flow over whole rows instead would
-allocate one temporary row per operation and stream every intermediate
-through memory.  Here the one program that ``counting.trace(n)`` records is
-scheduled: every node becomes one in-place ufunc call, and the program runs
-chunk by chunk over CHUNK_COLUMNS columns, so the intermediates of a chunk
-stay in cache.  Each output is the same IEEE operations on the same operands
-in the same order as the flow run on one column's floats, so the result
-matches it bit for bit.  The scheduled program (``ops``, ``consts``,
-``n_regs``) is also what mindht._cgen turns into C; the replay runs a batch
-when the C kernels cannot (another dtype, odd strides, no working compiler).
-This module is imported on the first array call, not with mindht.
+``program`` schedules the program onto reused register rows: every node
+becomes one in-place ufunc call, run chunk by chunk over CHUNK_COLUMNS
+columns so the intermediates of a chunk stay in cache, where running a flow
+over whole rows would allocate and stream one temporary row per operation.
+The schedule (``ops``, ``consts``, ``n_regs``) is what the replay runs on
+arrays the C kernels do not take (another dtype, odd strides, no working
+compiler), what mindht._cgen turns into C, and what ``scalar_kernel`` emits
+as a straight-line Python function for one block (``fast_dht``, and
+``kernels.kernel_flow(n)`` on anything but an ndarray with ndim >= 2).  All
+three do the same IEEE operations on the same operands in the same order,
+so they agree bit for bit.  Imported on the first kernel call, not with
+mindht.
 """
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
-from .counting import OpTally, trace
+from .counting import OpTally, _traced, trace
 from .layers import UnsupportedLengthError
 
 # Columns per chunk of the array path.  At N = 24 one chunk's 38 register
@@ -27,12 +29,13 @@ from .layers import UnsupportedLengthError
 CHUNK_COLUMNS = 8192
 
 _UFUNCS = {"+": np.add, "-": np.subtract, "*": np.multiply}
+_SYMBOLS = {f: op for op, f in _UFUNCS.items()}
 
 
 class _Program:
     """A flow's traced straight-line program, scheduled onto reusable rows.
 
-    Each live node of the trace becomes one ``ufunc(a, b, o)`` call writing
+    Each node of the trace becomes one ``ufunc(a, b, o)`` call writing
     into o, in trace order.  ``a``, ``b`` and ``o`` index one list per
     chunk: the input row views, the output row views, the constants, then
     the register row views.  A register row is released at its value's last
@@ -50,12 +53,9 @@ class _Program:
         nodes, outputs = traced.nodes, traced.outputs
         operands = [(a,) if op == "*" else (a, b) for op, a, b in nodes]
         last_use: dict[int, int] = {}
-        live = set(outputs)
         for k in range(len(nodes) - 1, n - 1, -1):
-            if k in live:
-                for p in operands[k]:
-                    live.add(p)
-                    last_use.setdefault(p, k)
+            for p in operands[k]:
+                last_use.setdefault(p, k)
 
         out_row: dict[int, int] = {}
         for row, node in enumerate(outputs):
@@ -65,7 +65,7 @@ class _Program:
         free: list[int] = []
         n_regs = 0
         ops = []
-        for k in sorted(live - set(range(n))):
+        for k in range(n, len(nodes)):
             op, a, b = nodes[k]
             if op == "*":
                 args = [("c", consts.setdefault(b, len(consts))), loc[a]]
@@ -97,6 +97,12 @@ class _Program:
         self.ops = [(f, *(base[kind] + i for kind, i in args)) for f, *args in ops]
         self._spare: dict[np.dtype, list[np.ndarray]] = {}
 
+    def statements(self, const) -> list[str]:
+        """Each op as ``o = a + b`` over rows x0.., y0.., r0.., constant c as const(c)."""
+        names = [f"x{i}" for i in range(self.n)] + [f"y{i}" for i in range(self.n_outputs)]
+        names += [const(c) for c in self.consts] + [f"r{i}" for i in range(self.n_regs)]
+        return [f"{names[o]} = {names[a]} {_SYMBOLS[f]} {names[b]}" for f, a, b, o in self.ops]
+
     def __call__(self, x: np.ndarray) -> np.ndarray:
         if x.shape[0] != self.n:
             raise UnsupportedLengthError(
@@ -127,6 +133,28 @@ class _Program:
         return out.reshape(self.n_outputs, *x.shape[1:])
 
 
+def _emit(prog: _Program):
+    """A scheduled program as a Python function of one block, one local per row.
+
+    Reusing the register names frees each float at its value's last use: one
+    local per node kept all of them alive, a quarter more traced memory per
+    call at N = 24.  A constant is written as its repr, which reads back as
+    the same float.
+    """
+    lines = ["def kernel(v):", "    " + "".join(f"x{i}, " for i in range(prog.n)) + "= v"]
+    lines += ["    " + s for s in prog.statements(repr)]
+    lines.append("    return [" + ", ".join(f"y{i}" for i in range(prog.n_outputs)) + "]")
+    scope = {"inf": math.inf, "nan": math.nan}
+    exec(compile("\n".join(lines), f"<mindht length-{prog.n} kernel>", "exec"), scope)
+    return scope["kernel"]
+
+
+def scalar_kernel(n: int) -> tuple:
+    """(flow, listing, function): the Python function of the program traced from them."""
+    flow, spec, traced = _traced(n)
+    return flow, spec, _emit(_Program(n, traced))
+
+
 _PROGRAMS: dict[int, _Program] = {}
 
 
@@ -134,7 +162,8 @@ def program(n: int) -> _Program:
     """The scheduled program of the length-n kernel's ``counting.trace(n)``.
 
     The cache keeps one program per n and schedules again when the trace is
-    another object, that is when ``kernels._FLOWS[n]`` was replaced.
+    another object, that is when ``kernels._FLOWS[n]`` or ``LAYER_SPECS[n]``
+    was replaced.
     """
     t = trace(n)
     prog = _PROGRAMS.get(n)

@@ -265,6 +265,15 @@ def test_count_machine(capsys):
     }
 
 
+def test_count_output_matches_golden(capsys):
+    # tests/data/count_machine.txt holds the stdout of count before the
+    # flows ran LAYER_SPECS; pruning the trace must not move a count
+    golden = (Path(__file__).parent / "data" / "count_machine.txt").read_text()
+    code, out, _ = run(capsys, "count", "--format", "machine")
+    assert code == 0
+    assert out == golden
+
+
 def test_count_detects_corrupted_kernel(capsys, monkeypatch):
     # negative control: a kernel with one extra multiplication must fail
     import mindht.kernels as kernels

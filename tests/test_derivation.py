@@ -8,17 +8,20 @@ import pytest
 
 from mindht import (
     SUPPORTED_SIZES,
+    OpCount,
     balance_split,
     balance_stages,
+    count_ops,
     dht_matrix,
     entry_alphabet,
+    fast_dht,
     kernel_plan,
     pre_addition_matrix,
     pre_addition_state,
     residual_matrix,
     verify_decomposition,
 )
-from mindht import derivation
+from mindht.counting import trace
 from mindht.derivation import (
     DerivationError,
     ResidualMatrix,
@@ -26,6 +29,7 @@ from mindht.derivation import (
     layer_matrix,
     merge_pairs,
 )
+from mindht.kernels import kernel_flow
 from mindht.layers import LAYER_SPECS, max_order
 
 SQRT2_HALF = math.sqrt(2.0) / 2.0
@@ -394,8 +398,9 @@ def test_aux_sites_span_two_layers():
 
 
 def test_dead_slots_are_exactly_the_documented_pair():
-    # N=8 multiplies S1[5], S1[7] directly and never forms S2[6], S2[7]
-    # (docs/derivation-notes.md); every other layer slot is a flow node
+    # N=8 multiplies S1[5], S1[7] directly: its flow forms S2[6], S2[7]
+    # through the listing, no output needs them, and the trace prunes them
+    # (docs/derivation-notes.md); every other layer slot is a program node
     dead = {n: kernel_plan(n).dead_slots for n in SUPPORTED_SIZES}
     assert dead == {4: (), 8: (("S", 2, 6), ("S", 2, 7)), 12: (), 24: ()}
 
@@ -409,24 +414,45 @@ def test_balance_transitions_follow_from_the_plans():
     assert transitions == {4: (), 8: (), 12: (2,), 24: (2, 3)}
 
 
-def test_corrupted_layer_row_names_layer_and_slot(monkeypatch):
-    # swapping a butterfly's operands negates one slot; the extracted plan
-    # must refuse the listing and name the slot, whichever row is corrupted
+def _swapped(listing, order, idx):
+    """A copy of listing whose row idx of layer `order`, a sub, has its operands swapped."""
+    spec = [list(layer) for layer in listing]
+    op, i, j = spec[order - 1][idx]
+    assert op == "sub"
+    spec[order - 1][idx] = (op, j, i)
+    return spec
+
+
+def test_every_swapped_sub_row_builds_a_kernel_verify_rejects(monkeypatch):
+    # the flows run LAYER_SPECS, so swapping a sub row's operands negates a
+    # slot of the kernel itself: the counts stay, the kernel is no longer
+    # H_24, and verify_decomposition says so, whichever row is swapped
     listing = LAYER_SPECS[24]
     rows = [
-        (order, idx, op)
+        (order, idx)
         for order, spec in enumerate(listing, start=1)
         for idx, op in enumerate(spec)
         if op[0] == "sub"
     ]
     assert len(rows) == 35
-    for order, idx, (_, i, j) in rows:
-        spec = [list(layer) for layer in listing]
-        spec[order - 1][idx] = ("sub", j, i)
-        monkeypatch.setitem(LAYER_SPECS, 24, spec)
-        monkeypatch.setattr(derivation, "_PLANS", {})
-        with pytest.raises(DerivationError, match=rf"N=24: layer {order} slot {idx} \("):
-            kernel_plan(24)
+    h = dht_matrix(24)
+    unbalanced = 0
+    for order, idx in rows:
+        monkeypatch.setitem(LAYER_SPECS, 24, _swapped(listing, order, idx))
+        kernel = np.array([fast_dht(e) for e in np.eye(24)]).T
+        assert np.max(np.abs(kernel - h)) > 0.5
+        assert count_ops(24) == OpCount(138, 12)
+        report = verify_decomposition(24)
+        assert report.ok is False and report.max_error > 0.5
+        try:
+            balance_stages(24)
+        except DerivationError as e:
+            assert str(e).startswith("no valid balance split for N=24")
+            unbalanced += 1
+    # 13 swaps (all in layers 1 and 2) also leave no valid balance split
+    assert unbalanced == 13
+    monkeypatch.setitem(LAYER_SPECS, 24, listing)
+    assert verify_decomposition(24).ok
 
 
 def _derived(n):
@@ -487,26 +513,30 @@ def test_replaced_flow_is_planned_again(monkeypatch):
 
 
 def test_replaced_layer_listing_is_planned_again(monkeypatch):
+    # the trace, the scalar and array kernels and the derivation all belong
+    # to the listing they were made from: a swapped sub row changes each of
+    # them, and restoring the listing restores every bit
     listing = LAYER_SPECS[24]
-    kernel_plan(24)
+    x = np.random.default_rng(101).uniform(-1.0, 1.0, (24, 40))
+    v = x[:, 0]
     before = _derived(24)
-    spec = [list(layer) for layer in listing]
-    _, i, j = spec[0][1]
-    spec[0][1] = ("sub", j, i)
-    monkeypatch.setitem(LAYER_SPECS, 24, spec)
-    with pytest.raises(DerivationError, match=r"N=24: layer 1 slot 1 \("):
-        kernel_plan(24)
+    spectrum, batch, program = fast_dht(v), kernel_flow(24)(x), trace(24)
+    monkeypatch.setitem(LAYER_SPECS, 24, _swapped(listing, 1, 1))
+    assert trace(24) is not program
+    assert count_ops(24) == OpCount(138, 12)
+    swapped = fast_dht(v)
+    assert not np.allclose(swapped, spectrum)
+    assert kernel_flow(24)(v.tolist()) == swapped.tolist()
+    assert kernel_flow(24)(x)[:, 0].tobytes() == swapped.tobytes()
     # the swap negates slot 1 of S(1): row 1 of P_1 and column 1 of T(1)
     flip = np.ones(24)
     flip[1] = -1
     assert np.array_equal(pre_addition_matrix(24, 1), flip[:, None] * before[0][1])
     assert np.array_equal(residual_matrix(24, 1).entries, before[1][1].entries * flip)
-    with pytest.raises(DerivationError, match=r"N=24: layer 1 slot 1 \("):
-        balance_stages(24)
-    with pytest.raises(DerivationError, match=r"N=24: layer 1 slot 1 \("):
-        verify_decomposition(24)
+    assert verify_decomposition(24).ok is False
     monkeypatch.setitem(LAYER_SPECS, 24, listing)
-    assert kernel_plan(24).n == 24
+    assert fast_dht(v).tobytes() == spectrum.tobytes()
+    assert kernel_flow(24)(x).tobytes() == batch.tobytes()
     after = _derived(24)
     assert after[3] == before[3]
     _assert_same_values(after, before)

@@ -32,6 +32,7 @@ from mindht import (
 )
 from mindht import _cgen, counting, kernels, layers, replay
 from mindht._cgen import TILE
+from mindht.derivation import kernel_plan
 from mindht.kernels import kernel_flow
 from mindht.layers import LAYER_SPECS, apply_layer, max_order
 from mindht.replay import CHUNK_COLUMNS, program as replay_program
@@ -286,13 +287,14 @@ def backend(request):
 def fresh_kernels(monkeypatch):
     """Empty trace, program and kernel tables, with the one-warning latch reset."""
     monkeypatch.setattr(counting, "_TRACES", {})
+    monkeypatch.setattr(kernels, "_SCALAR", {})
     monkeypatch.setattr(replay, "_PROGRAMS", {})
     monkeypatch.setattr(_cgen, "_KERNELS", {})
     monkeypatch.setattr(_cgen, "_warned", False)
 
 
 def scalar_columns(n, x):
-    """The raw flow on each column's Python numbers, stacked as columns."""
+    """The scalar path on each column's Python numbers, stacked as columns."""
     cols = x.reshape(n, -1)
     return np.array(
         [kernel_flow(n)(cols[:, j].tolist()) for j in range(cols.shape[1])], dtype=float
@@ -361,10 +363,72 @@ def test_array_path_rejects_wrong_block_axis():
                 kernel_flow(8)(np.zeros((12, 4)))
 
 
-def test_other_inputs_run_the_raw_flow():
+def test_other_inputs_run_the_pruned_program():
     v = np.arange(8.0)
     assert isinstance(kernel_flow(8)(v.tolist()), list)
     assert isinstance(kernel_flow(8)(v), list)
+    # the N = 8 flow forms the layer-2 slots S2[6] and S2[7] through its
+    # listing, and no output needs them: the kernel skips them when it runs,
+    # not only when it is counted
+    raw, run = counting.OpTally(), counting.OpTally()
+    kernels._FLOWS[8]([counting.CountingScalar(x, raw) for x in v])
+    kernel_flow(8)([counting.CountingScalar(x, run) for x in v])
+    assert raw.snapshot() == counting.OpCount(24, 2)
+    assert run.snapshot() == counting.OpCount(22, 2)
+    assert kernel_plan(8).dead_slots == (("S", 2, 6), ("S", 2, 7))
+    # the program takes exactly one block: a longer list is refused, not cut
+    for bad in ([1.0] * 7, [1.0] * 9):
+        with pytest.raises(ValueError, match="values to unpack"):
+            kernel_flow(8)(bad)
+
+
+def test_only_the_trace_runs_the_raw_flow(fresh_kernels, monkeypatch):
+    real, calls = kernels._FLOWS[8], []
+
+    def counted(v):
+        calls.append(v)
+        return real(v)
+
+    monkeypatch.setitem(kernels._FLOWS, 8, counted)
+    x = np.random.default_rng(97).uniform(-1.0, 1.0, (8, 20))
+    v = x[:, 0]
+    for _ in range(3):
+        want = fast_dht(v)
+        assert kernel_flow(8)(v.tolist()) == want.tolist()
+        assert kernel_flow(8)(x)[:, 0].tobytes() == want.tobytes()
+        assert counting.run_counted(8, v)[0].tobytes() == want.tobytes()
+        assert counting.count_ops(8) == counting.OpCount(22, 2)
+        assert kernel_plan(8).n == 8
+    assert len(calls) == 1 and all(isinstance(s, counting.CountingScalar) for s in calls[0])
+
+
+def _golden_spectra():
+    """n -> (signals, spectra) as the rows of tests/data/fast_dht_golden.txt."""
+    rows: dict = {}
+    for line in (Path(__file__).parent / "data" / "fast_dht_golden.txt").read_text().splitlines():
+        if not line.startswith("#"):
+            n, values = line.split(": ")
+            x, y = ([float.fromhex(t) for t in part.split()] for part in values.split(" -> "))
+            rows.setdefault(int(n), []).append((x, y))
+    return rows
+
+
+GOLDEN = _golden_spectra()
+
+
+@pytest.mark.parametrize("n", SUPPORTED_SIZES)
+def test_golden_spectra_bit_for_bit(backend, n):
+    # recorded from the hand-written pre-addition layers the flows had
+    # before they ran LAYER_SPECS; no bit may have moved since
+    rows = GOLDEN[n]
+    assert len(rows) == 32
+    for x, y in rows:
+        want = np.array(y)
+        assert fast_dht(x).tobytes() == want.tobytes()
+        assert np.array(kernel_flow(n)(x)).tobytes() == want.tobytes()
+    signals, spectra = np.array(rows).transpose(1, 2, 0)
+    expect_backend(backend, n)
+    assert same_bits(kernel_flow(n)(np.ascontiguousarray(signals)), spectra)
 
 
 def test_import_loads_no_replay():
@@ -576,6 +640,8 @@ def test_threads_load_each_kernel_once(fresh_kernels, monkeypatch):
     def work():
         for n in SUPPORTED_SIZES:
             if not same_bits(kernel_flow(n)(xs[n]), want[n]):
+                bad.append(n)
+            if fast_dht(xs[n][:, 1]).tobytes() != want[n][:, 1].tobytes():
                 bad.append(n)
 
     interval = sys.getswitchinterval()
