@@ -152,21 +152,25 @@ def _emit(prog: _Program):
 def scalar_kernel(n: int) -> tuple:
     """(flow, listing, function): the Python function of the program traced from them."""
     flow, spec, traced = _traced(n)
-    return flow, spec, _emit(_Program(n, traced))
+    return flow, spec, _emit(_scheduled(n, traced))
 
 
 _PROGRAMS: dict[int, _Program] = {}
 
 
+def _scheduled(n: int, traced: OpTally) -> _Program:
+    """The schedule of traced, the length-n trace, made once per trace object."""
+    prog = _PROGRAMS.get(n)
+    if prog is None or prog.trace is not traced:
+        prog = _PROGRAMS[n] = _Program(n, traced)
+    return prog
+
+
 def program(n: int) -> _Program:
     """The scheduled program of the length-n kernel's ``counting.trace(n)``.
 
-    The cache keeps one program per n and schedules again when the trace is
-    another object, that is when ``kernels._FLOWS[n]`` or ``LAYER_SPECS[n]``
-    was replaced.
+    The cache keeps one program per n, shared with ``scalar_kernel``, and
+    schedules again when the trace is another object, that is when
+    ``kernels._FLOWS[n]`` or ``LAYER_SPECS[n]`` was replaced.
     """
-    t = trace(n)
-    prog = _PROGRAMS.get(n)
-    if prog is None or prog.trace is not t:
-        prog = _PROGRAMS[n] = _Program(n, t)
-    return prog
+    return _scheduled(n, trace(n))

@@ -31,7 +31,7 @@ from mindht import (
     pre_addition_state,
 )
 from mindht import _cgen, counting, kernels, layers, replay
-from mindht._cgen import TILE
+from mindht._cgen import W
 from mindht.derivation import kernel_plan
 from mindht.kernels import kernel_flow
 from mindht.layers import LAYER_SPECS, apply_layer, max_order
@@ -484,18 +484,49 @@ def test_replaced_flow_gets_its_own_c_source(monkeypatch):
     assert (0.9999999).hex() in _cgen.source(replay_program(8))
 
 
+def test_one_block_and_array_paths_share_one_schedule(fresh_kernels, monkeypatch):
+    made = []
+
+    class Counted(replay._Program):
+        def __init__(self, n, traced):
+            made.append(n)
+            super().__init__(n, traced)
+
+    monkeypatch.setattr(replay, "_Program", Counted)
+    for n in SUPPORTED_SIZES:
+        v = np.random.default_rng(n + 79).uniform(-1.0, 1.0, n)
+        if n % 8:  # both orders of first use
+            fast_dht(v)
+            prog = replay_program(n)
+        else:
+            prog = replay_program(n)
+            fast_dht(v)
+        assert same_bits(prog(v[:, None])[:, 0], fast_dht(v))
+    assert made == list(SUPPORTED_SIZES)
+
+
 @pytest.mark.parametrize("n", SUPPORTED_SIZES)
-@pytest.mark.parametrize("blocks", [1, TILE - 1, TILE, TILE + 1, 3 * TILE + 5])
+# widths at the edges of one W-column block, then runs of many blocks:
+# 255 = 15W + 15, 256 = 16W, 257 = 16W + 1, 773 = 48W + 5
+@pytest.mark.parametrize("blocks", [1, W - 1, W, W + 1, 3 * W + 5, 255, 256, 257, 773])
 def test_tile_edges_match_scalar_path(backend, n, blocks):
-    x = np.random.default_rng([n, blocks, 5]).uniform(-1.0, 1.0, (n, blocks))
-    x[:, ::7] = -0.0
+    base = np.random.default_rng([n, blocks, 5]).uniform(-1.0, 1.0, (n, blocks + 7))
+    base[:, ::7] = -0.0
+    want = scalar_columns(n, base)
     expect_backend(backend, n)
-    assert same_bits(kernel_flow(n)(x), scalar_columns(n, x))
+    for k in range(8):  # start offsets of k doubles: each 8-byte step within 64 bytes
+        assert same_bits(kernel_flow(n)(base[:, k:k + blocks]), want[:, k:k + blocks])
+
+
+def test_empty_batches(backend):
+    for shape in ((8, 0), (8, 0, 3), (8, 3, 0)):
+        out = kernel_flow(8)(np.zeros(shape))
+        assert out.shape == shape and out.dtype == np.float64
 
 
 @pytest.mark.parametrize("n", SUPPORTED_SIZES)
 def test_negative_and_non_unit_strides(backend, n):
-    base = np.random.default_rng(n + 47).uniform(-1.0, 1.0, (2 * n, 2 * TILE + 9))
+    base = np.random.default_rng(n + 47).uniform(-1.0, 1.0, (2 * n, 32 * W + 9))
     views = (
         base[:n, ::-1],  # negative column stride
         base[:n, ::3],  # column stride 3
@@ -603,7 +634,7 @@ def test_tampered_object_is_rejected_by_the_load_check(fresh_kernels, monkeypatc
 
     def tampered(prog):
         src = real_source(prog)
-        cut = src.index(" + ", src.index("double y0"))
+        cut = src.index(" + ", src.index("vd y0"))
         return src[:cut] + " - " + src[cut + 3:]  # one + flipped to -
 
     monkeypatch.setattr(_cgen, "source", tampered)
@@ -613,6 +644,24 @@ def test_tampered_object_is_rejected_by_the_load_check(fresh_kernels, monkeypatc
         assert same_bits(kernel_flow(8)(x), scalar_columns(8, x))
         assert _cgen.backend(8) == "replay"
     assert len(seen) == 1 and "disagreed with the replay" in str(seen[0].message)
+
+
+def test_source_compiles_only_where_double_arithmetic_rounds_to_double(tmp_path):
+    if not c_works():
+        pytest.skip("no working C compiler")
+    src = _cgen.source(replay_program(8))
+
+    def compiles(method):
+        cmd = [*_cgen.find_compiler(), "-U__FLT_EVAL_METHOD__",
+               f"-D__FLT_EVAL_METHOD__={method}", *_cgen.FLAGS,
+               "-o", str(tmp_path / "k.so"), "-x", "c", "-"]
+        done = subprocess.run(cmd, input=src, text=True, capture_output=True)
+        assert done.returncode == 0 or "must round to double" in done.stderr
+        return done.returncode == 0
+
+    assert not compiles(2)  # long double evaluation, as on x87
+    assert not compiles(-1)  # indeterminable
+    assert compiles(16)  # gcc with AVX512-FP16: _Float16 in float, double in double
 
 
 def test_threads_load_each_kernel_once(fresh_kernels, monkeypatch):
