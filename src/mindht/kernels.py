@@ -21,11 +21,21 @@ scalar.  Keep them free of any other arithmetic - the budgets above are
 asserted exactly by the test suite.  A flow is run only by
 ``counting.trace(n)``, on counting scalars; every kernel call runs that
 pruned program (see ``kernel_flow``).
+
+Each program is compiled into one C extension module per length
+(mindht._cgen), with a ``block`` entry point for ``fast_dht`` and a
+``batch`` entry point for float64 arrays.  An array call loads it on the
+first call for its length.  ``fast_dht`` counts its calls per length and
+runs the emitted Python function for the first ``COMPILE_AFTER``; the last
+of them starts the compile on a background thread, and ``block`` is
+swapped in once it has loaded and passed its check, so no one-block call
+waits for a compiler.
 """
 
 from __future__ import annotations
 
 import math
+import threading
 
 import numpy as np
 
@@ -194,22 +204,55 @@ def dht24_flow(v):
 
 _FLOWS = {4: dht4_flow, 8: dht8_flow, 12: dht12_flow, 24: dht24_flow}
 
-# n -> (flow, listing, the Python function of their trace), checked by
-# identity and without a lock: racing first calls may each emit a function,
-# and each is right.  It and mindht._cgen.run are resolved on first use:
-# replay and _cgen import counting, which imports this module, and
-# ``import mindht`` should not pay for any of them.
-_SCALAR: dict[int, tuple] = {}
+# One-block calls of one length's program that fast_dht serves from the
+# emitted Python function before a background thread compiles its C module.
+# A process that makes fewer never compiles: setup_s makes one call per N
+# and ``mindht verify`` at most its --trials (default 1000).  A compile takes
+# 0.2-0.4 s of another core; at 1-4 us saved per call it pays off after about
+# 10^5 calls, and a loop of calls reaches this count within tens of ms.
+COMPILE_AFTER = 4096
+
+
+class _OneBlock:
+    """One length's single-block executors: the program traced from ``flow`` and
+    ``spec``, its emitted Python function ``fn``, and its C ``block`` once loaded
+    (None before that), plus the one-block calls ``fn`` has served."""
+
+    __slots__ = ("flow", "spec", "prog", "fn", "c", "calls")
+
+    def __init__(self, flow, spec, prog, fn):
+        self.flow, self.spec, self.prog, self.fn = flow, spec, prog, fn
+        self.c = None
+        self.calls = 0
+
+
+# n -> _OneBlock, checked by identity and without a lock: racing first calls
+# may each emit a function, and each is right.  It and mindht._cgen are
+# resolved on first use: replay and _cgen import counting, which imports this
+# module, and ``import mindht`` should not pay for any of them.
+_SCALAR: dict[int, _OneBlock] = {}
 _run = None
 
 
-def _scalar(n: int):
+def _one_block(n: int) -> _OneBlock:
     hit = _SCALAR.get(n)
-    if hit is None or hit[0] is not _FLOWS[n] or hit[1] is not LAYER_SPECS[n]:
+    if hit is None or hit.flow is not _FLOWS[n] or hit.spec is not LAYER_SPECS[n]:
         from .replay import scalar_kernel
 
-        hit = _SCALAR[n] = scalar_kernel(n)
-    return hit[2]
+        hit = _SCALAR[n] = _OneBlock(*scalar_kernel(n))
+    return hit
+
+
+def _scalar(n: int):
+    return _one_block(n).fn
+
+
+def _load_c_block(one: _OneBlock) -> None:
+    """Load the C module of one's program (through mindht._cgen's lock, so an
+    array call waits for the same load) and swap its ``block`` in."""
+    from ._cgen import block
+
+    one.c = block(one.prog)
 
 
 def _array(n: int, x: np.ndarray) -> np.ndarray:
@@ -270,9 +313,14 @@ def fast_dht(v, n: int | None = None) -> np.ndarray:
     """Fast DHT of a signal whose length is one of 4, 8, 12, 24.
 
     The input is validated in one pass: converted to float64 once, its
-    length resolved once, its shape checked once, and its samples turned
-    into one list of floats, which is checked for inf and nan (by its sum
-    first, see ``layers.all_finite``) and handed to the kernel's program.
+    length resolved once and its shape checked once.  The kernel's program
+    then runs on it as C (``block`` of mindht._cgen, which checks for inf and
+    nan in C) once that length's module is loaded, and as a Python function
+    before that, on the array's ``tolist()`` floats, screened for inf and nan
+    by their sum first (``layers.all_finite``).  The first ``COMPILE_AFTER``
+    calls of a length run the Python function; the last of them starts the
+    module's compile on a background thread, and the C ``block`` is swapped
+    in when it has passed its load check.  Both give the same bits.
 
     Parameters
     ----------
@@ -295,7 +343,21 @@ def fast_dht(v, n: int | None = None) -> np.ndarray:
             f"signal has shape {a.shape}, expected ({n},); "
             f"fast kernels exist for lengths {', '.join(map(str, SUPPORTED_SIZES))}"
         )
+    one = _SCALAR.get(n)
+    if one is None or one.flow is not _FLOWS[n] or one.spec is not LAYER_SPECS[n]:
+        one = _one_block(n)
+    if one.c is not None:
+        out = np.empty(n)
+        one.c(a, out)
+        return out
     vals = a.tolist()
     if not all_finite(vals):
         raise ValueError("signal contains non-finite samples")
-    return np.array(_scalar(n)(vals))
+    # Unlocked: each call compares the count it wrote, so racing calls may
+    # lose a count or start a second thread, which then finds the module
+    # loaded under mindht._cgen's lock, but never skip the threshold.
+    calls = one.calls = one.calls + 1
+    if calls == COMPILE_AFTER:
+        threading.Thread(target=_load_c_block, args=(one,), daemon=True,
+                         name=f"mindht-compile-n{n}").start()
+    return np.array(one.fn(vals))

@@ -6,12 +6,15 @@ columns so the intermediates of a chunk stay in cache, where running a flow
 over whole rows would allocate and stream one temporary row per operation.
 The schedule (``ops``, ``consts``, ``n_regs``) is what the replay runs on
 arrays the C kernels do not take (another dtype, odd strides, no working
-compiler), what mindht._cgen turns into C, and what ``scalar_kernel`` emits
-as a straight-line Python function for one block (``fast_dht``, and
-``kernels.kernel_flow(n)`` on anything but an ndarray with ndim >= 2).  All
-three do the same IEEE operations on the same operands in the same order,
-so they agree bit for bit.  Imported on the first kernel call, not with
-mindht.
+compiler), what mindht._cgen turns into the two entry points of one C
+extension module per length (``block`` for one block, ``batch`` for
+arrays), and what ``scalar_kernel`` emits as a straight-line Python function
+for one block (``kernels.kernel_flow(n)`` on anything but an ndarray with
+ndim >= 2, and ``fast_dht`` until its length's module is compiled on a
+background thread, after ``kernels.COMPILE_AFTER`` calls, or whenever no
+module loads).  All of them do the same IEEE operations on the same
+operands in the same order, so they agree bit for bit.  Imported on the
+first kernel call, not with mindht.
 """
 
 from __future__ import annotations
@@ -150,9 +153,11 @@ def _emit(prog: _Program):
 
 
 def scalar_kernel(n: int) -> tuple:
-    """(flow, listing, function): the Python function of the program traced from them."""
+    """(flow, listing, program, function): the scheduled program traced from the
+    flow and listing, and its Python function."""
     flow, spec, traced = _traced(n)
-    return flow, spec, _emit(_scheduled(n, traced))
+    prog = _scheduled(n, traced)
+    return flow, spec, prog, _emit(prog)
 
 
 _PROGRAMS: dict[int, _Program] = {}

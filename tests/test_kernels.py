@@ -7,6 +7,7 @@ import math
 import os
 import subprocess
 import sys
+import sysconfig
 import threading
 import time
 import warnings
@@ -161,6 +162,38 @@ def test_single_block_bit_identical(v):
         assert out.tobytes() == want
 
 
+ONE_BLOCK_PATHS = ("c", "python")
+
+
+def join_compiles():
+    """Wait for the background compiles fast_dht started."""
+    for t in threading.enumerate():
+        if t.name.startswith("mindht-compile"):
+            t.join(timeout=120)
+            assert not t.is_alive()
+
+
+@contextmanager
+def one_block_path(name):
+    """Run fast_dht on the C ``block`` ("c", where this machine compiles) or on the
+    emitted Python function ("python"), from fresh one-block entries."""
+    join_compiles()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(kernels, "_SCALAR", {})
+        if name == "c":
+            for n in SUPPORTED_SIZES:
+                kernels._load_c_block(kernels._one_block(n))
+        yield
+
+
+def uses_c_block(n):
+    return kernels._one_block(n).c is not None
+
+
+def expect_block(name, n):
+    assert uses_c_block(n) == (name == "c" and c_works())
+
+
 @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
 @pytest.mark.parametrize("call", [fast_dht, fast_dht8])
 def test_non_finite_rejected_at_every_position(call, bad):
@@ -186,9 +219,13 @@ def test_finite_input_with_overflowing_sum_accepted(v, monkeypatch):
         return cmath.isfinite(x)
 
     monkeypatch.setattr(layers, "cmath", SimpleNamespace(isfinite=isfinite))
-    out = fast_dht(v)
-    assert len(calls) == 1 + 8
-    assert out.tobytes() == _frozen_fast_dht(v, 8).tobytes()
+    for path in ONE_BLOCK_PATHS:
+        with one_block_path(path):
+            calls.clear()
+            out = fast_dht(v)
+            # the C block checks each sample in C and calls no Python isfinite
+            assert len(calls) == (0 if uses_c_block(8) else 1 + 8)
+            assert out.tobytes() == _frozen_fast_dht(v, 8).tobytes()
 
 
 _LENGTHS = "fast kernels exist for lengths 4, 8, 12, 24"
@@ -286,6 +323,7 @@ def backend(request):
 @pytest.fixture
 def fresh_kernels(monkeypatch):
     """Empty trace, program and kernel tables, with the one-warning latch reset."""
+    join_compiles()  # none may fill the fresh tables
     monkeypatch.setattr(counting, "_TRACES", {})
     monkeypatch.setattr(kernels, "_SCALAR", {})
     monkeypatch.setattr(replay, "_PROGRAMS", {})
@@ -543,9 +581,9 @@ def test_negative_and_non_unit_strides(backend, n):
 
 def test_inputs_the_c_kernels_do_not_take_run_the_replay(fresh_kernels, monkeypatch):
     def no_c(*args):
-        raise AssertionError("the C kernel ran")
+        raise AssertionError("the C kernel was loaded")
 
-    monkeypatch.setattr(_cgen, "_call", no_c)
+    monkeypatch.setattr(_cgen, "_kernel", no_c)
     rng = np.random.default_rng(53)
     x = rng.uniform(-1.0, 1.0, (8, 40))
     raw = np.zeros(8 * 40 * 8 + 4, np.uint8)
@@ -604,16 +642,55 @@ def test_objects_live_in_a_private_directory_removed_at_exit(tmp_path):
     assert list(work.iterdir()) == []
 
 
+def test_forked_child_leaves_the_object_directory_alone(tmp_path):
+    if not c_works():
+        pytest.skip("no working C compiler")
+    code = (
+        "import os, sys, numpy as np\n"
+        "from mindht import _cgen, kernels\n"
+        "kernels.kernel_flow(8)(np.ones((8, 3)))\n"
+        "pid = os.fork()\n"
+        "if pid == 0:\n"
+        "    sys.exit(0)  # runs the child's exit handlers\n"
+        "assert os.waitpid(pid, 0)[1] == 0\n"
+        "assert _cgen._dir.is_dir()\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(mindht.__file__).parents[1]),
+           "TMPDIR": str(tmp_path)}
+    subprocess.run([sys.executable, "-c", code], check=True, env=env, timeout=120)
+    assert list(tmp_path.iterdir()) == []
+
+
+def falls_back_on_both_paths(seed):
+    """Every N runs the replay for arrays and the Python function for one block."""
+    for n in SUPPORTED_SIZES:
+        x = np.random.default_rng(n + seed).uniform(-1.0, 1.0, (n, 50))
+        assert same_bits(kernel_flow(n)(x), scalar_columns(n, x))
+        assert _cgen.backend(n) == "replay"
+        kernels._load_c_block(kernels._one_block(n))  # what the background compile runs
+        assert not uses_c_block(n)
+        assert fast_dht(x[:, 0]).tobytes() == _frozen_fast_dht(x[:, 0], n).tobytes()
+
+
 def test_failing_compiler_falls_back_with_one_warning(fresh_kernels, monkeypatch):
     monkeypatch.setenv("CC", "/bin/false")
     with warnings.catch_warnings(record=True) as seen:
         warnings.simplefilter("always")
-        for n in SUPPORTED_SIZES:
-            x = np.random.default_rng(n + 61).uniform(-1.0, 1.0, (n, 50))
-            assert same_bits(kernel_flow(n)(x), scalar_columns(n, x))
-            assert _cgen.backend(n) == "replay"
+        falls_back_on_both_paths(61)
     assert [w.category for w in seen] == [RuntimeWarning]
     assert "kernel_flow runs the NumPy replay" in str(seen[0].message)
+    assert "fast_dht the Python kernel" in str(seen[0].message)
+
+
+def test_missing_python_header_falls_back_with_one_warning(fresh_kernels, monkeypatch, tmp_path):
+    monkeypatch.setattr(sysconfig, "get_paths", lambda: {"include": str(tmp_path)})
+    if _cgen.find_compiler() is None:  # the header is looked up once a compiler is found
+        monkeypatch.setenv("CC", "/bin/false")
+    with warnings.catch_warnings(record=True) as seen:
+        warnings.simplefilter("always")
+        falls_back_on_both_paths(63)
+    assert [w.category for w in seen] == [RuntimeWarning]
+    assert f"Python.h not found in {tmp_path}" in str(seen[0].message)
 
 
 def test_missing_compiler_falls_back_with_one_warning(fresh_kernels, monkeypatch):
@@ -621,29 +698,44 @@ def test_missing_compiler_falls_back_with_one_warning(fresh_kernels, monkeypatch
     assert _cgen.find_compiler() is None
     with warnings.catch_warnings(record=True) as seen:
         warnings.simplefilter("always")
-        for n in SUPPORTED_SIZES:
-            x = np.random.default_rng(n + 67).uniform(-1.0, 1.0, (n, 50))
-            assert same_bits(kernel_flow(n)(x), scalar_columns(n, x))
+        falls_back_on_both_paths(67)
     assert len(seen) == 1 and "no C compiler" in str(seen[0].message)
+
+
+def test_load_check_passes_wherever_the_compiler_works(fresh_kernels):
+    # c_works() is False both without a compiler and when the load check drops
+    # a faulty object, so the check's verdict on sound source is pinned here
+    with warnings.catch_warnings(record=True) as seen:
+        warnings.simplefilter("always")
+        for n in SUPPORTED_SIZES:
+            _cgen.backend(n)
+    assert not [w for w in seen if "disagreed with the replay" in str(w.message)]
 
 
 def test_tampered_object_is_rejected_by_the_load_check(fresh_kernels, monkeypatch):
     if not c_works():
         pytest.skip("no working C compiler")
     real_source = _cgen.source
-
-    def tampered(prog):
-        src = real_source(prog)
-        cut = src.index(" + ", src.index("vd y0"))
-        return src[:cut] + " - " + src[cut + 3:]  # one + flipped to -
-
-    monkeypatch.setattr(_cgen, "source", tampered)
     x = np.random.default_rng(71).uniform(-1.0, 1.0, (8, 30))
-    with warnings.catch_warnings(record=True) as seen:
-        warnings.simplefilter("always")
-        assert same_bits(kernel_flow(8)(x), scalar_columns(8, x))
-        assert _cgen.backend(8) == "replay"
-    assert len(seen) == 1 and "disagreed with the replay" in str(seen[0].message)
+    # the first + of the batch body, then of the block body
+    for marker in ("vd y0", "double y0"):
+
+        def tampered(prog):
+            src = real_source(prog)
+            cut = src.index(" + ", src.index(marker))
+            return src[:cut] + " - " + src[cut + 3:]  # one + flipped to -
+
+        monkeypatch.setattr(_cgen, "source", tampered)
+        monkeypatch.setattr(_cgen, "_KERNELS", {})
+        monkeypatch.setattr(_cgen, "_warned", False)
+        with warnings.catch_warnings(record=True) as seen:
+            warnings.simplefilter("always")
+            assert same_bits(kernel_flow(8)(x), scalar_columns(8, x))
+            assert _cgen.backend(8) == "replay"
+            kernels._load_c_block(kernels._one_block(8))
+            assert not uses_c_block(8)
+            assert fast_dht(x[:, 0]).tobytes() == scalar_columns(8, x)[:, 0].tobytes()
+        assert len(seen) == 1 and "disagreed with the replay" in str(seen[0].message)
 
 
 def test_source_compiles_only_where_double_arithmetic_rounds_to_double(tmp_path):
@@ -652,8 +744,8 @@ def test_source_compiles_only_where_double_arithmetic_rounds_to_double(tmp_path)
     src = _cgen.source(replay_program(8))
 
     def compiles(method):
-        cmd = [*_cgen.find_compiler(), "-U__FLT_EVAL_METHOD__",
-               f"-D__FLT_EVAL_METHOD__={method}", *_cgen.FLAGS,
+        cmd = [*_cgen.find_compiler(), "-I", sysconfig.get_paths()["include"],
+               "-U__FLT_EVAL_METHOD__", f"-D__FLT_EVAL_METHOD__={method}", *_cgen.FLAGS,
                "-o", str(tmp_path / "k.so"), "-x", "c", "-"]
         done = subprocess.run(cmd, input=src, text=True, capture_output=True)
         assert done.returncode == 0 or "must round to double" in done.stderr
@@ -686,8 +778,15 @@ def test_threads_load_each_kernel_once(fresh_kernels, monkeypatch):
         monkeypatch.setitem(kernels._FLOWS, n, slowed(kernels._FLOWS[n]))
     bad = []
 
+    # the fast_dht calls cross the threshold while the array calls load: the
+    # background compiles race them
+    monkeypatch.setattr(kernels, "COMPILE_AFTER", 7)
+
     def work():
         for n in SUPPORTED_SIZES:
+            for j in range(3):
+                if fast_dht(xs[n][:, j]).tobytes() != want[n][:, j].tobytes():
+                    bad.append(n)
             if not same_bits(kernel_flow(n)(xs[n]), want[n]):
                 bad.append(n)
             if fast_dht(xs[n][:, 1]).tobytes() != want[n][:, 1].tobytes():
@@ -701,11 +800,177 @@ def test_threads_load_each_kernel_once(fresh_kernels, monkeypatch):
             t.start()
         for t in threads:
             t.join(timeout=120)
+        join_compiles()
     finally:
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads)
     assert bad == []
     assert sorted(loads) == list(SUPPORTED_SIZES)  # each kernel compiled (or tried) once
+    for n in SUPPORTED_SIZES:
+        assert uses_c_block(n) == c_works()
+        assert fast_dht(xs[n][:, 2]).tobytes() == want[n][:, 2].tobytes()
+
+
+# --- single-block C path: block() of the same extension module ---
+
+
+@pytest.mark.parametrize("n", SUPPORTED_SIZES)
+def test_c_block_matches_the_emitted_function_on_the_check_batch(n):
+    x = _cgen._check_batch(n)  # signed zeros, subnormals, magnitudes 1e-300..1e300
+    fn = kernels._scalar(n)
+    want = [np.array(fn(v.tolist())).tobytes() for v in x.T]
+    for path in ONE_BLOCK_PATHS:
+        with one_block_path(path):
+            expect_block(path, n)
+            assert [fast_dht(v).tobytes() for v in x.T] == want  # strided columns
+            assert [fast_dht(v.tolist()).tobytes() for v in x.T] == want
+
+
+@pytest.mark.parametrize("n", SUPPORTED_SIZES)
+def test_c_block_rejects_non_finite_samples(n):
+    for path in ONE_BLOCK_PATHS:
+        with one_block_path(path), pytest.MonkeyPatch.context() as mp:
+            if uses_c_block(n):  # then only C may raise
+                mp.setattr(kernels, "all_finite", None)
+            for i in range(n):
+                for bad in (np.inf, -np.inf, np.nan):
+                    v = np.ones(n)
+                    v[i] = bad
+                    with pytest.raises(ValueError, match="^signal contains non-finite samples$"):
+                        fast_dht(v)
+
+
+@pytest.mark.parametrize("n", SUPPORTED_SIZES)
+def test_c_block_takes_strided_read_only_and_other_dtype_input(n):
+    rng = np.random.default_rng(n + 83)
+    base = rng.uniform(-1.0, 1.0, 2 * n)
+    frozen = base[:n].copy()
+    frozen.flags.writeable = False
+    raw = np.zeros(n * 8 + 4, np.uint8)
+    unaligned = np.ndarray((n,), float, raw, offset=4)
+    unaligned[...] = base[:n]
+    inputs = [base[::2], base[::-2], frozen, unaligned, rng.integers(-1000, 1000, n),
+              base[:n].astype(np.float32), rng.random(n) < 0.5, base[:n].astype(">f8")]
+    want = [_frozen_fast_dht(v, n).tobytes() for v in inputs]
+    for path in ONE_BLOCK_PATHS:
+        with one_block_path(path):
+            expect_block(path, n)
+            assert [fast_dht(v).tobytes() for v in inputs] == want
+    assert not frozen.flags.writeable and np.array_equal(frozen, base[:n])
+
+
+def test_c_block_refuses_wrong_buffers():
+    if not c_works():
+        pytest.skip("no working C compiler")
+    block = _cgen.block(replay_program(8))
+    x, y = np.ones(8), np.empty(8)
+    frozen = np.empty(8)
+    frozen.flags.writeable = False
+    for args in ((x,), (x, y, y), (np.ones(4), y), (np.ones((2, 8)), y), (x.astype(np.float32), y),
+                 (x, np.empty(4)), (x, np.empty(8, np.int64)), (x, np.empty(16)[::2]), (x, frozen)):
+        with pytest.raises((TypeError, BufferError, ValueError)):
+            block(*args)
+    block(x, y)
+    assert y.tobytes() == fast_dht(x).tobytes()
+
+
+def test_replaced_flow_after_the_swap_runs_its_own_program(monkeypatch):
+    v = np.random.default_rng(89).uniform(-1.0, 1.0, 8)
+    with one_block_path("c"):
+        expect_block("c", 8)
+        good = fast_dht(v)
+
+        def bad(v):
+            out = kernels.dht8_flow(v)
+            out[0] = 0.9999999 * out[0]
+            return out
+
+        monkeypatch.setitem(kernels._FLOWS, 8, bad)
+        out = fast_dht(v)
+        assert not uses_c_block(8)  # the new program runs until its own compile
+        assert out[0] == 0.9999999 * good[0] and out[1:].tobytes() == good[1:].tobytes()
+        kernels._load_c_block(kernels._one_block(8))
+        expect_block("c", 8)
+        assert fast_dht(v).tobytes() == out.tobytes()
+
+
+def test_compile_starts_in_the_background_at_the_threshold(fresh_kernels, monkeypatch):
+    monkeypatch.setattr(kernels, "COMPILE_AFTER", 5)
+    loads, release = [], threading.Event()
+    real_load = _cgen._load
+
+    def held(prog):
+        loads.append(prog.n)
+        assert release.wait(timeout=60)
+        return real_load(prog)
+
+    monkeypatch.setattr(_cgen, "_load", held)
+    v = np.random.default_rng(97).uniform(-1.0, 1.0, 12)
+    want = fast_dht(v).tobytes()  # call 1
+    for _ in range(3):
+        assert fast_dht(v).tobytes() == want
+    time.sleep(0.05)
+    assert loads == [] and "mindht-compile-n12" not in [t.name for t in threading.enumerate()]
+    assert fast_dht(v).tobytes() == want  # call 5 starts the compile and does not wait for it
+    for _ in range(50):
+        if loads:
+            break
+        time.sleep(0.01)
+    assert loads == [12]
+    # an array call meanwhile waits for the same load instead of compiling again
+    x = np.random.default_rng(98).uniform(-1.0, 1.0, (12, 40))
+    got = []
+    array_call = threading.Thread(target=lambda: got.append(kernel_flow(12)(x)))
+    array_call.start()
+    for _ in range(100):
+        assert fast_dht(v).tobytes() == want and not uses_c_block(12)
+    assert array_call.is_alive()
+    release.set()
+    array_call.join(timeout=120)
+    join_compiles()
+    assert not array_call.is_alive() and loads == [12]
+    assert same_bits(got[0], scalar_columns(12, x))
+    expect_block("c", 12)
+    assert fast_dht(v).tobytes() == want
+
+
+def test_exit_during_a_background_compile_leaves_no_compiler_or_directory(tmp_path):
+    pids = tmp_path / "pids"
+    fake_cc = tmp_path / "slow-cc"
+    # a compiler that never finishes; its pid stays the same through exec
+    fake_cc.write_text(f"#!/bin/sh\necho $$ > {pids}.tmp && mv {pids}.tmp {pids}\nexec sleep 60\n")
+    fake_cc.chmod(0o755)
+    work = tmp_path / "tmp"
+    work.mkdir()
+    code = (
+        "import sys, time\n"
+        "from pathlib import Path\n"
+        "import mindht\n"
+        "v = [1.0, 2.0, 3.0, 4.0]\n"
+        "for _ in range(mindht.kernels.COMPILE_AFTER):\n"
+        "    mindht.fast_dht(v)\n"
+        "deadline = time.monotonic() + 30\n"
+        "while not Path(sys.argv[1]).exists():  # the compiler has started\n"
+        "    assert time.monotonic() < deadline\n"
+        "    time.sleep(0.01)\n"
+        "mindht.fast_dht(v)\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(mindht.__file__).parents[1]),
+           "TMPDIR": str(work), "CC": str(fake_cc)}
+    done = subprocess.run([sys.executable, "-c", code, str(pids)], env=env,
+                          capture_output=True, text=True, timeout=120)
+    pid = int(pids.read_text())
+    try:
+        assert done.returncode == 0, done.stderr
+        assert done.stderr == ""  # no warning about the killed compile
+        with pytest.raises(ProcessLookupError):
+            os.kill(pid, 0)
+        assert list(work.iterdir()) == []
+    finally:
+        try:
+            os.kill(pid, 9)
+        except ProcessLookupError:
+            pass
 
 
 # --- pre-addition layer states ---
