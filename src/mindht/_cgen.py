@@ -38,14 +38,15 @@ cached between processes.  The first array call for a length compiles it
 then and there (0.2-0.5 s per N with gcc 12 on a 2.1 GHz Xeon); a one-block
 call never waits for it: ``fast_dht`` compiles on a background thread after
 ``kernels.COMPILE_AFTER`` calls.  At exit a compiler still running is
-killed before the directory is removed.  The module table is keyed on the
-trace object, and one lock covers loading, so threads and the background
-compile share one load, and a replaced ``kernels._FLOWS[n]`` or
-``LAYER_SPECS[n]`` is traced and compiled again.  After loading, ``batch``
-runs once on a fixed batch of signed zeros, subnormals and mixed magnitudes
-and on a column-strided view of it, and must equal the replay bit for bit;
-``block`` runs on every column of that batch and must equal the emitted
-Python function bit for bit.  A module that fails either is not used.
+killed before the directory is removed.  The module is kept in the kernel's
+record (``kernels._KERNELS``) and one lock covers loading, so threads and
+the background compile share one load, and a replaced ``kernels._FLOWS[n]``
+or ``LAYER_SPECS[n]``, which gets a new record, is compiled again.  After
+loading, ``batch`` runs once on a fixed batch of signed zeros, subnormals
+and mixed magnitudes and on a column-strided view of it, and must equal the
+replay bit for bit; ``block`` runs on every column of that batch and must
+equal the record's Python function bit for bit.  A module that fails either
+is not used.
 
 The replay and the Python function run instead when no compiler is found
 (``$CC``, else ``cc``), ``Python.h`` is missing, or compiling or loading fails
@@ -73,7 +74,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .replay import _emit, program
+from .kernels import _UNTRIED, _kernel
+from .layers import check_size
 
 # Columns per block of ``batch``.  At N = 24 the 86 vector values of a block
 # take 11 KiB, and W = 32 took 0.7 s to compile against 0.3 s.
@@ -326,12 +328,12 @@ def _check_batch(n: int) -> np.ndarray:
     return x
 
 
-def _agrees(prog, module) -> bool:
+def _agrees(k, module) -> bool:
     """Whether ``batch`` equals the replay on the check batch and on a
     column-strided view of it, which runs the local-block gather, and ``block``
-    equals the emitted Python function on each (strided) column of it."""
+    equals the Python function of kernel record k on each (strided) column of it."""
+    prog = k.prog
     x = _check_batch(prog.n)
-    fn = _emit(prog)
     for v in (x, x[:, ::-2]):
         out = np.empty((prog.n_outputs, v.shape[1]))
         module.batch(v, out)
@@ -340,7 +342,7 @@ def _agrees(prog, module) -> bool:
     out = np.empty(prog.n_outputs)
     for v in x.T:
         module.block(v, out)
-        if out.tobytes() != np.array(fn(v.tolist())).tobytes():
+        if out.tobytes() != np.array(k.fn(v.tolist())).tobytes():
             return False
     return True
 
@@ -356,8 +358,9 @@ def _warn(msg: str) -> None:
                       "the Python kernel", RuntimeWarning)
 
 
-def _load(prog):
-    """The checked extension module of prog, compiled now, or None."""
+def _load(k):
+    """The checked extension module of kernel record k, compiled now, or None."""
+    prog = k.prog
     cc = find_compiler()
     if cc is None:
         _warn("no C compiler found ($CC or cc)")
@@ -375,40 +378,32 @@ def _load(prog):
     except (ImportError, OSError, subprocess.SubprocessError) as e:
         _warn(f"building or loading the length-{prog.n} kernel failed ({e})")
         return None
-    if not _agrees(prog, module):
+    if not _agrees(k, module):
         _warn(f"the compiled length-{prog.n} kernel disagreed with the replay")
         return None
     return module
 
 
-# n -> (trace, its checked extension module or None); one lock guards loading.
-_KERNELS: dict[int, tuple] = {}
-_LOCK = threading.Lock()
+_LOCK = threading.Lock()  # guards loading
 
 
-def _kernel(prog):
-    hit = _KERNELS.get(prog.n)
-    if hit is None or hit[0] is not prog.trace:
+def _loaded(k):
+    """The checked extension module of kernel record k, loaded into it on first use, or None."""
+    if k.module is _UNTRIED:
         with _LOCK:
-            hit = _KERNELS.get(prog.n)
-            if hit is None or hit[0] is not prog.trace:
-                hit = _KERNELS[prog.n] = (prog.trace, _load(prog))
-    return hit[1]
-
-
-def block(prog):
-    """The checked C ``block`` of prog, loading its module now if need be, or None."""
-    module = _kernel(prog)
-    return None if module is None else module.block
+            if k.module is _UNTRIED:
+                k.module = _load(k)
+    return k.module
 
 
 def run(n: int, x: np.ndarray) -> np.ndarray:
     """``kernel_flow(n)(x)`` for an ndarray x with ndim >= 2."""
-    prog = program(n)
+    k = _kernel(check_size(n))
+    prog = k.prog
     if x.dtype == _F64 and x.shape[0] == n:
         cols = x.reshape(n, -1)
         if cols.flags.aligned and not (cols.strides[0] % 8 or cols.strides[1] % 8):
-            module = _kernel(prog)
+            module = _loaded(k)
             if module is not None:
                 out = np.empty((prog.n_outputs, cols.shape[1]))
                 module.batch(cols, out)
@@ -418,4 +413,4 @@ def run(n: int, x: np.ndarray) -> np.ndarray:
 
 def backend(n: int) -> str:
     """``"c"`` or ``"replay"``: what runs float64 arrays for length n now."""
-    return "c" if _kernel(program(n)) is not None else "replay"
+    return "c" if _loaded(_kernel(check_size(n))) is not None else "replay"

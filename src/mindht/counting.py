@@ -8,21 +8,21 @@ running a kernel on counting scalars *measures* its cost instead of trusting a
 hand count, and the audit compares the measurement against the declared
 budgets and the multiplicative-complexity lower bounds.
 
-Each kernel's flow is traced in one place, ``trace(n)``, into one pruned
-program.  It is what count_ops counts, what every kernel call runs
+Each kernel's flow is traced in one place, ``_trace``, into one pruned
+program, kept in the kernel's record (``kernels._KERNELS``) and read by
+``trace(n)``.  It is what count_ops counts, what every kernel call runs
 (mindht.replay, mindht._cgen), and what mindht.derivation labels to extract
 the kernel's factorization plan.
 """
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
 
 import numpy as np
 
-from .kernels import _FLOWS, kernel_flow
-from .layers import LAYER_SPECS, SUPPORTED_SIZES, check_size
+from .kernels import _kernel, kernel_flow
+from .layers import SUPPORTED_SIZES, check_size
 
 __all__ = [
     "OpCount",
@@ -162,32 +162,23 @@ def run_counted(n: int, v) -> tuple[np.ndarray, OpCount]:
     return np.array([s.value for s in out]), tally.snapshot()
 
 
-_TRACES: dict[int, tuple] = {}  # n -> (flow, listing, their pruned program)
-_TRACE_LOCK = threading.Lock()
-
-
 def trace(n: int) -> OpTally:
     """The program of ``kernels._FLOWS[n]``, traced once per flow and ``LAYER_SPECS[n]``.
 
     The flows have no data-dependent branches, so one run on counting scalars
     is the program for every input.  It keeps the n inputs and the nodes the
     outputs reach, renumbered in order, so a listing slot no output needs is
-    never counted or run.  One lock covers the cache check and the tracing,
-    so threads making their first calls together share one program.
+    never counted or run.  It is made with the kernel's record, so threads
+    making their first calls together share one program.
     """
-    return _traced(n)[2]
+    return _kernel(check_size(n)).trace
 
 
-def _traced(n: int) -> tuple:
-    """(flow, listing, trace(n)): the program and what it was traced from."""
-    flow, spec = _FLOWS[check_size(n)], LAYER_SPECS[n]
-    with _TRACE_LOCK:
-        hit = _TRACES.get(n)
-        if hit is None or hit[0] is not flow or hit[1] is not spec:
-            raw = OpTally()
-            outputs = [s.node for s in flow([CountingScalar(0.0, raw) for _ in range(n)])]
-            hit = _TRACES[n] = (flow, spec, _pruned(raw.nodes, outputs, n))
-    return hit
+def _trace(n: int, flow) -> OpTally:
+    """The pruned program of flow, run once on n counting scalars."""
+    raw = OpTally()
+    outputs = [s.node for s in flow([CountingScalar(0.0, raw) for _ in range(n)])]
+    return _pruned(raw.nodes, outputs, n)
 
 
 def _pruned(nodes: list[tuple], outputs: list[int], n: int) -> OpTally:

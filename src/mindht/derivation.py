@@ -22,11 +22,11 @@ lands back in the kernel's constant alphabet; it re-derives the extracted
 special stages from H_N alone.  verify_decomposition multiplies every plan
 stage back out to check the factorization reproduces H_N exactly.
 
-Each kernel is derived once.  The first call for N makes one record, keyed
-on the identities of ``counting.trace(n)`` and ``LAYER_SPECS[n]``, that
-composes P_0..P_max; the plan, the residuals T(k), the balancing at the
-default tol and the DecompositionReport are filled into it on first use and
-read from it afterwards, and a replaced flow or listing gets a new record.
+Each kernel is derived once.  The first call for N fills a derivation into
+the kernel's record (``kernels._KERNELS``), which a replaced flow or listing
+replaces; it composes P_0..P_max, and the plan, the residuals T(k), the
+balancing at the default tol and the DecompositionReport are filled into it
+on first use and read from it afterwards.
 The arrays handed out (P_k, the entries of T(k) and of the balanced
 terminal) are read-only views of that record, and the report's alphabets a
 read-only mapping.
@@ -42,7 +42,7 @@ from types import MappingProxyType
 import numpy as np
 
 from .counting import count_ops, trace
-from .kernels import CONSTANT_LABELS
+from .kernels import CONSTANT_LABELS, _kernel
 from .layers import LAYER_SPECS, apply_layer, cascade, check_size, max_order
 from .reference import dht_matrix
 
@@ -422,7 +422,7 @@ def kernel_plan(n: int) -> KernelPlan:
     """
     rec = _record(n)
     if rec.plan is None:
-        rec.plan = _extract_plan(n, rec.program, rec.mats)
+        rec.plan = _extract_plan(n, trace(n), rec.mats)
     return rec.plan
 
 
@@ -501,15 +501,14 @@ def _frozen(a: np.ndarray) -> np.ndarray:
 
 
 class _Derivation:
-    """Everything derived about one kernel from one trace and one listing.
+    """Everything derived about one kernel from its trace and listing.
 
     P_0..P_max are composed when the record is made, since kernel_plan needs
     them all; the plan, the residuals T(k), the default-tol balancing and the
     report are filled on first use.  Its arrays are read-only views.
     """
 
-    def __init__(self, n: int, program, spec: list):
-        self.program, self.spec = program, spec
+    def __init__(self, n: int, spec: list):
         self.mats = [_frozen(np.array(s)) for s in cascade(spec, np.eye(n, dtype=np.int64))]
         self.plan: KernelPlan | None = None
         self.residuals: dict[int, ResidualMatrix] = {}
@@ -517,13 +516,10 @@ class _Derivation:
         self.report: DecompositionReport | None = None
 
 
-_PLANS: dict[int, _Derivation] = {}  # n -> the derivation of (trace(n), LAYER_SPECS[n])
-
-
 def _record(n: int) -> _Derivation:
-    """The cached derivation of kernel n, made again when its trace or listing changes."""
-    program, spec = trace(n), LAYER_SPECS[n]
-    rec = _PLANS.get(n)
-    if rec is None or rec.program is not program or rec.spec is not spec:
-        rec = _PLANS[n] = _Derivation(n, program, spec)
-    return rec
+    """The derivation in kernel n's record, made on first use (racing first
+    uses may each make one; any of them is right)."""
+    k = _kernel(check_size(n))
+    if k.derivation is None:
+        k.derivation = _Derivation(n, k.spec)
+    return k.derivation

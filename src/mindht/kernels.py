@@ -18,17 +18,19 @@ Each kernel is written once: its ``*_flow`` runs the pre-addition listing
 multiplications and post-additions, against the layer slots.  The flows are
 generic over the scalar type: they use only binary +, - and constant *
 scalar.  Keep them free of any other arithmetic - the budgets above are
-asserted exactly by the test suite.  A flow is run only by
-``counting.trace(n)``, on counting scalars; every kernel call runs that
-pruned program (see ``kernel_flow``).
+asserted exactly by the test suite.
 
-Each program is compiled into one C extension module per length
-(mindht._cgen), with a ``block`` entry point for ``fast_dht`` and a
-``batch`` entry point for float64 arrays.  An array call loads it on the
-first call for its length.  ``fast_dht`` counts its calls per length and
-runs the emitted Python function for the first ``COMPILE_AFTER``; the last
-of them starts the compile on a background thread, and ``block`` is
-swapped in once it has loaded and passed its check, so no one-block call
+Everything made from a length's flow and listing lives in one record per
+length, ``_KERNELS[n]``, made under one lock on first use and again once
+``_FLOWS[n]`` or ``LAYER_SPECS[n]`` is not the object it was made from:
+the pruned trace (``counting.trace(n)``, which every kernel call runs), its
+schedule and emitted Python function (mindht.replay), the C extension
+module (mindht._cgen, with a ``block`` entry point for ``fast_dht`` and a
+``batch`` one for float64 arrays, loaded on the first array call), the
+one-block call count and the derivation (mindht.derivation).  ``fast_dht``
+runs the Python function for the first ``COMPILE_AFTER`` calls of a length;
+the last of them starts the compile on a background thread, and ``block``
+is swapped in once it has loaded and passed its check, so no one-block call
 waits for a compiler.
 """
 
@@ -213,46 +215,61 @@ _FLOWS = {4: dht4_flow, 8: dht8_flow, 12: dht12_flow, 24: dht24_flow}
 COMPILE_AFTER = 4096
 
 
-class _OneBlock:
-    """One length's single-block executors: the program traced from ``flow`` and
-    ``spec``, its emitted Python function ``fn``, and its C ``block`` once loaded
-    (None before that), plus the one-block calls ``fn`` has served."""
+# _Kernel.module until mindht._cgen has tried to load it (None if that failed).
+_UNTRIED = object()
 
-    __slots__ = ("flow", "spec", "prog", "fn", "c", "calls")
 
-    def __init__(self, flow, spec, prog, fn):
-        self.flow, self.spec, self.prog, self.fn = flow, spec, prog, fn
+class _Kernel:
+    """Everything made from one length's ``flow`` and listing ``spec``: the
+    pruned ``trace``, its schedule ``prog`` and emitted Python function
+    ``fn``, the C ``module`` and its swapped-in ``block`` ``c`` (None before
+    that), the one-block calls ``fn`` has served, and the ``derivation``
+    mindht.derivation fills in on first use."""
+
+    __slots__ = ("flow", "spec", "trace", "prog", "fn", "module", "c", "calls", "derivation")
+
+    def __init__(self, n: int, flow, spec):
+        from .counting import _trace
+        from .replay import _Program, _emit
+
+        self.flow, self.spec = flow, spec
+        self.trace = _trace(n, flow)
+        self.prog = _Program(n, self.trace)
+        self.fn = _emit(self.prog)
+        self.module = _UNTRIED
         self.c = None
         self.calls = 0
+        self.derivation = None
 
 
-# n -> _OneBlock, checked by identity and without a lock: racing first calls
-# may each emit a function, and each is right.  It and mindht._cgen are
-# resolved on first use: replay and _cgen import counting, which imports this
-# module, and ``import mindht`` should not pay for any of them.
-_SCALAR: dict[int, _OneBlock] = {}
+# n -> _Kernel.  Records are made under _LOCK, so racing first calls share one.
+# Their makers and mindht._cgen are imported on first use: counting, replay and
+# _cgen import this module, and ``import mindht`` should not pay for them.
+_KERNELS: dict[int, _Kernel] = {}
+_LOCK = threading.Lock()
 _run = None
 
 
-def _one_block(n: int) -> _OneBlock:
-    hit = _SCALAR.get(n)
-    if hit is None or hit.flow is not _FLOWS[n] or hit.spec is not LAYER_SPECS[n]:
-        from .replay import scalar_kernel
+def _kernel(n: int) -> _Kernel:
+    """The record of length n's current flow and listing, made now if need be."""
+    flow, spec = _FLOWS[n], LAYER_SPECS[n]
+    k = _KERNELS.get(n)
+    if k is None or k.flow is not flow or k.spec is not spec:
+        with _LOCK:
+            k = _KERNELS.get(n)
+            if k is None or k.flow is not flow or k.spec is not spec:
+                k = _KERNELS[n] = _Kernel(n, flow, spec)
+    return k
 
-        hit = _SCALAR[n] = _OneBlock(*scalar_kernel(n))
-    return hit
 
+def _load_c_block(k: _Kernel) -> None:
+    """Load k's C module (under mindht._cgen's lock, so an array call waits for
+    the same load) and swap its ``block`` in."""
+    from ._cgen import _loaded
 
-def _scalar(n: int):
-    return _one_block(n).fn
-
-
-def _load_c_block(one: _OneBlock) -> None:
-    """Load the C module of one's program (through mindht._cgen's lock, so an
-    array call waits for the same load) and swap its ``block`` in."""
-    from ._cgen import block
-
-    one.c = block(one.prog)
+    module = _loaded(k)
+    if module is not None:
+        k.c = module.block
 
 
 def _array(n: int, x: np.ndarray) -> np.ndarray:
@@ -284,7 +301,7 @@ def kernel_flow(n: int):
     def kernel(v):
         if isinstance(v, np.ndarray) and v.ndim >= 2:
             return _array(n, v)
-        return _scalar(n)(v)
+        return _kernel(n).fn(v)
 
     return kernel
 
@@ -343,12 +360,12 @@ def fast_dht(v, n: int | None = None) -> np.ndarray:
             f"signal has shape {a.shape}, expected ({n},); "
             f"fast kernels exist for lengths {', '.join(map(str, SUPPORTED_SIZES))}"
         )
-    one = _SCALAR.get(n)
-    if one is None or one.flow is not _FLOWS[n] or one.spec is not LAYER_SPECS[n]:
-        one = _one_block(n)
-    if one.c is not None:
+    k = _KERNELS.get(n)
+    if k is None or k.flow is not _FLOWS[n] or k.spec is not LAYER_SPECS[n]:
+        k = _kernel(n)
+    if k.c is not None:
         out = np.empty(n)
-        one.c(a, out)
+        k.c(a, out)
         return out
     vals = a.tolist()
     if not all_finite(vals):
@@ -356,8 +373,8 @@ def fast_dht(v, n: int | None = None) -> np.ndarray:
     # Unlocked: each call compares the count it wrote, so racing calls may
     # lose a count or start a second thread, which then finds the module
     # loaded under mindht._cgen's lock, but never skip the threshold.
-    calls = one.calls = one.calls + 1
+    calls = k.calls = k.calls + 1
     if calls == COMPILE_AFTER:
-        threading.Thread(target=_load_c_block, args=(one,), daemon=True,
+        threading.Thread(target=_load_c_block, args=(k,), daemon=True,
                          name=f"mindht-compile-n{n}").start()
-    return np.array(one.fn(vals))
+    return np.array(k.fn(vals))

@@ -8,13 +8,14 @@ The schedule (``ops``, ``consts``, ``n_regs``) is what the replay runs on
 arrays the C kernels do not take (another dtype, odd strides, no working
 compiler), what mindht._cgen turns into the two entry points of one C
 extension module per length (``block`` for one block, ``batch`` for
-arrays), and what ``scalar_kernel`` emits as a straight-line Python function
-for one block (``kernels.kernel_flow(n)`` on anything but an ndarray with
+arrays), and what ``_emit`` turns into a straight-line Python function for
+one block (``kernels.kernel_flow(n)`` on anything but an ndarray with
 ndim >= 2, and ``fast_dht`` until its length's module is compiled on a
 background thread, after ``kernels.COMPILE_AFTER`` calls, or whenever no
 module loads).  All of them do the same IEEE operations on the same
-operands in the same order, so they agree bit for bit.  Imported on the
-first kernel call, not with mindht.
+operands in the same order, so they agree bit for bit.  The schedule and
+the function are made once per kernel record (``kernels._KERNELS``), with
+its trace.  Imported on the first kernel call or trace, not with mindht.
 """
 
 from __future__ import annotations
@@ -23,8 +24,9 @@ import math
 
 import numpy as np
 
-from .counting import OpTally, _traced, trace
-from .layers import UnsupportedLengthError
+from .counting import OpTally
+from .kernels import _kernel
+from .layers import UnsupportedLengthError, check_size
 
 # Columns per chunk of the array path.  At N = 24 one chunk's 38 register
 # rows take 2.4 MiB, inside a 4 MiB L2; the chunk-size sweep that picked the
@@ -92,7 +94,6 @@ class _Program:
                             ("y", row)))
 
         base = {"x": 0, "y": n, "c": n + len(outputs), "r": n + len(outputs) + len(consts)}
-        self.trace = traced
         self.n = n
         self.n_outputs = len(outputs)
         self.n_regs = n_regs
@@ -152,30 +153,10 @@ def _emit(prog: _Program):
     return scope["kernel"]
 
 
-def scalar_kernel(n: int) -> tuple:
-    """(flow, listing, program, function): the scheduled program traced from the
-    flow and listing, and its Python function."""
-    flow, spec, traced = _traced(n)
-    prog = _scheduled(n, traced)
-    return flow, spec, prog, _emit(prog)
-
-
-_PROGRAMS: dict[int, _Program] = {}
-
-
-def _scheduled(n: int, traced: OpTally) -> _Program:
-    """The schedule of traced, the length-n trace, made once per trace object."""
-    prog = _PROGRAMS.get(n)
-    if prog is None or prog.trace is not traced:
-        prog = _PROGRAMS[n] = _Program(n, traced)
-    return prog
-
-
 def program(n: int) -> _Program:
     """The scheduled program of the length-n kernel's ``counting.trace(n)``.
 
-    The cache keeps one program per n, shared with ``scalar_kernel``, and
-    schedules again when the trace is another object, that is when
+    It is made once per kernel record, that is again once
     ``kernels._FLOWS[n]`` or ``LAYER_SPECS[n]`` was replaced.
     """
-    return _scheduled(n, trace(n))
+    return _kernel(check_size(n)).prog

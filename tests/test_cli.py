@@ -344,7 +344,7 @@ def test_derive_output_matches_golden(capsys, n, fmt):
 def test_second_derive_composes_no_layer(capsys, monkeypatch):
     # the first derive fills the kernel's derivation record; the second
     # reads P_k, T(k), the balancing and the report from it
-    from mindht import derivation
+    from mindht import derivation, kernels
 
     calls = []
     real = derivation.apply_layer
@@ -354,7 +354,7 @@ def test_second_derive_composes_no_layer(capsys, monkeypatch):
         return real(spec, values)
 
     monkeypatch.setattr(derivation, "apply_layer", counted)
-    monkeypatch.setattr(derivation, "_PLANS", {})
+    monkeypatch.setattr(kernels._kernel(24), "derivation", None)
     first = run(capsys, "derive", "--n", "24", "--format", "machine")
     assert calls  # the record was built through the counted apply_layer
     calls.clear()

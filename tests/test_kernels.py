@@ -176,18 +176,20 @@ def join_compiles():
 @contextmanager
 def one_block_path(name):
     """Run fast_dht on the C ``block`` ("c", where this machine compiles) or on the
-    emitted Python function ("python"), from fresh one-block entries."""
+    emitted Python function ("python"), from fresh one-block states of the records."""
     join_compiles()
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(kernels, "_SCALAR", {})
-        if name == "c":
-            for n in SUPPORTED_SIZES:
-                kernels._load_c_block(kernels._one_block(n))
+        for n in SUPPORTED_SIZES:
+            k = kernels._kernel(n)
+            mp.setattr(k, "c", None)
+            mp.setattr(k, "calls", 0)
+            if name == "c":
+                kernels._load_c_block(k)
         yield
 
 
 def uses_c_block(n):
-    return kernels._one_block(n).c is not None
+    return kernels._kernel(n).c is not None
 
 
 def expect_block(name, n):
@@ -291,11 +293,12 @@ BACKENDS = ("c", "replay")
 def forced(name):
     """Run the array path on the C kernels ("c") or on a forced replay ("replay").
 
-    The replay is forced through the compiler lookup, on a fresh kernel table.
+    The replay is forced through the compiler lookup, on modules not yet tried.
     """
     with pytest.MonkeyPatch.context() as mp:
         if name == "replay":
-            mp.setattr(_cgen, "_KERNELS", {})
+            for n in SUPPORTED_SIZES:
+                mp.setattr(kernels._kernel(n), "module", kernels._UNTRIED)
             mp.setattr(_cgen, "find_compiler", lambda: None)
             mp.setattr(_cgen, "_warned", True)
         yield
@@ -305,7 +308,7 @@ def forced(name):
 def c_works(find_compiler=_cgen.find_compiler):
     """Whether this machine compiles and loads the C kernels (not under CC=/bin/false)."""
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(_cgen, "_KERNELS", {})
+        mp.setattr(kernels._kernel(4), "module", kernels._UNTRIED)
         mp.setattr(_cgen, "find_compiler", find_compiler)
         return _cgen.backend(4) == "c"
 
@@ -322,12 +325,9 @@ def backend(request):
 
 @pytest.fixture
 def fresh_kernels(monkeypatch):
-    """Empty trace, program and kernel tables, with the one-warning latch reset."""
-    join_compiles()  # none may fill the fresh tables
-    monkeypatch.setattr(counting, "_TRACES", {})
-    monkeypatch.setattr(kernels, "_SCALAR", {})
-    monkeypatch.setattr(replay, "_PROGRAMS", {})
-    monkeypatch.setattr(_cgen, "_KERNELS", {})
+    """An empty kernel record table, with the one-warning latch reset."""
+    join_compiles()  # none may fill the fresh table
+    monkeypatch.setattr(kernels, "_KERNELS", {})
     monkeypatch.setattr(_cgen, "_warned", False)
 
 
@@ -543,6 +543,84 @@ def test_one_block_and_array_paths_share_one_schedule(fresh_kernels, monkeypatch
     assert made == list(SUPPORTED_SIZES)
 
 
+def test_racing_first_calls_share_one_record(fresh_kernels, monkeypatch):
+    traced, scheduled, emitted = [], [], []
+    real_emit = replay._emit
+
+    def counted(n, flow):
+        def traced_flow(v):
+            traced.append(n)
+            return flow(v)
+
+        return traced_flow
+
+    class Slow(replay._Program):  # the sleeps widen the window of a cold record
+        def __init__(self, n, trace):
+            scheduled.append(n)
+            time.sleep(0.02)
+            super().__init__(n, trace)
+
+    def slow_emit(prog):
+        emitted.append(prog.n)
+        time.sleep(0.02)
+        return real_emit(prog)
+
+    for n in SUPPORTED_SIZES:
+        monkeypatch.setitem(kernels._FLOWS, n, counted(n, kernels._FLOWS[n]))
+    monkeypatch.setattr(replay, "_Program", Slow)
+    monkeypatch.setattr(replay, "_emit", slow_emit)
+    monkeypatch.setattr(_cgen, "find_compiler", lambda: None)  # the array path races no compile
+    monkeypatch.setattr(_cgen, "_warned", True)
+    xs = {n: np.random.default_rng(n + 103).uniform(-1.0, 1.0, (n, 5)) for n in SUPPORTED_SIZES}
+    kinds = 5
+    got, seen = {}, []
+
+    def call(kind, n):
+        x = xs[n]
+        if kind == 0:
+            return fast_dht(x[:, 0]).tobytes()
+        if kind == 1:
+            return kernel_flow(n)(x[:, 1].tolist())
+        if kind == 2:
+            return kernel_flow(n)(x).tobytes()
+        if kind == 3:
+            return counting.count_ops(n)
+        return kernel_plan(n)
+
+    def work(i, start):
+        start.wait()
+        for j, n in enumerate(SUPPORTED_SIZES):
+            for step in range(kinds):  # each thread starts each N with another call
+                kind = (i + j + step) % kinds
+                got[i, n, kind] = call(kind, n)
+        seen.append({n: kernels._kernel(n) for n in SUPPORTED_SIZES})
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        start = threading.Barrier(8)
+        threads = [threading.Thread(target=work, args=(i, start)) for i in range(8)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    sizes = list(SUPPORTED_SIZES)
+    assert sorted(traced) == sizes  # each N traced, scheduled and emitted once
+    assert sorted(scheduled) == sizes
+    assert sorted(emitted) == sizes
+    assert len(seen) == len(threads)
+    assert all(s == seen[0] for s in seen)  # every thread sees the one record per N
+    for n in SUPPORTED_SIZES:
+        want = [fast_dht(xs[n][:, 0]).tobytes(), kernel_flow(n)(xs[n][:, 1].tolist()),
+                kernel_flow(n)(xs[n]).tobytes(), counting.count_ops(n), kernel_plan(n)]
+        assert want[0] == _frozen_fast_dht(xs[n][:, 0], n).tobytes()
+        for i in range(len(threads)):
+            assert [got[i, n, kind] for kind in range(kinds)] == want
+
+
 @pytest.mark.parametrize("n", SUPPORTED_SIZES)
 # widths at the edges of one W-column block, then runs of many blocks:
 # 255 = 15W + 15, 256 = 16W, 257 = 16W + 1, 773 = 48W + 5
@@ -583,7 +661,7 @@ def test_inputs_the_c_kernels_do_not_take_run_the_replay(fresh_kernels, monkeypa
     def no_c(*args):
         raise AssertionError("the C kernel was loaded")
 
-    monkeypatch.setattr(_cgen, "_kernel", no_c)
+    monkeypatch.setattr(_cgen, "_loaded", no_c)
     rng = np.random.default_rng(53)
     x = rng.uniform(-1.0, 1.0, (8, 40))
     raw = np.zeros(8 * 40 * 8 + 4, np.uint8)
@@ -599,7 +677,7 @@ def test_inputs_the_c_kernels_do_not_take_run_the_replay(fresh_kernels, monkeypa
         assert same_bits(out, scalar_columns(8, np.asarray(y, float)))
     wide = kernel_flow(8)(x.astype(np.longdouble))
     assert wide.dtype == np.longdouble
-    assert _cgen._KERNELS == {}  # nothing was compiled or loaded
+    assert kernels._KERNELS[8].module is kernels._UNTRIED  # nothing was compiled or loaded
 
 
 def test_import_and_one_block_calls_load_no_c_backend(tmp_path):
@@ -667,7 +745,7 @@ def falls_back_on_both_paths(seed):
         x = np.random.default_rng(n + seed).uniform(-1.0, 1.0, (n, 50))
         assert same_bits(kernel_flow(n)(x), scalar_columns(n, x))
         assert _cgen.backend(n) == "replay"
-        kernels._load_c_block(kernels._one_block(n))  # what the background compile runs
+        kernels._load_c_block(kernels._kernel(n))  # what the background compile runs
         assert not uses_c_block(n)
         assert fast_dht(x[:, 0]).tobytes() == _frozen_fast_dht(x[:, 0], n).tobytes()
 
@@ -726,13 +804,13 @@ def test_tampered_object_is_rejected_by_the_load_check(fresh_kernels, monkeypatc
             return src[:cut] + " - " + src[cut + 3:]  # one + flipped to -
 
         monkeypatch.setattr(_cgen, "source", tampered)
-        monkeypatch.setattr(_cgen, "_KERNELS", {})
+        monkeypatch.setattr(kernels._kernel(8), "module", kernels._UNTRIED)
         monkeypatch.setattr(_cgen, "_warned", False)
         with warnings.catch_warnings(record=True) as seen:
             warnings.simplefilter("always")
             assert same_bits(kernel_flow(8)(x), scalar_columns(8, x))
             assert _cgen.backend(8) == "replay"
-            kernels._load_c_block(kernels._one_block(8))
+            kernels._load_c_block(kernels._kernel(8))
             assert not uses_c_block(8)
             assert fast_dht(x[:, 0]).tobytes() == scalar_columns(8, x)[:, 0].tobytes()
         assert len(seen) == 1 and "disagreed with the replay" in str(seen[0].message)
@@ -760,9 +838,9 @@ def test_threads_load_each_kernel_once(fresh_kernels, monkeypatch):
     loads = []
     real_load = _cgen._load
 
-    def counted(prog):
-        loads.append(prog.n)
-        return real_load(prog)
+    def counted(k):
+        loads.append(k.prog.n)
+        return real_load(k)
 
     def slowed(flow):
         def slow(v):  # widens the window between a cold-cache check and its fill
@@ -771,11 +849,19 @@ def test_threads_load_each_kernel_once(fresh_kernels, monkeypatch):
 
         return slow
 
+    emitted = []
+    real_emit = replay._emit
+
+    def counted_emit(prog):
+        emitted.append(prog.n)
+        return real_emit(prog)
+
     monkeypatch.setattr(_cgen, "_load", counted)
     xs = {n: np.random.default_rng(n + 73).uniform(-1.0, 1.0, (n, 600)) for n in SUPPORTED_SIZES}
     want = {n: scalar_columns(n, x) for n, x in xs.items()}
     for n in SUPPORTED_SIZES:
         monkeypatch.setitem(kernels._FLOWS, n, slowed(kernels._FLOWS[n]))
+    monkeypatch.setattr(replay, "_emit", counted_emit)
     bad = []
 
     # the fast_dht calls cross the threshold while the array calls load: the
@@ -806,6 +892,7 @@ def test_threads_load_each_kernel_once(fresh_kernels, monkeypatch):
     assert not any(t.is_alive() for t in threads)
     assert bad == []
     assert sorted(loads) == list(SUPPORTED_SIZES)  # each kernel compiled (or tried) once
+    assert sorted(emitted) == list(SUPPORTED_SIZES)  # the load check emitted none again
     for n in SUPPORTED_SIZES:
         assert uses_c_block(n) == c_works()
         assert fast_dht(xs[n][:, 2]).tobytes() == want[n][:, 2].tobytes()
@@ -817,7 +904,7 @@ def test_threads_load_each_kernel_once(fresh_kernels, monkeypatch):
 @pytest.mark.parametrize("n", SUPPORTED_SIZES)
 def test_c_block_matches_the_emitted_function_on_the_check_batch(n):
     x = _cgen._check_batch(n)  # signed zeros, subnormals, magnitudes 1e-300..1e300
-    fn = kernels._scalar(n)
+    fn = kernels._kernel(n).fn
     want = [np.array(fn(v.tolist())).tobytes() for v in x.T]
     for path in ONE_BLOCK_PATHS:
         with one_block_path(path):
@@ -862,7 +949,7 @@ def test_c_block_takes_strided_read_only_and_other_dtype_input(n):
 def test_c_block_refuses_wrong_buffers():
     if not c_works():
         pytest.skip("no working C compiler")
-    block = _cgen.block(replay_program(8))
+    block = _cgen._loaded(kernels._kernel(8)).block
     x, y = np.ones(8), np.empty(8)
     frozen = np.empty(8)
     frozen.flags.writeable = False
@@ -889,7 +976,7 @@ def test_replaced_flow_after_the_swap_runs_its_own_program(monkeypatch):
         out = fast_dht(v)
         assert not uses_c_block(8)  # the new program runs until its own compile
         assert out[0] == 0.9999999 * good[0] and out[1:].tobytes() == good[1:].tobytes()
-        kernels._load_c_block(kernels._one_block(8))
+        kernels._load_c_block(kernels._kernel(8))
         expect_block("c", 8)
         assert fast_dht(v).tobytes() == out.tobytes()
 
@@ -899,10 +986,10 @@ def test_compile_starts_in_the_background_at_the_threshold(fresh_kernels, monkey
     loads, release = [], threading.Event()
     real_load = _cgen._load
 
-    def held(prog):
-        loads.append(prog.n)
+    def held(k):
+        loads.append(k.prog.n)
         assert release.wait(timeout=60)
-        return real_load(prog)
+        return real_load(k)
 
     monkeypatch.setattr(_cgen, "_load", held)
     v = np.random.default_rng(97).uniform(-1.0, 1.0, 12)
