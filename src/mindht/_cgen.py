@@ -3,25 +3,30 @@
 The module of a length emits the kernel's one trace, ``counting.trace(n)``,
 as mindht.replay schedules it (its ``ops``, ``consts`` and ``n_regs``, as
 ``_Program.statements``), so the kernel is still described only once, by its
-``*_flow`` and its layer listing.  It has two ``METH_FASTCALL`` entry points
-that take their arrays through the buffer protocol (PEP 3118):
+``*_flow`` and its layer listing.  It has two ``METH_FASTCALL`` entry points:
 
-``block(x, y)``
-    One block: x is a 1-D float64 array of n samples, any stride; y a
-    C-contiguous float64 array it writes the n_outputs results into.  The
-    registers are scalar ``double`` locals.  It raises ``ValueError("signal
-    contains non-finite samples")`` before computing anything if a sample is
-    inf or nan.  ``fast_dht`` calls it (see ``kernels.COMPILE_AFTER``).
+``block(v)``
+    One block, returned as a new float64 array of n_outputs values that it
+    makes with NumPy's C API.  v is an exact list or tuple of n exact Python
+    floats, whose values it reads in place, or any 1-D float64 buffer (PEP
+    3118) of n samples, any stride.  The registers are scalar ``double``
+    locals.  It raises ``ValueError("signal contains non-finite samples")``
+    before computing anything if a sample is inf or nan, and returns
+    ``NotImplemented`` for any other v (ints, bools, strings, float
+    subclasses such as ``np.float64`` items, nesting, another length, dtype
+    or shape).  ``fast_dht`` calls it on its raw input, and on its float64
+    conversion when that returns ``NotImplemented`` (see
+    ``kernels.COMPILE_AFTER``).
 ``batch(x, y)``
-    ``kernel_flow(n)(X)`` on float64 arrays: x is (n, B) with element
-    strides, y the C-contiguous (n_outputs, B) result.  It walks the batch
-    in blocks of W columns.  Every input, output and register is one GCC
-    vector-extension value of W doubles, so each node is one vector
-    operation; a block is loaded from each input row and stored into each
-    row of the result directly.  Only a column stride other than 1 and the
-    last, partial block go through a local block of W columns, so
-    Fortran-ordered, transposed and reversed inputs need no copy.  It runs
-    without the interpreter lock.
+    ``kernel_flow(n)(X)`` on float64 arrays, through the buffer protocol: x
+    is (n, B) with element strides, y the C-contiguous (n_outputs, B)
+    result.  It walks the batch in blocks of W columns.  Every input,
+    output and register is one GCC vector-extension value of W doubles, so
+    each node is one vector operation; a block is loaded from each input row
+    and stored into each row of the result directly.  Only a column stride
+    other than 1 and the last, partial block go through a local block of W
+    columns, so Fortran-ordered, transposed and reversed inputs need no
+    copy.  It runs without the interpreter lock.
 
 Bit identity: every node is one IEEE double operation (per lane) on the same
 operands in the same order as in the replay and the emitted Python function,
@@ -33,28 +38,31 @@ to double, that is unless FLT_EVAL_METHOD is 0, 1, 16, 32 or 64 (C23
 
 A module is compiled at most once per kernel and process, into a shared
 object in a private per-process temporary directory that is removed at exit,
-with ``Python.h`` from ``sysconfig.get_paths()["include"]``; nothing is
-cached between processes.  The first array call for a length compiles it
-then and there (0.2-0.5 s per N with gcc 12 on a 2.1 GHz Xeon); a one-block
-call never waits for it: ``fast_dht`` compiles on a background thread after
-``kernels.COMPILE_AFTER`` calls.  At exit a compiler still running is
-killed before the directory is removed.  The module is kept in the kernel's
-record (``kernels._KERNELS``) and one lock covers loading, so threads and
-the background compile share one load, and a replaced ``kernels._FLOWS[n]``
-or ``LAYER_SPECS[n]``, which gets a new record, is compiled again.  After
-loading, ``batch`` runs once on a fixed batch of signed zeros, subnormals
-and mixed magnitudes and on a column-strided view of it, and must equal the
-replay bit for bit; ``block`` runs on every column of that batch and must
-equal the record's Python function bit for bit.  A module that fails either
-is not used.
+with ``Python.h`` from ``sysconfig.get_paths()["include"]`` and
+``numpy/arrayobject.h`` from ``numpy.get_include()`` (``_include_flags``);
+nothing is cached between processes.  The first array call for a length
+compiles it then and there (0.3-0.5 s per N with gcc 12 on a 2.1 GHz Xeon);
+a one-block call never waits for it: ``fast_dht`` compiles on a background
+thread after ``kernels.COMPILE_AFTER`` calls.  At exit a compiler still
+running is killed before the directory is removed.  The module is kept in
+the kernel's record (``kernels._KERNELS``) and one lock covers loading, so
+threads and the background compile share one load, and a replaced
+``kernels._FLOWS[n]`` or ``LAYER_SPECS[n]``, which gets a new record, is
+compiled again.  After loading, ``batch`` runs once on a fixed batch of
+signed zeros, subnormals and mixed magnitudes and on a column-strided view of
+it, and must equal the replay bit for bit; ``block`` runs on every column of
+that batch, once as a list of floats and once as the strided column, and
+must equal the record's Python function bit for bit.  A module that fails
+either is not used.
 
 The replay and the Python function run instead when no compiler is found
-(``$CC``, else ``cc``), ``Python.h`` is missing, or compiling or loading fails
-(one RuntimeWarning per process; a compiler that refuses ``-march=native`` is
-such a failure), when the module fails the check above (likewise), and the
-replay for any array that is not native, aligned float64 with strides that
-are multiples of 8 bytes.  This module is imported on the first array call
-or background compile, not with mindht, and compiles nothing before that.
+(``$CC``, else ``cc``), ``Python.h`` or ``numpy/arrayobject.h`` is missing,
+or compiling or loading fails (one RuntimeWarning per process; a compiler
+that refuses ``-march=native`` is such a failure), when the module fails the
+check above (likewise), and the replay for any array that is not native,
+aligned float64 with strides that are multiples of 8 bytes.  This module is
+imported on the first array call or background compile, not with mindht, and
+compiles nothing before that.
 """
 
 from __future__ import annotations
@@ -88,6 +96,8 @@ _TEMPLATE = """\
 /* Length-{n} DHT kernel, generated by mindht._cgen from the traced program. */
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
+#define NPY_NO_DEPRECATED_API NPY_1_7_API_VERSION
+#include <numpy/arrayobject.h>
 #include <float.h>
 #include <math.h>
 #include <stddef.h>
@@ -143,29 +153,48 @@ static int is_f64(const Py_buffer *b)
     return f[0] == 'd' && f[1] == '\\0' && b->itemsize == sizeof(double);
 }}
 
+/* A new float64 array of the N_OUT results of the block at x (byte stride s). */
+static PyObject *new_block(const char *x, Py_ssize_t s)
+{{
+    npy_intp dims[1] = {{N_OUT}};
+    PyObject *y = PyArray_SimpleNew(1, dims, NPY_DOUBLE);
+    if (y != NULL && !run_block(x, s, PyArray_DATA((PyArrayObject *)y))) {{
+        Py_DECREF(y);
+        return PyErr_Format(PyExc_ValueError, "signal contains non-finite samples");
+    }}
+    return y;
+}}
+
+/* One block of v: an exact list or tuple of N exact floats, read in place, or
+   any 1-D float64 buffer of N samples; NotImplemented for anything else. */
 static PyObject *block(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
 {{
-    Py_buffer x, y;
-    PyObject *res = NULL;
-    if (nargs != 2)
-        return PyErr_Format(PyExc_TypeError, "block() takes 2 arguments (%zd given)", nargs);
-    if (PyObject_GetBuffer(args[0], &x, PyBUF_RECORDS_RO) < 0)
-        return NULL;
-    if (PyObject_GetBuffer(args[1], &y, PyBUF_WRITABLE | PyBUF_FORMAT) < 0) {{
-        PyBuffer_Release(&x);
-        return NULL;
+    if (nargs != 1)
+        return PyErr_Format(PyExc_TypeError, "block() takes 1 argument (%zd given)", nargs);
+    PyObject *v = args[0];
+    if (PyList_CheckExact(v) || PyTuple_CheckExact(v)) {{
+        double xs[N];
+        PyObject **items = PySequence_Fast_ITEMS(v);
+        if (PySequence_Fast_GET_SIZE(v) != N)
+            Py_RETURN_NOTIMPLEMENTED;
+        for (Py_ssize_t i = 0; i < N; i++) {{
+            if (!PyFloat_CheckExact(items[i]))
+                Py_RETURN_NOTIMPLEMENTED;
+            xs[i] = PyFloat_AS_DOUBLE(items[i]);
+        }}
+        return new_block((const char *)xs, sizeof(double));
     }}
-    if (!is_f64(&x) || x.ndim != 1 || x.shape[0] != N || !is_f64(&y)
-        || y.len != N_OUT * (Py_ssize_t)sizeof(double))
-        PyErr_SetString(PyExc_TypeError, "block(x, y) takes float64 arrays of "
-                        "N samples and N_OUT contiguous results");
-    else if (!run_block(x.buf, x.strides[0], y.buf))
-        PyErr_SetString(PyExc_ValueError, "signal contains non-finite samples");
-    else
-        res = Py_NewRef(Py_None);
-    PyBuffer_Release(&y);
+    Py_buffer x;
+    if (!PyObject_CheckBuffer(v))
+        Py_RETURN_NOTIMPLEMENTED;
+    if (PyObject_GetBuffer(v, &x, PyBUF_RECORDS_RO) < 0) {{
+        PyErr_Clear();
+        Py_RETURN_NOTIMPLEMENTED;
+    }}
+    PyObject *y = is_f64(&x) && x.ndim == 1 && x.shape[0] == N
+        ? new_block(x.buf, x.strides[0]) : Py_NewRef(Py_NotImplemented);
     PyBuffer_Release(&x);
-    return res;
+    return y;
 }}
 
 static PyObject *batch(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
@@ -198,7 +227,7 @@ static PyObject *batch(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
 }}
 
 static PyMethodDef methods[] = {{
-    {{"block", (PyCFunction)(void (*)(void))block, METH_FASTCALL, "block(x, y): one block"}},
+    {{"block", (PyCFunction)(void (*)(void))block, METH_FASTCALL, "block(v): one block"}},
     {{"batch", (PyCFunction)(void (*)(void))batch, METH_FASTCALL, "batch(x, y): (N, B) columns"}},
     {{NULL, NULL, 0, NULL}},
 }};
@@ -207,6 +236,7 @@ static struct PyModuleDef module = {{PyModuleDef_HEAD_INIT, "{name}", NULL, -1, 
 
 PyMODINIT_FUNC PyInit_{name}(void)
 {{
+    import_array();
     return PyModule_Create(&module);
 }}
 """
@@ -247,6 +277,18 @@ def find_compiler() -> list[str] | None:
     words = shlex.split(os.environ.get("CC") or "cc")
     path = shutil.which(words[0]) if words else None
     return [path, *words[1:]] if path else None
+
+
+def _include_flags() -> list[str]:
+    """``-I`` flags for the C API headers a module includes: CPython's ``Python.h``
+    and NumPy's ``numpy/arrayobject.h``.  FileNotFoundError names a missing one."""
+    flags = []
+    for include, header in ((sysconfig.get_paths()["include"], "Python.h"),
+                            (np.get_include(), "numpy/arrayobject.h")):
+        if not os.path.isfile(os.path.join(include, header)):
+            raise FileNotFoundError(f"{header} not found in {include}")
+        flags += ["-I", include]
+    return flags
 
 
 _dir: Path | None = None
@@ -331,7 +373,8 @@ def _check_batch(n: int) -> np.ndarray:
 def _agrees(k, module) -> bool:
     """Whether ``batch`` equals the replay on the check batch and on a
     column-strided view of it, which runs the local-block gather, and ``block``
-    equals the Python function of kernel record k on each (strided) column of it."""
+    equals the Python function of kernel record k on each column of it, given
+    both as a list of floats and as the strided column."""
     prog = k.prog
     x = _check_batch(prog.n)
     for v in (x, x[:, ::-2]):
@@ -339,11 +382,12 @@ def _agrees(k, module) -> bool:
         module.batch(v, out)
         if out.tobytes() != prog(v).tobytes():
             return False
-    out = np.empty(prog.n_outputs)
     for v in x.T:
-        module.block(v, out)
-        if out.tobytes() != np.array(k.fn(v.tolist())).tobytes():
-            return False
+        vals = v.tolist()
+        want = np.array(k.fn(vals)).tobytes()
+        for out in (module.block(vals), module.block(v)):
+            if type(out) is not np.ndarray or out.tobytes() != want:
+                return False
     return True
 
 
@@ -365,12 +409,13 @@ def _load(k):
     if cc is None:
         _warn("no C compiler found ($CC or cc)")
         return None
-    include = sysconfig.get_paths()["include"]
-    if not os.path.isfile(os.path.join(include, "Python.h")):
-        _warn(f"Python.h not found in {include}")
+    try:
+        includes = _include_flags()
+    except FileNotFoundError as e:
+        _warn(str(e))
         return None
     try:
-        module = _import(_build(source(prog), [*cc, "-I", include]), prog.n)
+        module = _import(_build(source(prog), [*cc, *includes]), prog.n)
     except subprocess.CalledProcessError as e:
         detail = e.stderr.strip()[-300:] or f"exit status {e.returncode}"
         _warn(f"compiling the length-{prog.n} kernel failed ({detail})")

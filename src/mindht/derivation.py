@@ -26,7 +26,8 @@ Each kernel is derived once.  The first call for N fills a derivation into
 the kernel's record (``kernels._KERNELS``), which a replaced flow or listing
 replaces; it composes P_0..P_max, and the plan, the residuals T(k), the
 balancing at the default tol and the DecompositionReport are filled into it
-on first use and read from it afterwards.
+on first use and read from it afterwards.  Both happen under a lock, so
+racing first calls make each of them once.
 The arrays handed out (P_k, the entries of T(k) and of the balanced
 terminal) are read-only views of that record, and the report's alphabets a
 read-only mapping.
@@ -34,6 +35,7 @@ read-only mapping.
 
 from __future__ import annotations
 
+import threading
 from collections.abc import Mapping
 from dataclasses import dataclass
 from operator import add, sub
@@ -143,18 +145,19 @@ def residual_matrix(n: int, order: int) -> ResidualMatrix:
     result is cached with the kernel's derivation; its entries are read-only.
     """
     rec = _record(n)
-    t = rec.residuals.get(order)
-    if t is None:
-        p = pre_addition_matrix(n, order)
-        h = dht_matrix(n)
-        entries = h @ _exact_inverse(p)
-        err = float(np.max(np.abs(h - entries @ p)))
-        if err > RECONSTRUCTION_TOL:
-            raise DerivationError(
-                f"residual reconstruction failed for N={n} order {order}: "
-                f"max deviation {err:.3e}"
-            )
-        t = rec.residuals[order] = ResidualMatrix(n=n, order=order, entries=_frozen(entries))
+    with rec.lock:
+        t = rec.residuals.get(order)
+        if t is None:
+            p = pre_addition_matrix(n, order)
+            h = dht_matrix(n)
+            entries = h @ _exact_inverse(p)
+            err = float(np.max(np.abs(h - entries @ p)))
+            if err > RECONSTRUCTION_TOL:
+                raise DerivationError(
+                    f"residual reconstruction failed for N={n} order {order}: "
+                    f"max deviation {err:.3e}"
+                )
+            t = rec.residuals[order] = ResidualMatrix(n=n, order=order, entries=_frozen(entries))
     return t
 
 
@@ -294,8 +297,9 @@ def balance_stages(n: int, tol: float = ALPHABET_TOL):
     if tol != ALPHABET_TOL:
         return _balance(n, tol)
     rec = _record(n)
-    if rec.balance is None:
-        rec.balance = _balance(n, tol)
+    with rec.lock:
+        if rec.balance is None:
+            rec.balance = _balance(n, tol)
     stages, terminal = rec.balance
     return list(stages), terminal
 
@@ -421,8 +425,9 @@ def kernel_plan(n: int) -> KernelPlan:
     ``kernels._FLOWS[n]`` or ``LAYER_SPECS[n]`` is extracted again.
     """
     rec = _record(n)
-    if rec.plan is None:
-        rec.plan = _extract_plan(n, trace(n), rec.mats)
+    with rec.lock:
+        if rec.plan is None:
+            rec.plan = _extract_plan(n, trace(n), rec.mats)
     return rec.plan
 
 
@@ -472,21 +477,22 @@ def verify_decomposition(n: int) -> DecompositionReport:
     plan.  It is made once per kernel derivation and shared by every call.
     """
     rec = _record(n)
-    if rec.report is None:
-        plan = kernel_plan(n)
-        err = float(np.max(np.abs(plan_matrix(n) - dht_matrix(n))))
-        ops = count_ops(n)
-        alphabets = {k: entry_alphabet(residual_matrix(n, k)) for k in range(len(rec.mats))}
-        rec.report = DecompositionReport(
-            n=n,
-            ok=err <= RECONSTRUCTION_TOL,
-            max_error=err,
-            alphabets=MappingProxyType(alphabets),
-            mult_sites=plan.mult_sites,
-            special_stages=plan.special_stages,
-            additions_scheduled=ops.additions,
-            multiplications_scheduled=ops.multiplications,
-        )
+    with rec.lock:
+        if rec.report is None:
+            plan = kernel_plan(n)
+            err = float(np.max(np.abs(plan_matrix(n) - dht_matrix(n))))
+            ops = count_ops(n)
+            alphabets = {k: entry_alphabet(residual_matrix(n, k)) for k in range(len(rec.mats))}
+            rec.report = DecompositionReport(
+                n=n,
+                ok=err <= RECONSTRUCTION_TOL,
+                max_error=err,
+                alphabets=MappingProxyType(alphabets),
+                mult_sites=plan.mult_sites,
+                special_stages=plan.special_stages,
+                additions_scheduled=ops.additions,
+                multiplications_scheduled=ops.multiplications,
+            )
     return rec.report
 
 
@@ -505,7 +511,9 @@ class _Derivation:
 
     P_0..P_max are composed when the record is made, since kernel_plan needs
     them all; the plan, the residuals T(k), the default-tol balancing and the
-    report are filled on first use.  Its arrays are read-only views.
+    report are filled on first use, under the record's ``lock`` (reentrant,
+    since the report's fill reads the plan and the residuals), so racing
+    first uses fill each once.  Its arrays are read-only views.
     """
 
     def __init__(self, n: int, spec: list):
@@ -514,12 +522,18 @@ class _Derivation:
         self.residuals: dict[int, ResidualMatrix] = {}
         self.balance: tuple | None = None
         self.report: DecompositionReport | None = None
+        self.lock = threading.RLock()
+
+
+_LOCK = threading.Lock()  # guards making derivations
 
 
 def _record(n: int) -> _Derivation:
-    """The derivation in kernel n's record, made on first use (racing first
-    uses may each make one; any of them is right)."""
+    """The derivation in kernel n's record, made on first use under one lock,
+    so racing first uses share one."""
     k = _kernel(check_size(n))
     if k.derivation is None:
-        k.derivation = _Derivation(n, k.spec)
+        with _LOCK:
+            if k.derivation is None:
+                k.derivation = _Derivation(n, k.spec)
     return k.derivation

@@ -25,13 +25,15 @@ length, ``_KERNELS[n]``, made under one lock on first use and again once
 ``_FLOWS[n]`` or ``LAYER_SPECS[n]`` is not the object it was made from:
 the pruned trace (``counting.trace(n)``, which every kernel call runs), its
 schedule and emitted Python function (mindht.replay), the C extension
-module (mindht._cgen, with a ``block`` entry point for ``fast_dht`` and a
-``batch`` one for float64 arrays, loaded on the first array call), the
+module (mindht._cgen, with a ``block(v)`` entry point for ``fast_dht`` and
+a ``batch`` one for float64 arrays, loaded on the first array call), the
 one-block call count and the derivation (mindht.derivation).  ``fast_dht``
 runs the Python function for the first ``COMPILE_AFTER`` calls of a length;
 the last of them starts the compile on a background thread, and ``block``
 is swapped in once it has loaded and passed its check, so no one-block call
-waits for a compiler.
+waits for a compiler.  From then on ``fast_dht`` hands ``block`` the raw
+input first: a list of floats or a float64 array goes straight to C, and
+only what ``block`` declines is converted with NumPy.
 """
 
 from __future__ import annotations
@@ -329,15 +331,20 @@ def fast_dht24(v) -> np.ndarray:
 def fast_dht(v, n: int | None = None) -> np.ndarray:
     """Fast DHT of a signal whose length is one of 4, 8, 12, 24.
 
-    The input is validated in one pass: converted to float64 once, its
-    length resolved once and its shape checked once.  The kernel's program
-    then runs on it as C (``block`` of mindht._cgen, which checks for inf and
-    nan in C) once that length's module is loaded, and as a Python function
-    before that, on the array's ``tolist()`` floats, screened for inf and nan
-    by their sum first (``layers.all_finite``).  The first ``COMPILE_AFTER``
-    calls of a length run the Python function; the last of them starts the
-    module's compile on a background thread, and the C ``block`` is swapped
-    in when it has passed its load check.  Both give the same bits.
+    Once the length's C module is loaded and n is omitted or an ``int``
+    equal to ``len(v)``, the raw input goes to its ``block(v)`` (mindht._cgen)
+    first, which reads a list or tuple of Python floats in place, or a 1-D
+    float64 array of any stride, checks for inf and nan in C and returns the
+    result it makes.  Any other input, or any input before then, is
+    validated in one pass: converted to float64 once, its length resolved
+    once and its shape checked once.  The kernel's program then runs on it
+    as that ``block``, or before the module is loaded as a Python function,
+    on the array's ``tolist()`` floats, screened for inf and nan by their
+    sum first (``layers.all_finite``).  The first ``COMPILE_AFTER`` calls of
+    a length run the Python function; the last of them starts the module's
+    compile on a background thread, and the C ``block`` is swapped in when
+    it has passed its load check.  Every route gives the same bits, and the
+    same error for the same input.
 
     Parameters
     ----------
@@ -347,6 +354,18 @@ def fast_dht(v, n: int | None = None) -> np.ndarray:
         Expected block length; defaults to ``len(v)``.  A mismatch, or a
         length without a fast kernel, raises UnsupportedLengthError.
     """
+    if n is None or type(n) is int:
+        try:
+            size = len(v)
+        except (TypeError, OverflowError):  # unsized: np.asarray decides below
+            size = None
+        k = _KERNELS.get(size)
+        if k is not None and (n is None or n == size):
+            c = k.c
+            if c is not None and k.flow is _FLOWS[size] and k.spec is LAYER_SPECS[size]:
+                out = c(v)
+                if out is not NotImplemented:
+                    return out
     a = np.asarray(v, dtype=float)
     if n is None:
         if a.ndim != 1:
@@ -364,9 +383,7 @@ def fast_dht(v, n: int | None = None) -> np.ndarray:
     if k is None or k.flow is not _FLOWS[n] or k.spec is not LAYER_SPECS[n]:
         k = _kernel(n)
     if k.c is not None:
-        out = np.empty(n)
-        k.c(a, out)
-        return out
+        return k.c(a)
     vals = a.tolist()
     if not all_finite(vals):
         raise ValueError("signal contains non-finite samples")

@@ -1,6 +1,9 @@
 """Derivation machinery: residual matrices, balancing, plan verification."""
 
 import math
+import sys
+import threading
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -562,3 +565,56 @@ def test_arrays_handed_out_are_read_only(n):
     p = pre_addition_matrix(n, top).copy()
     p[0, 0] = 7
     assert pre_addition_matrix(n, top)[0, 0] != 7
+
+
+def test_racing_first_derivation_calls_build_each_record_once(monkeypatch):
+    # on warm kernel records with no derivation yet, threads making their first
+    # derivation calls together share one record and fill each field once
+    from mindht import derivation, kernels
+
+    built, plans, balances = [], [], []
+    real_init, real_extract, real_balance = (
+        derivation._Derivation.__init__, derivation._extract_plan, derivation._balance)
+
+    def slow_init(self, n, spec):
+        built.append(n)
+        time.sleep(0.005)  # widens the window between the check and the fill
+        real_init(self, n, spec)
+
+    def counted(log, real):
+        def wrapper(n, *args):
+            log.append(n)
+            time.sleep(0.005)
+            return real(n, *args)
+
+        return wrapper
+
+    for n in SUPPORTED_SIZES:
+        monkeypatch.setattr(kernels._kernel(n), "derivation", None)
+    monkeypatch.setattr(derivation._Derivation, "__init__", slow_init)
+    monkeypatch.setattr(derivation, "_extract_plan", counted(plans, real_extract))
+    monkeypatch.setattr(derivation, "_balance", counted(balances, real_balance))
+    seen = {n: set() for n in SUPPORTED_SIZES}
+    start = threading.Barrier(8)
+
+    def work():
+        start.wait(timeout=60)
+        for n in SUPPORTED_SIZES:
+            plan, report = kernel_plan(n), verify_decomposition(n)
+            seen[n].add((id(plan), id(report), id(balance_stages(n)[1])))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=work) for _ in range(8)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    for log in (built, plans, balances):
+        assert sorted(log) == list(SUPPORTED_SIZES)
+    assert all(len(ids) == 1 for ids in seen.values())
+    assert all(verify_decomposition(n).ok for n in SUPPORTED_SIZES)

@@ -771,6 +771,17 @@ def test_missing_python_header_falls_back_with_one_warning(fresh_kernels, monkey
     assert f"Python.h not found in {tmp_path}" in str(seen[0].message)
 
 
+def test_missing_numpy_header_falls_back_with_one_warning(fresh_kernels, monkeypatch, tmp_path):
+    monkeypatch.setattr(np, "get_include", lambda: str(tmp_path))
+    if _cgen.find_compiler() is None:  # the headers are looked up once a compiler is found
+        monkeypatch.setenv("CC", "/bin/false")
+    with warnings.catch_warnings(record=True) as seen:
+        warnings.simplefilter("always")
+        falls_back_on_both_paths(65)
+    assert [w.category for w in seen] == [RuntimeWarning]
+    assert f"numpy/arrayobject.h not found in {tmp_path}" in str(seen[0].message)
+
+
 def test_missing_compiler_falls_back_with_one_warning(fresh_kernels, monkeypatch):
     monkeypatch.setenv("CC", "no-such-compiler-anywhere")
     assert _cgen.find_compiler() is None
@@ -795,13 +806,15 @@ def test_tampered_object_is_rejected_by_the_load_check(fresh_kernels, monkeypatc
         pytest.skip("no working C compiler")
     real_source = _cgen.source
     x = np.random.default_rng(71).uniform(-1.0, 1.0, (8, 30))
-    # the first + of the batch body, then of the block body
-    for marker in ("vd y0", "double y0"):
+    # the first + of the batch body, then of the block body, then the list
+    # read of block reversed (which only its list form sees)
+    for marker, old, new in (("vd y0", " + ", " - "), ("double y0", " + ", " - "),
+                             ("PyFloat_AS_DOUBLE", "items[i]", "items[N - 1 - i]")):
 
         def tampered(prog):
             src = real_source(prog)
-            cut = src.index(" + ", src.index(marker))
-            return src[:cut] + " - " + src[cut + 3:]  # one + flipped to -
+            cut = src.index(old, src.index(marker))
+            return src[:cut] + new + src[cut + len(old):]
 
         monkeypatch.setattr(_cgen, "source", tampered)
         monkeypatch.setattr(kernels._kernel(8), "module", kernels._UNTRIED)
@@ -822,9 +835,9 @@ def test_source_compiles_only_where_double_arithmetic_rounds_to_double(tmp_path)
     src = _cgen.source(replay_program(8))
 
     def compiles(method):
-        cmd = [*_cgen.find_compiler(), "-I", sysconfig.get_paths()["include"],
-               "-U__FLT_EVAL_METHOD__", f"-D__FLT_EVAL_METHOD__={method}", *_cgen.FLAGS,
-               "-o", str(tmp_path / "k.so"), "-x", "c", "-"]
+        cmd = [*_cgen.find_compiler(), *_cgen._include_flags(), "-U__FLT_EVAL_METHOD__",
+               f"-D__FLT_EVAL_METHOD__={method}", *_cgen.FLAGS, "-o", str(tmp_path / "k.so"),
+               "-x", "c", "-"]
         done = subprocess.run(cmd, input=src, text=True, capture_output=True)
         assert done.returncode == 0 or "must round to double" in done.stderr
         return done.returncode == 0
@@ -953,12 +966,138 @@ def test_c_block_refuses_wrong_buffers():
     x, y = np.ones(8), np.empty(8)
     frozen = np.empty(8)
     frozen.flags.writeable = False
-    for args in ((x,), (x, y, y), (np.ones(4), y), (np.ones((2, 8)), y), (x.astype(np.float32), y),
-                 (x, np.empty(4)), (x, np.empty(8, np.int64)), (x, np.empty(16)[::2]), (x, frozen)):
-        with pytest.raises((TypeError, BufferError, ValueError)):
+    # block(v) makes its own result: a second argument, such as an output
+    # buffer of any shape, dtype, stride or writeability, is a TypeError
+    for args in ((), (x, y), (x, y, y), (x, np.empty(4)), (x, np.empty(8, np.int64)),
+                 (x, np.empty(16)[::2]), (x, frozen)):
+        with pytest.raises(TypeError, match=r"^block\(\) takes 1 argument"):
             block(*args)
-    block(x, y)
-    assert y.tobytes() == fast_dht(x).tobytes()
+    # an input it does not take is handed back to fast_dht's conversion
+    floats = [1.0] * 8
+    for v in (np.ones(4), np.ones((2, 8)), x.astype(np.float32), x.astype(">f8"), np.float64(1.0),
+              memoryview(x.astype(np.float32)), b"\0" * 64, "12345678", None,
+              floats[:7], floats + [1.0], [1] * 8, [True] * 8, [np.float64(1.0)] * 8,
+              ["1.0"] * 8, [floats], (1.0,) * 7, floats[:7] + [1], floats[:7] + [np.float64(1)]):
+        assert block(v) is NotImplemented
+    want = fast_dht(x).tobytes()
+    for v in (x, floats, tuple(floats), memoryview(x), np.ones(16)[::2], np.ones(16)[::-2]):
+        out = block(v)
+        assert type(out) is np.ndarray and out.tobytes() == want
+
+
+def one_block_outcome(*args):
+    """fast_dht's result bytes, or its exception's type and message."""
+    try:
+        out = fast_dht(*args)
+    except Exception as e:
+        return type(e), str(e)
+    return out.dtype, out.shape, out.tobytes()
+
+
+@contextmanager
+def c_takes_lists(n):
+    """Under the C block, make any use of NumPy in mindht.kernels fail, so a call
+    that still succeeds (or raises a ValueError) went to C on the raw list."""
+    with pytest.MonkeyPatch.context() as mp:
+        if uses_c_block(n):
+            mp.setattr(kernels, "np", None)
+            mp.setattr(kernels, "all_finite", None)
+        yield
+
+
+@pytest.mark.parametrize("n", SUPPORTED_SIZES)
+def test_list_input_matches_array_input_bit_for_bit(n):
+    rng = np.random.default_rng(n + 101)
+    x = np.concatenate([_cgen._check_batch(n)[:, :12], rng.uniform(-1e3, 1e3, (n, 4))], axis=1)
+    want = [_frozen_fast_dht(v, n).tobytes() for v in x.T]
+    for path in ONE_BLOCK_PATHS:
+        with one_block_path(path):
+            expect_block(path, n)
+            assert [fast_dht(v).tobytes() for v in x.T] == want
+            assert [fast_dht(np.ascontiguousarray(v), n).tobytes() for v in x.T] == want
+            with c_takes_lists(n):
+                assert [fast_dht(v.tolist()).tobytes() for v in x.T] == want
+                assert [fast_dht(v.tolist(), n).tobytes() for v in x.T] == want
+                assert [fast_dht(tuple(v.tolist())).tobytes() for v in x.T] == want
+
+
+@pytest.mark.parametrize("n", SUPPORTED_SIZES)
+def test_one_block_result_is_a_fresh_float64_array(n):
+    v = np.random.default_rng(n + 103).uniform(-1.0, 1.0, n)
+    for path in ONE_BLOCK_PATHS:
+        with one_block_path(path):
+            expect_block(path, n)
+            outs = [fast_dht(v.tolist()), fast_dht(v), fast_dht(v[::-1])]
+            for out in outs:
+                assert type(out) is np.ndarray and out.dtype == np.float64 and out.shape == (n,)
+                assert out.flags.c_contiguous and out.flags.writeable and out.flags.owndata
+                assert out.base is None
+            outs[0][0] = 7.0  # writing into a result reaches no other result
+            assert fast_dht(v.tolist()).tobytes() == outs[1].tobytes()
+
+
+@pytest.mark.parametrize("n", SUPPORTED_SIZES)
+def test_non_finite_list_samples_are_rejected_in_c(n):
+    for path in ONE_BLOCK_PATHS:
+        with one_block_path(path), c_takes_lists(n):
+            for i in range(n):
+                for bad in (math.inf, -math.inf, math.nan):
+                    v = [1.0] * n
+                    v[i] = bad
+                    with pytest.raises(ValueError, match="^signal contains non-finite samples$"):
+                        fast_dht(v)
+                    with pytest.raises(ValueError, match="^signal contains non-finite samples$"):
+                        fast_dht(tuple(v), n)
+
+
+def test_inputs_the_c_block_does_not_take_get_the_same_result_or_error():
+    floats = np.random.default_rng(107).uniform(-1.0, 1.0, 8).tolist()
+    strings = ["1.5", "-2", "3e-3", "4", "5", "6", "7", "8"]
+    cases = {
+        "ints": ([3, -1, 4, 1, -5, 9, 2, 6],),
+        "bools": ([True, False] * 4,),
+        "np.float64 items": ([np.float64(f) for f in floats],),
+        "numeric strings": (strings,),
+        "mixed int and float": (floats[:7] + [1],),
+        "tuple": (tuple(floats),),
+        "nested list": ([floats],),
+        "too long": (floats + [1.0],),
+        "too short": (floats[:7],),
+        "n too small": (floats, 4),
+        "float n": (floats, 8.0),
+        "np.float64 n": (floats, np.float64(8)),
+        "string n": (floats, "8"),
+        "bool n": (floats[:1], True),
+        "np.int64 n": (floats, np.int64(8)),
+        "float32 array": (np.array(floats, np.float32),),
+        "big-endian array": (np.array(floats, ">f8"),),
+        "string": ("12345678",),
+        "scalar": (1.0,),
+    }
+    got = {}
+    for path in ONE_BLOCK_PATHS:
+        with one_block_path(path):
+            expect_block(path, 8)
+            got[path] = {name: one_block_outcome(*args) for name, args in cases.items()}
+    assert got["c"] == got["python"]
+    today = got["python"]
+    assert today["ints"] == one_block_outcome(np.array(cases["ints"][0], float))
+    assert today["bools"] == one_block_outcome(np.array(cases["bools"][0], float))
+    assert today["numeric strings"] == one_block_outcome(np.array(strings, float))
+    assert today["np.float64 items"] == today["tuple"] == today["np.int64 n"]
+    assert today["np.float64 items"] == one_block_outcome(np.array(floats))
+    assert today["nested list"] == (UnsupportedLengthError, "signal must be 1-D, got shape (1, 8)")
+    assert today["too long"] == (
+        UnsupportedLengthError, "block length 9 is not supported; valid lengths are 4, 8, 12, 24")
+    assert today["n too small"] == (
+        UnsupportedLengthError, f"signal has shape (8,), expected (4,); {_LENGTHS}")
+    for name in ("float n", "np.float64 n", "string n"):
+        assert today[name][0] is UnsupportedLengthError
+        assert "block length must be an integer" in today[name][1]
+    assert today["bool n"] == (
+        UnsupportedLengthError,
+        "block length True is not supported; valid lengths are 4, 8, 12, 24",
+    )
 
 
 def test_replaced_flow_after_the_swap_runs_its_own_program(monkeypatch):
