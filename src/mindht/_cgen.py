@@ -3,20 +3,29 @@
 The module of a length emits the kernel's one trace, ``counting.trace(n)``,
 as mindht.replay schedules it (its ``ops``, ``consts`` and ``n_regs``, as
 ``_Program.statements``), so the kernel is still described only once, by its
-``*_flow`` and its layer listing.  It has two ``METH_FASTCALL`` entry points:
+``*_flow`` and its layer listing.  It has three ``METH_FASTCALL`` entry
+points.  The first two take one argument, an exact list or tuple of n exact
+Python floats, whose values they read in place, or any 1-D float64 buffer
+(PEP 3118) of n samples, any stride; that contract is written once, in the
+module's ``read_block``.  They raise ``ValueError`` before computing anything
+if a sample is inf or nan, and return ``NotImplemented`` for any other
+argument (ints, bools, strings, float subclasses such as ``np.float64``
+items, complex or other dtypes, nesting, another length or shape):
 
 ``block(v)``
     One block, returned as a new float64 array of n_outputs values that it
-    makes with NumPy's C API.  v is an exact list or tuple of n exact Python
-    floats, whose values it reads in place, or any 1-D float64 buffer (PEP
-    3118) of n samples, any stride.  The registers are scalar ``double``
-    locals.  It raises ``ValueError("signal contains non-finite samples")``
-    before computing anything if a sample is inf or nan, and returns
-    ``NotImplemented`` for any other v (ints, bools, strings, float
-    subclasses such as ``np.float64`` items, nesting, another length, dtype
-    or shape).  ``fast_dht`` calls it on its raw input, and on its float64
-    conversion when that returns ``NotImplemented`` (see
-    ``kernels.COMPILE_AFTER``).
+    makes with NumPy's C API.  The registers are scalar ``double`` locals.
+    Its error is ``ValueError("signal contains non-finite samples")``.
+    ``fast_dht`` calls it on its raw input, and on its float64 conversion
+    when that returns ``NotImplemented`` (see ``kernels.COMPILE_AFTER``).
+``dft(V)``
+    ``reference.dht_to_dft`` of a Hartley spectrum V, returned as a new
+    complex128 array of n values that it makes with NumPy's C API.  Each bin
+    takes the IEEE operations of the NumPy bridge
+    (``reference._dft_bridge``) in its order, so the bits are the same,
+    inf and nan from overflowing sums included.  Its error is
+    ``ValueError("spectrum contains non-finite samples")``.
+    ``dht_to_dft`` calls it on its raw input.
 ``batch(x, y)``
     ``kernel_flow(n)(X)`` on float64 arrays, through the buffer protocol: x
     is (n, B) with element strides, y the C-contiguous (n_outputs, B)
@@ -43,7 +52,8 @@ with ``Python.h`` from ``sysconfig.get_paths()["include"]`` and
 nothing is cached between processes.  The first array call for a length
 compiles it then and there (0.3-0.5 s per N with gcc 12 on a 2.1 GHz Xeon);
 a one-block call never waits for it: ``fast_dht`` compiles on a background
-thread after ``kernels.COMPILE_AFTER`` calls.  At exit a compiler still
+thread after ``kernels.COMPILE_AFTER`` calls, and ``dht_to_dft`` never
+compiles.  At exit a compiler still
 running is killed before the directory is removed.  The module is kept in
 the kernel's record (``kernels._KERNELS``) and one lock covers loading, so
 threads and the background compile share one load, and a replaced
@@ -52,10 +62,11 @@ compiled again.  After loading, ``batch`` runs once on a fixed batch of
 signed zeros, subnormals and mixed magnitudes and on a column-strided view of
 it, and must equal the replay bit for bit; ``block`` runs on every column of
 that batch, once as a list of floats and once as the strided column, and
-must equal the record's Python function bit for bit.  A module that fails
-either is not used.
+must equal the record's Python function bit for bit, and so must ``dft``
+against the NumPy bridge.  A module that fails any of these is not used.
 
-The replay and the Python function run instead when no compiler is found
+The replay, the Python function and the NumPy bridge run instead when no
+compiler is found
 (``$CC``, else ``cc``), ``Python.h`` or ``numpy/arrayobject.h`` is missing,
 or compiling or loading fails (one RuntimeWarning per process; a compiler
 that refuses ``-march=native`` is such a failure), when the module fails the
@@ -84,6 +95,7 @@ import numpy as np
 
 from .kernels import _UNTRIED, _kernel
 from .layers import check_size
+from .reference import _dft_bridge
 
 # Columns per block of ``batch``.  At N = 24 the 86 vector values of a block
 # take 11 KiB, and W = 32 took 0.7 s to compile against 0.3 s.
@@ -112,11 +124,10 @@ _TEMPLATE = """\
 #define W {w}
 typedef double vd __attribute__((vector_size(W * sizeof(double))));
 
-/* One block from x (byte stride s) into y; 0 if a sample is not finite. */
-static int run_block(const char *x, Py_ssize_t s, double *y)
+/* One block from the N samples at x into y. */
+static void run_block(const double *x, double *y)
 {{
 {block}
-    return 1;
 }}
 
 static void run_batch(const double *x, ptrdiff_t rs, ptrdiff_t cs, double *y, ptrdiff_t width)
@@ -153,48 +164,88 @@ static int is_f64(const Py_buffer *b)
     return f[0] == 'd' && f[1] == '\\0' && b->itemsize == sizeof(double);
 }}
 
-/* A new float64 array of the N_OUT results of the block at x (byte stride s). */
-static PyObject *new_block(const char *x, Py_ssize_t s)
+/* The one-block input contract of block and dft, read into xs: an exact list
+   or tuple of N exact floats, read in place, or any 1-D float64 buffer of N
+   samples at any stride.  1 if read; -1 with ValueError("<what> contains
+   non-finite samples") if a sample is inf or nan; 0 for any other v, which the
+   entry points hand back as NotImplemented. */
+static int read_block(PyObject *v, double xs[N], const char *what)
 {{
-    npy_intp dims[1] = {{N_OUT}};
-    PyObject *y = PyArray_SimpleNew(1, dims, NPY_DOUBLE);
-    if (y != NULL && !run_block(x, s, PyArray_DATA((PyArrayObject *)y))) {{
-        Py_DECREF(y);
-        return PyErr_Format(PyExc_ValueError, "signal contains non-finite samples");
+    if (PyList_CheckExact(v) || PyTuple_CheckExact(v)) {{
+        PyObject **items = PySequence_Fast_ITEMS(v);
+        if (PySequence_Fast_GET_SIZE(v) != N)
+            return 0;
+        for (Py_ssize_t i = 0; i < N; i++) {{
+            if (!PyFloat_CheckExact(items[i]))
+                return 0;
+            xs[i] = PyFloat_AS_DOUBLE(items[i]);
+        }}
     }}
+    else {{
+        Py_buffer b;
+        if (!PyObject_CheckBuffer(v))
+            return 0;
+        if (PyObject_GetBuffer(v, &b, PyBUF_RECORDS_RO) < 0) {{
+            PyErr_Clear();
+            return 0;
+        }}
+        int ok = is_f64(&b) && b.ndim == 1 && b.shape[0] == N;
+        if (ok)
+            for (Py_ssize_t i = 0; i < N; i++)
+                memcpy(&xs[i], (const char *)b.buf + i * b.strides[0], sizeof(double));
+        PyBuffer_Release(&b);
+        if (!ok)
+            return 0;
+    }}
+    for (Py_ssize_t i = 0; i < N; i++)
+        if (!isfinite(xs[i])) {{
+            PyErr_Format(PyExc_ValueError, "%s contains non-finite samples", what);
+            return -1;
+        }}
+    return 1;
+}}
+
+/* One block of v, as a new float64 array; NotImplemented if read_block declines v. */
+static PyObject *block(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
+{{
+    double x[N];
+    npy_intp dims[1] = {{N_OUT}};
+    if (nargs != 1)
+        return PyErr_Format(PyExc_TypeError, "block() takes 1 argument (%zd given)", nargs);
+    int r = read_block(args[0], x, "signal");
+    if (r <= 0)
+        return r ? NULL : Py_NewRef(Py_NotImplemented);
+    PyObject *y = PyArray_SimpleNew(1, dims, NPY_DOUBLE);
+    if (y != NULL)
+        run_block(x, PyArray_DATA((PyArrayObject *)y));
     return y;
 }}
 
-/* One block of v: an exact list or tuple of N exact floats, read in place, or
-   any 1-D float64 buffer of N samples; NotImplemented for anything else. */
-static PyObject *block(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
+/* The DFT of the Hartley spectrum v, as a new complex128 array; NotImplemented
+   if read_block declines v.  Bin k, with a = V[k] and b = V[(N - k) % N], takes
+   the IEEE operations of reference._dft_bridge in its order: s = a + b,
+   d = a - b, z = d * 0.0 (a zero with the sign of d), then s * 0.5 - z and
+   z - d * 0.5.  Without -ffast-math the compiler may not fold d * 0.0. */
+static PyObject *dft(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
 {{
+    double v[N];
+    npy_intp dims[1] = {{N}};
     if (nargs != 1)
-        return PyErr_Format(PyExc_TypeError, "block() takes 1 argument (%zd given)", nargs);
-    PyObject *v = args[0];
-    if (PyList_CheckExact(v) || PyTuple_CheckExact(v)) {{
-        double xs[N];
-        PyObject **items = PySequence_Fast_ITEMS(v);
-        if (PySequence_Fast_GET_SIZE(v) != N)
-            Py_RETURN_NOTIMPLEMENTED;
-        for (Py_ssize_t i = 0; i < N; i++) {{
-            if (!PyFloat_CheckExact(items[i]))
-                Py_RETURN_NOTIMPLEMENTED;
-            xs[i] = PyFloat_AS_DOUBLE(items[i]);
-        }}
-        return new_block((const char *)xs, sizeof(double));
+        return PyErr_Format(PyExc_TypeError, "dft() takes 1 argument (%zd given)", nargs);
+    int r = read_block(args[0], v, "spectrum");
+    if (r <= 0)
+        return r ? NULL : Py_NewRef(Py_NotImplemented);
+    PyObject *u = PyArray_SimpleNew(1, dims, NPY_CDOUBLE);
+    if (u == NULL)
+        return NULL;
+    double *p = PyArray_DATA((PyArrayObject *)u);
+    for (int k = 0; k < N; k++) {{
+        double a = v[k], b = v[(N - k) % N];
+        double s = a + b, d = a - b, z = d * 0.0;
+        p[2 * k] = s * 0.5 - z;
+        p[2 * k + 1] = z - d * 0.5;
     }}
-    Py_buffer x;
-    if (!PyObject_CheckBuffer(v))
-        Py_RETURN_NOTIMPLEMENTED;
-    if (PyObject_GetBuffer(v, &x, PyBUF_RECORDS_RO) < 0) {{
-        PyErr_Clear();
-        Py_RETURN_NOTIMPLEMENTED;
-    }}
-    PyObject *y = is_f64(&x) && x.ndim == 1 && x.shape[0] == N
-        ? new_block(x.buf, x.strides[0]) : Py_NewRef(Py_NotImplemented);
-    PyBuffer_Release(&x);
-    return y;
+    return u;
 }}
 
 static PyObject *batch(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
@@ -228,6 +279,7 @@ static PyObject *batch(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
 
 static PyMethodDef methods[] = {{
     {{"block", (PyCFunction)(void (*)(void))block, METH_FASTCALL, "block(v): one block"}},
+    {{"dft", (PyCFunction)(void (*)(void))dft, METH_FASTCALL, "dft(V): DFT of a spectrum"}},
     {{"batch", (PyCFunction)(void (*)(void))batch, METH_FASTCALL, "batch(x, y): (N, B) columns"}},
     {{NULL, NULL, 0, NULL}},
 }};
@@ -254,10 +306,7 @@ def source(prog) -> str:
     statements = prog.statements(lambda c: f"({c.hex()})")
 
     pad = " " * 4
-    block = [pad + "double " + ", ".join(xs) + ";"]
-    block += [f"{pad}memcpy(&x{i}, x + {i} * s, sizeof(double));" for i in range(n)]
-    block.append(pad + "if (!(" + " && ".join(f"isfinite(x{i})" for i in range(n)) + "))")
-    block.append(pad + "    return 0;")
+    block = [pad + "double " + ", ".join(f"x{i} = x[{i}]" for i in range(n)) + ";"]
     block.append(pad + "double " + ", ".join(rows) + ";")
     block += [f"{pad}{s};" for s in statements]
     block += [f"{pad}y[{i}] = y{i};" for i in range(n_out)]
@@ -372,9 +421,10 @@ def _check_batch(n: int) -> np.ndarray:
 
 def _agrees(k, module) -> bool:
     """Whether ``batch`` equals the replay on the check batch and on a
-    column-strided view of it, which runs the local-block gather, and ``block``
-    equals the Python function of kernel record k on each column of it, given
-    both as a list of floats and as the strided column."""
+    column-strided view of it, which runs the local-block gather, and, on each
+    column of it, given both as a list of floats and as the strided column,
+    ``block`` equals the Python function of kernel record k and ``dft`` the
+    NumPy bridge (``reference._dft_bridge``)."""
     prog = k.prog
     x = _check_batch(prog.n)
     for v in (x, x[:, ::-2]):
@@ -384,10 +434,11 @@ def _agrees(k, module) -> bool:
             return False
     for v in x.T:
         vals = v.tolist()
-        want = np.array(k.fn(vals)).tobytes()
-        for out in (module.block(vals), module.block(v)):
-            if type(out) is not np.ndarray or out.tobytes() != want:
-                return False
+        for entry, want in ((module.block, np.array(k.fn(vals))), (module.dft, _dft_bridge(v))):
+            for out in (entry(vals), entry(v)):
+                if not (type(out) is np.ndarray and out.dtype == want.dtype
+                        and out.tobytes() == want.tobytes()):
+                    return False
     return True
 
 

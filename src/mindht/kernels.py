@@ -25,15 +25,16 @@ length, ``_KERNELS[n]``, made under one lock on first use and again once
 ``_FLOWS[n]`` or ``LAYER_SPECS[n]`` is not the object it was made from:
 the pruned trace (``counting.trace(n)``, which every kernel call runs), its
 schedule and emitted Python function (mindht.replay), the C extension
-module (mindht._cgen, with a ``block(v)`` entry point for ``fast_dht`` and
-a ``batch`` one for float64 arrays, loaded on the first array call), the
-one-block call count and the derivation (mindht.derivation).  ``fast_dht``
-runs the Python function for the first ``COMPILE_AFTER`` calls of a length;
-the last of them starts the compile on a background thread, and ``block``
-is swapped in once it has loaded and passed its check, so no one-block call
-waits for a compiler.  From then on ``fast_dht`` hands ``block`` the raw
-input first: a list of floats or a float64 array goes straight to C, and
-only what ``block`` declines is converted with NumPy.
+module (mindht._cgen, with a ``block(v)`` entry point for ``fast_dht``, a
+``dft(V)`` one for ``reference.dht_to_dft`` and a ``batch`` one for float64
+arrays, loaded on the first array call), the one-block call count and the
+derivation (mindht.derivation).  ``fast_dht`` runs the Python function for
+the first ``COMPILE_AFTER`` calls of a length; the last of them starts the
+compile on a background thread, and ``block`` and ``dft`` are swapped in
+once it has loaded and passed its check, so no one-block call waits for a
+compiler.  From then on ``fast_dht`` hands ``block`` the raw input first: a
+list of floats or a float64 array goes straight to C, and only what
+``block`` declines is converted with NumPy.
 """
 
 from __future__ import annotations
@@ -224,11 +225,13 @@ _UNTRIED = object()
 class _Kernel:
     """Everything made from one length's ``flow`` and listing ``spec``: the
     pruned ``trace``, its schedule ``prog`` and emitted Python function
-    ``fn``, the C ``module`` and its swapped-in ``block`` ``c`` (None before
-    that), the one-block calls ``fn`` has served, and the ``derivation``
+    ``fn``, the C ``module``, its swapped-in ``block`` ``c`` and ``dft``
+    (both None before that; ``reference.dht_to_dft`` calls ``dft``), the
+    one-block calls ``fn`` has served, and the ``derivation``
     mindht.derivation fills in on first use."""
 
-    __slots__ = ("flow", "spec", "trace", "prog", "fn", "module", "c", "calls", "derivation")
+    __slots__ = ("flow", "spec", "trace", "prog", "fn", "module", "c", "dft", "calls",
+                 "derivation")
 
     def __init__(self, n: int, flow, spec):
         from .counting import _trace
@@ -239,7 +242,7 @@ class _Kernel:
         self.prog = _Program(n, self.trace)
         self.fn = _emit(self.prog)
         self.module = _UNTRIED
-        self.c = None
+        self.c = self.dft = None
         self.calls = 0
         self.derivation = None
 
@@ -266,12 +269,12 @@ def _kernel(n: int) -> _Kernel:
 
 def _load_c_block(k: _Kernel) -> None:
     """Load k's C module (under mindht._cgen's lock, so an array call waits for
-    the same load) and swap its ``block`` in."""
+    the same load) and swap its ``block`` and ``dft`` in."""
     from ._cgen import _loaded
 
     module = _loaded(k)
     if module is not None:
-        k.c = module.block
+        k.c, k.dft = module.block, module.dft
 
 
 def _array(n: int, x: np.ndarray) -> np.ndarray:

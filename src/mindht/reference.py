@@ -9,6 +9,10 @@ own inverse up to a factor N, so the inverse transform is one line.  A naive
 DFT and the algebraic DHT<->DFT conversions round out the oracle set, plus an
 unnormalized Walsh-Hadamard transform (the additions-only building block the
 fast kernels are made of).
+
+``dht_to_dft`` runs in NumPy for any length, and for the supported lengths in
+the kernel's generated C module once ``kernels.fast_dht`` has loaded it
+(mindht._cgen ``dft``), with the same bits.  The DFT oracle is ``naive_dft``.
 """
 
 from __future__ import annotations
@@ -17,6 +21,7 @@ import math
 
 import numpy as np
 
+from . import kernels
 from .layers import all_finite
 
 __all__ = [
@@ -134,14 +139,39 @@ def dht_to_dft(V) -> np.ndarray:
 
     U[k] = (V[k] + V[N-k])/2 - j*(V[k] - V[N-k])/2, with V[N] read as V[0].
 
+    Once a supported length's C module is loaded (the background compile
+    ``kernels.fast_dht`` starts; this function compiles nothing), its
+    ``dft`` entry point (mindht._cgen) takes the raw V first: a list or
+    tuple of Python floats, read in place, or a 1-D float64 array of any
+    stride.  It checks for inf and nan and computes each bin with the same
+    IEEE operations in the same order as ``_dft_bridge``, so both routes
+    give the same bits, and the same error for the same input.  Everything
+    else, any length, goes to ``_dft_bridge``.  A finite spectrum whose
+    mirrored sums overflow gives inf or nan parts without a warning.
+    """
+    try:
+        k = kernels._KERNELS.get(len(V))
+    except (TypeError, OverflowError):  # unsized: _dft_bridge's np.asarray decides
+        k = None
+    if k is not None and k.dft is not None:
+        out = k.dft(V)
+        if out is not NotImplemented:
+            return out
+    return _dft_bridge(V)
+
+
+def _dft_bridge(V) -> np.ndarray:
+    """``dht_to_dft`` in NumPy, for any length.
+
     The spectrum is checked once (``_as_signal``), and the bridge is fused:
     the sums and differences are written straight into the real and
     imaginary parts of one complex result, which is halved in place, with
     no complex temporaries.  Each part is bit for bit what the complex
-    expression above gives in IEEE arithmetic, signed zeros included: with
-    s = V[k] + V[N-k] and d = V[k] - V[N-k], the real part is
-    s/2 - 0*d (-0.0 becomes +0.0 when d < 0) and the imaginary part
-    0*d - d/2 (a zero is always +0.0).
+    expression of ``dht_to_dft`` gives in IEEE arithmetic, signed zeros
+    included: with s = V[k] + V[N-k] and d = V[k] - V[N-k], the real part
+    is s/2 - 0*d (-0.0 becomes +0.0 when d < 0) and the imaginary part
+    0*d - d/2 (a zero is always +0.0).  Overflow and the invalid 0*inf it
+    leads to are not reported, as in C.
     """
     a = _as_signal(V, "spectrum")
     n = a.size
@@ -149,13 +179,14 @@ def dht_to_dft(V) -> np.ndarray:
     rev = a[reverse]  # rev[k] = V[(N - k) % N]
     out = np.empty(n, complex)
     re, im = out.real, out.imag
-    np.add(a, rev, re)
-    np.subtract(a, rev, im)
-    signed_zero = np.multiply(im, zeros)  # 0*d: a zero with the sign of d
-    flat = out.view(np.float64)
-    np.multiply(flat, halves, flat)
-    np.subtract(re, signed_zero, re)
-    np.subtract(signed_zero, im, im)
+    with np.errstate(over="ignore", invalid="ignore"):
+        np.add(a, rev, re)
+        np.subtract(a, rev, im)
+        signed_zero = np.multiply(im, zeros)  # 0*d: a zero with the sign of d
+        flat = out.view(np.float64)
+        np.multiply(flat, halves, flat)
+        np.subtract(re, signed_zero, re)
+        np.subtract(signed_zero, im, im)
     return out
 
 

@@ -28,15 +28,17 @@ from mindht import (
     fast_dht8,
     fast_dht12,
     fast_dht24,
+    dht_to_dft,
     naive_dht,
     pre_addition_state,
 )
-from mindht import _cgen, counting, kernels, layers, replay
+from mindht import _cgen, counting, kernels, layers, reference, replay
 from mindht._cgen import W
 from mindht.derivation import kernel_plan
 from mindht.kernels import kernel_flow
 from mindht.layers import LAYER_SPECS, apply_layer, max_order
 from mindht.replay import CHUNK_COLUMNS, program as replay_program
+from test_reference import SAMPLES as SPECTRUM_SAMPLES, spectra
 
 KERNELS = {4: fast_dht4, 8: fast_dht8, 12: fast_dht12, 24: fast_dht24}
 
@@ -175,13 +177,16 @@ def join_compiles():
 
 @contextmanager
 def one_block_path(name):
-    """Run fast_dht on the C ``block`` ("c", where this machine compiles) or on the
-    emitted Python function ("python"), from fresh one-block states of the records."""
+    """Run fast_dht on the C ``block`` and dht_to_dft on the C ``dft`` ("c", where
+    this machine compiles), or fast_dht on the emitted Python function and
+    dht_to_dft on the NumPy bridge ("python"), from fresh one-block states of
+    the records."""
     join_compiles()
     with pytest.MonkeyPatch.context() as mp:
         for n in SUPPORTED_SIZES:
             k = kernels._kernel(n)
             mp.setattr(k, "c", None)
+            mp.setattr(k, "dft", None)
             mp.setattr(k, "calls", 0)
             if name == "c":
                 kernels._load_c_block(k)
@@ -807,9 +812,11 @@ def test_tampered_object_is_rejected_by_the_load_check(fresh_kernels, monkeypatc
     real_source = _cgen.source
     x = np.random.default_rng(71).uniform(-1.0, 1.0, (8, 30))
     # the first + of the batch body, then of the block body, then the list
-    # read of block reversed (which only its list form sees)
+    # read of block and dft reversed (which only its list form sees), then the
+    # sign of dft's imaginary parts
     for marker, old, new in (("vd y0", " + ", " - "), ("double y0", " + ", " - "),
-                             ("PyFloat_AS_DOUBLE", "items[i]", "items[N - 1 - i]")):
+                             ("PyFloat_AS_DOUBLE", "items[i]", "items[N - 1 - i]"),
+                             ("p[2 * k + 1]", "z - d", "d - z")):
 
         def tampered(prog):
             src = real_source(prog)
@@ -824,7 +831,7 @@ def test_tampered_object_is_rejected_by_the_load_check(fresh_kernels, monkeypatc
             assert same_bits(kernel_flow(8)(x), scalar_columns(8, x))
             assert _cgen.backend(8) == "replay"
             kernels._load_c_block(kernels._kernel(8))
-            assert not uses_c_block(8)
+            assert not uses_c_block(8) and not uses_c_dft(8)
             assert fast_dht(x[:, 0]).tobytes() == scalar_columns(8, x)[:, 0].tobytes()
         assert len(seen) == 1 and "disagreed with the replay" in str(seen[0].message)
 
@@ -959,28 +966,39 @@ def test_c_block_takes_strided_read_only_and_other_dtype_input(n):
     assert not frozen.flags.writeable and np.array_equal(frozen, base[:n])
 
 
+def one_block_inputs():
+    """For the C entry points of length 8: argument tuples of the wrong length,
+    inputs they decline, and inputs they take (all of them eight ones)."""
+    x, y = np.ones(8), np.empty(8)
+    frozen = np.empty(8)
+    frozen.flags.writeable = False
+    floats = [1.0] * 8
+    # a second argument, such as an output buffer of any shape, dtype, stride
+    # or writeability, is a TypeError
+    wrong_args = ((), (x, y), (x, y, y), (x, np.empty(4)), (x, np.empty(8, np.int64)),
+                  (x, np.empty(16)[::2]), (x, frozen))
+    declined = (np.ones(4), np.ones((2, 8)), x.astype(np.float32), x.astype(">f8"),
+                np.float64(1.0), memoryview(x.astype(np.float32)), b"\0" * 64, "12345678", None,
+                floats[:7], floats + [1.0], [1] * 8, [True] * 8, [np.float64(1.0)] * 8,
+                ["1.0"] * 8, [floats], (1.0,) * 7, floats[:7] + [1], floats[:7] + [np.float64(1)])
+    taken = (x, floats, tuple(floats), memoryview(x), np.ones(16)[::2], np.ones(16)[::-2])
+    return wrong_args, declined, taken
+
+
 def test_c_block_refuses_wrong_buffers():
     if not c_works():
         pytest.skip("no working C compiler")
     block = _cgen._loaded(kernels._kernel(8)).block
-    x, y = np.ones(8), np.empty(8)
-    frozen = np.empty(8)
-    frozen.flags.writeable = False
-    # block(v) makes its own result: a second argument, such as an output
-    # buffer of any shape, dtype, stride or writeability, is a TypeError
-    for args in ((), (x, y), (x, y, y), (x, np.empty(4)), (x, np.empty(8, np.int64)),
-                 (x, np.empty(16)[::2]), (x, frozen)):
+    wrong_args, declined, taken = one_block_inputs()
+    # block(v) makes its own result
+    for args in wrong_args:
         with pytest.raises(TypeError, match=r"^block\(\) takes 1 argument"):
             block(*args)
     # an input it does not take is handed back to fast_dht's conversion
-    floats = [1.0] * 8
-    for v in (np.ones(4), np.ones((2, 8)), x.astype(np.float32), x.astype(">f8"), np.float64(1.0),
-              memoryview(x.astype(np.float32)), b"\0" * 64, "12345678", None,
-              floats[:7], floats + [1.0], [1] * 8, [True] * 8, [np.float64(1.0)] * 8,
-              ["1.0"] * 8, [floats], (1.0,) * 7, floats[:7] + [1], floats[:7] + [np.float64(1)]):
+    for v in declined:
         assert block(v) is NotImplemented
-    want = fast_dht(x).tobytes()
-    for v in (x, floats, tuple(floats), memoryview(x), np.ones(16)[::2], np.ones(16)[::-2]):
+    want = fast_dht(np.ones(8)).tobytes()
+    for v in taken:
         out = block(v)
         assert type(out) is np.ndarray and out.tobytes() == want
 
@@ -1098,6 +1116,171 @@ def test_inputs_the_c_block_does_not_take_get_the_same_result_or_error():
         UnsupportedLengthError,
         "block length True is not supported; valid lengths are 4, 8, 12, 24",
     )
+
+
+# --- the DFT bridge in C: dft() of the same extension module ---
+
+# Samples whose mirrored sums and differences overflow to inf, and then give nan.
+OVERFLOWING = st.sampled_from([1e308, -1e308, 1.7e308, -1.7e308])
+
+
+def uses_c_dft(n):
+    return kernels._kernel(n).dft is not None
+
+
+def expect_dft(name, n):
+    assert uses_c_dft(n) == (name == "c" and c_works())
+
+
+@contextmanager
+def c_takes_spectra(n):
+    """Under the C dft, make any use of NumPy in mindht.reference fail, so a call
+    that still succeeds (or raises a ValueError) went to C on the raw input."""
+    with pytest.MonkeyPatch.context() as mp:
+        if uses_c_dft(n):
+            mp.setattr(reference, "np", None)
+            mp.setattr(reference, "all_finite", None)
+        yield
+
+
+@settings(max_examples=300, deadline=None)
+@given(spectra(st.one_of(SPECTRUM_SAMPLES, OVERFLOWING)))
+def test_c_dft_matches_the_numpy_bridge_bit_for_bit(V):
+    n = len(V)
+    got = {}
+    for path in ONE_BLOCK_PATHS:
+        with one_block_path(path), warnings.catch_warnings():
+            warnings.simplefilter("error")
+            expect_dft(path, n)
+            with c_takes_spectra(n):
+                outs = [dht_to_dft(s) for s in (V, tuple(V), np.array(V), np.repeat(V, 2)[::2])]
+            got[path] = [(out.dtype, out.shape, out.tobytes()) for out in outs]
+    assert got["c"] == got["python"]  # NaN bits included
+    assert got["python"][0][:2] == (np.complex128, (n,))
+
+
+@pytest.mark.parametrize("n", SUPPORTED_SIZES)
+def test_c_dft_overflowing_sums_give_the_same_bits_without_a_warning(n):
+    # bin 0 and bin n/2 overflow in V[k] + V[N-k], the others in V[k] - V[N-k],
+    # whose 0 * inf is nan
+    V = [1.7e308] * (n // 2) + [-1.7e308] * (n // 2)
+    got = {}
+    for path in ONE_BLOCK_PATHS:
+        with one_block_path(path), warnings.catch_warnings():
+            warnings.simplefilter("error")
+            expect_dft(path, n)
+            got[path] = [dht_to_dft(s).tobytes() for s in (V, np.array(V))]
+    assert got["c"] == got["python"]
+    out = np.frombuffer(got["python"][0], np.complex128)
+    assert np.isinf(out.real[0]) and np.isnan(out.real[1]) and np.isnan(out.imag[1])
+
+
+@pytest.mark.parametrize("n", SUPPORTED_SIZES)
+def test_c_dft_result_is_a_fresh_complex128_array(n):
+    V = fast_dht(np.random.default_rng(n + 109).uniform(-1.0, 1.0, n))
+    for path in ONE_BLOCK_PATHS:
+        with one_block_path(path):
+            expect_dft(path, n)
+            outs = [dht_to_dft(V.tolist()), dht_to_dft(V), dht_to_dft(V[::-1])]
+            for out in outs:
+                assert type(out) is np.ndarray and out.dtype == np.complex128 and out.shape == (n,)
+                assert out.flags.c_contiguous and out.flags.writeable and out.flags.owndata
+                assert out.base is None
+            outs[0][0] = 7.0  # writing into a result reaches no other result
+            assert dht_to_dft(V.tolist()).tobytes() == outs[1].tobytes()
+
+
+@pytest.mark.parametrize("n", SUPPORTED_SIZES)
+def test_c_dft_rejects_non_finite_samples_at_every_position(n):
+    for path in ONE_BLOCK_PATHS:
+        with one_block_path(path), c_takes_spectra(n):
+            expect_dft(path, n)
+            for i in range(n):
+                for bad in (math.inf, -math.inf, math.nan):
+                    V = [1.0] * n
+                    V[i] = bad
+                    for spectrum in (V, tuple(V), np.array(V)):
+                        with pytest.raises(ValueError,
+                                           match="^spectrum contains non-finite samples$"):
+                            dht_to_dft(spectrum)
+
+
+def dft_outcome(V):
+    """dht_to_dft's result bytes, or its exception's type and message, and the
+    warnings it gave."""
+    with warnings.catch_warnings(record=True) as seen:
+        warnings.simplefilter("always")
+        try:
+            out = dht_to_dft(V)
+        except Exception as e:
+            result = type(e), str(e)
+        else:
+            result = out.dtype, out.shape, out.tobytes()
+    return result, [(w.category, str(w.message)) for w in seen]
+
+
+def test_inputs_the_c_dft_does_not_take_get_the_same_result_or_error():
+    V = fast_dht(np.random.default_rng(113).uniform(-1.0, 1.0, 8)).tolist()
+    strings = ["1.5", "-2", "3e-3", "4", "5", "6", "7", "8"]
+    cases = {  # made anew for each call: a generator is used up by one
+        "ints": lambda: [3, -1, 4, 1, -5, 9, 2, 6],
+        "bools": lambda: [True, False] * 4,
+        "np.float64 items": lambda: [np.float64(f) for f in V],
+        "numeric strings": lambda: strings,
+        "complex array": lambda: np.array(V) + 2j,
+        "2-D (n, n)": lambda: np.ones((8, 8)),
+        "too long": lambda: V + [1.0],
+        "0-d array": lambda: np.array(1.0),
+        "generator": lambda: (f for f in V),
+    }
+    got = {}
+    for path in ONE_BLOCK_PATHS:
+        with one_block_path(path):
+            expect_dft(path, 8)
+            got[path] = {name: dft_outcome(make()) for name, make in cases.items()}
+    assert got["c"] == got["python"]
+    today = got["python"]
+    assert today["ints"] == dft_outcome(np.array(cases["ints"](), float))
+    assert today["bools"] == dft_outcome(np.array(cases["bools"](), float))
+    assert today["numeric strings"] == dft_outcome(np.array(strings, float))
+    assert today["np.float64 items"] == dft_outcome(np.array(V))
+    (complex_result, complex_warnings) = today["complex array"]
+    assert complex_result == dft_outcome(np.array(V))[0]
+    assert [w[0].__name__ for w in complex_warnings] == ["ComplexWarning"]
+    assert today["too long"] == (dft_outcome(np.array(V + [1.0]))[0], [])
+    assert today["too long"][0][1] == (9,)
+    for name, shape in (("2-D (n, n)", "(8, 8)"), ("0-d array", "()")):
+        assert today[name] == (
+            (ValueError, f"spectrum must be a non-empty 1-D array, got shape {shape}"), [])
+    assert today["generator"][0][0] is TypeError
+
+
+def test_c_dft_takes_what_c_block_takes():
+    if not c_works():
+        pytest.skip("no working C compiler")
+    dft = _cgen._loaded(kernels._kernel(8)).dft
+    wrong_args, declined, taken = one_block_inputs()
+    for args in wrong_args:
+        with pytest.raises(TypeError, match=r"^dft\(\) takes 1 argument"):
+            dft(*args)
+    for v in declined:
+        assert dft(v) is NotImplemented
+    want = reference._dft_bridge(np.ones(8)).tobytes()
+    for v in taken:
+        out = dft(v)
+        assert type(out) is np.ndarray and out.tobytes() == want
+
+
+def test_c_dft_never_starts_a_compile(fresh_kernels, monkeypatch):
+    monkeypatch.setattr(kernels, "COMPILE_AFTER", 2)
+    V = {n: fast_dht(np.ones(n)) for n in SUPPORTED_SIZES}  # one call per record
+    for n in SUPPORTED_SIZES:
+        for _ in range(5):
+            dht_to_dft(V[n])
+            dht_to_dft(V[n].tolist())
+        k = kernels._KERNELS[n]
+        assert k.calls == 1 and k.module is kernels._UNTRIED and k.dft is None
+    assert not [t for t in threading.enumerate() if t.name.startswith("mindht-compile")]
 
 
 def test_replaced_flow_after_the_swap_runs_its_own_program(monkeypatch):

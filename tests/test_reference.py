@@ -178,10 +178,10 @@ SAMPLES = st.one_of(
 
 
 @st.composite
-def spectra(draw):
+def spectra(draw, samples=SAMPLES):
     """A spectrum of a supported length, some mirrored bins made equal."""
     n = draw(st.sampled_from(SIZES))
-    V = draw(st.lists(SAMPLES, min_size=n, max_size=n))
+    V = draw(st.lists(samples, min_size=n, max_size=n))
     for k in draw(st.sets(st.integers(1, n - 1))):
         V[n - k] = V[k]  # V[k] - V[N-k] == 0
     return V
