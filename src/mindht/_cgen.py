@@ -53,8 +53,9 @@ nothing is cached between processes.  The first array call for a length
 compiles it then and there (0.3-0.5 s per N with gcc 12 on a 2.1 GHz Xeon);
 a one-block call never waits for it: ``fast_dht`` compiles on a background
 thread after ``kernels.COMPILE_AFTER`` calls, and ``dht_to_dft`` never
-compiles.  At exit a compiler still
-running is killed before the directory is removed.  The module is kept in
+compiles.  Whichever call loads the module swaps its ``block`` and ``dft``
+into the record, so one-block calls use them from then on.  At exit a
+compiler still running is killed before the directory is removed.  The module is kept in
 the kernel's record (``kernels._KERNELS``) and one lock covers loading, so
 threads and the background compile share one load, and a replaced
 ``kernels._FLOWS[n]`` or ``LAYER_SPECS[n]``, which gets a new record, is
@@ -484,11 +485,15 @@ _LOCK = threading.Lock()  # guards loading
 
 
 def _loaded(k):
-    """The checked extension module of kernel record k, loaded into it on first use, or None."""
+    """The checked extension module of kernel record k, loaded into it on first
+    use with its ``block`` and ``dft`` swapped in (``k.c``, ``k.dft``), or None."""
     if k.module is _UNTRIED:
         with _LOCK:
             if k.module is _UNTRIED:
-                k.module = _load(k)
+                module = _load(k)
+                if module is not None:
+                    k.c, k.dft = module.block, module.dft
+                k.module = module
     return k.module
 
 

@@ -29,9 +29,10 @@ module (mindht._cgen, with a ``block(v)`` entry point for ``fast_dht``, a
 ``dft(V)`` one for ``reference.dht_to_dft`` and a ``batch`` one for float64
 arrays, loaded on the first array call), the one-block call count and the
 derivation (mindht.derivation).  ``fast_dht`` runs the Python function for
-the first ``COMPILE_AFTER`` calls of a length; the last of them starts the
-compile on a background thread, and ``block`` and ``dft`` are swapped in
-once it has loaded and passed its check, so no one-block call waits for a
+the first ``COMPILE_AFTER`` calls of a length, or until an array call has
+loaded the module; the last of them starts the compile on a background
+thread.  Whichever path loads the module, ``block`` and ``dft`` are swapped
+in once it has passed its check, so no one-block call waits for a
 compiler.  From then on ``fast_dht`` hands ``block`` the raw input first: a
 list of floats or a float64 array goes straight to C, and only what
 ``block`` declines is converted with NumPy.
@@ -268,13 +269,11 @@ def _kernel(n: int) -> _Kernel:
 
 
 def _load_c_block(k: _Kernel) -> None:
-    """Load k's C module (under mindht._cgen's lock, so an array call waits for
-    the same load) and swap its ``block`` and ``dft`` in."""
+    """Load k's C module, which swaps its ``block`` and ``dft`` in (under
+    mindht._cgen's lock, as for an array call, so both share one load)."""
     from ._cgen import _loaded
 
-    module = _loaded(k)
-    if module is not None:
-        k.c, k.dft = module.block, module.dft
+    _loaded(k)
 
 
 def _array(n: int, x: np.ndarray) -> np.ndarray:
@@ -344,10 +343,11 @@ def fast_dht(v, n: int | None = None) -> np.ndarray:
     as that ``block``, or before the module is loaded as a Python function,
     on the array's ``tolist()`` floats, screened for inf and nan by their
     sum first (``layers.all_finite``).  The first ``COMPILE_AFTER`` calls of
-    a length run the Python function; the last of them starts the module's
-    compile on a background thread, and the C ``block`` is swapped in when
-    it has passed its load check.  Every route gives the same bits, and the
-    same error for the same input.
+    a length, or until an array call has loaded the module, run the Python
+    function; the last of them starts the module's compile on a background
+    thread, and the C ``block`` is swapped in when the module, loaded by
+    either, has passed its load check.  Every route gives the same bits,
+    and the same error for the same input.
 
     Parameters
     ----------

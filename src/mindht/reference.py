@@ -11,8 +11,9 @@ unnormalized Walsh-Hadamard transform (the additions-only building block the
 fast kernels are made of).
 
 ``dht_to_dft`` runs in NumPy for any length, and for the supported lengths in
-the kernel's generated C module once ``kernels.fast_dht`` has loaded it
-(mindht._cgen ``dft``), with the same bits.  The DFT oracle is ``naive_dft``.
+the kernel's generated C module once ``kernels.fast_dht`` or an array call
+has loaded it (mindht._cgen ``dft``), with the same bits.  The DFT oracle
+is ``naive_dft``.
 """
 
 from __future__ import annotations
@@ -139,11 +140,11 @@ def dht_to_dft(V) -> np.ndarray:
 
     U[k] = (V[k] + V[N-k])/2 - j*(V[k] - V[N-k])/2, with V[N] read as V[0].
 
-    Once a supported length's C module is loaded (the background compile
-    ``kernels.fast_dht`` starts; this function compiles nothing), its
-    ``dft`` entry point (mindht._cgen) takes the raw V first: a list or
-    tuple of Python floats, read in place, or a 1-D float64 array of any
-    stride.  It checks for inf and nan and computes each bin with the same
+    Once a supported length's C module is loaded (by the background compile
+    ``kernels.fast_dht`` starts or by an array call of ``kernel_flow``; this
+    function compiles nothing), its ``dft`` entry point (mindht._cgen) takes
+    the raw V first: a list or tuple of Python floats, read in place, or a
+    1-D float64 array of any stride.  It checks for inf and nan and computes each bin with the same
     IEEE operations in the same order as ``_dft_bridge``, so both routes
     give the same bits, and the same error for the same input.  Everything
     else, any length, goes to ``_dft_bridge``.  A finite spectrum whose
@@ -172,21 +173,34 @@ def _dft_bridge(V) -> np.ndarray:
     is s/2 - 0*d (-0.0 becomes +0.0 when d < 0) and the imaginary part
     0*d - d/2 (a zero is always +0.0).  Overflow and the invalid 0*inf it
     leads to are not reported, as in C.
+
+    Only a spectrum with 2 * max|V| above DBL_MAX can overflow (a finite sum
+    of |V| is not enough: bin 0 is V[0] + V[0]), and only one whose 4 *
+    hypot(V) is not finite pays for ``np.errstate``.  ``math.hypot`` is
+    within 1 ulp of the 2-norm (Python 3.10 on), which is at least max|V|, so a finite
+    4 * hypot(V) keeps 2 * max|V| below DBL_MAX; it is one C call on the
+    samples, cheaper than ``max`` and ``min`` or the ``np.errstate`` it skips.
     """
     a = _as_signal(V, "spectrum")
+    if math.isfinite(4.0 * math.hypot(*a.tolist())):
+        return _fused_bridge(a)
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _fused_bridge(a)
+
+
+def _fused_bridge(a: np.ndarray) -> np.ndarray:
     n = a.size
     reverse, zeros, halves = _bridge_operands(n)
     rev = a[reverse]  # rev[k] = V[(N - k) % N]
     out = np.empty(n, complex)
     re, im = out.real, out.imag
-    with np.errstate(over="ignore", invalid="ignore"):
-        np.add(a, rev, re)
-        np.subtract(a, rev, im)
-        signed_zero = np.multiply(im, zeros)  # 0*d: a zero with the sign of d
-        flat = out.view(np.float64)
-        np.multiply(flat, halves, flat)
-        np.subtract(re, signed_zero, re)
-        np.subtract(signed_zero, im, im)
+    np.add(a, rev, re)
+    np.subtract(a, rev, im)
+    signed_zero = np.multiply(im, zeros)  # 0*d: a zero with the sign of d
+    flat = out.view(np.float64)
+    np.multiply(flat, halves, flat)
+    np.subtract(re, signed_zero, re)
+    np.subtract(signed_zero, im, im)
     return out
 
 

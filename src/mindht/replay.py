@@ -10,9 +10,9 @@ compiler), what mindht._cgen turns into the two entry points of one C
 extension module per length (``block`` for one block, ``batch`` for
 arrays), and what ``_emit`` turns into a straight-line Python function for
 one block (``kernels.kernel_flow(n)`` on anything but an ndarray with
-ndim >= 2, and ``fast_dht`` until its length's module is compiled on a
-background thread, after ``kernels.COMPILE_AFTER`` calls, or whenever no
-module loads).  All of them do the same IEEE operations on the same
+ndim >= 2, and ``fast_dht`` until its length's module is loaded, by an
+array call or on a background thread after ``kernels.COMPILE_AFTER``
+calls, or whenever no module loads).  All of them do the same IEEE operations on the same
 operands in the same order, so they agree bit for bit.  The schedule and
 the function are made once per kernel record (``kernels._KERNELS``), with
 its trace.  Imported on the first kernel call or trace, not with mindht.

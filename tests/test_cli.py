@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from mindht import _cgen, naive_dht
+from mindht import SUPPORTED_SIZES, _cgen, dht_matrix, naive_dht
 from mindht.cli import main
 from mindht.io import SignalParseError, read_signal, write_signal
 
@@ -238,6 +238,34 @@ def test_verify_output_matches_golden(capsys, fmt):
     code, out, _ = run(capsys, "verify", "--trials", "50", "--seed", "2024", "--format", fmt)
     assert code == 0
     assert out == golden
+
+
+@pytest.mark.parametrize("trials", (1, 2, 50, 1000))
+def test_verify_oracle_is_naive_dht_bit_for_bit(trials):
+    # verify checks all of a length's trials against one stacked product; a
+    # (n, n) matrix times (trials, n, 1) runs gemv per row, as naive_dht's
+    # M @ v does, so every row must have naive_dht's bits
+    for seed in (2024, 7, 501, 502, 503):
+        for n in SUPPORTED_SIZES:
+            signals = np.random.default_rng([seed, n]).uniform(-1.0, 1.0, (trials, n))
+            stacked = np.matmul(dht_matrix(n), signals[:, :, None])[..., 0]
+            assert stacked.tobytes() == np.array([naive_dht(v) for v in signals]).tobytes()
+
+
+def test_verify_runs_fast_dht_once_per_trial_on_a_row(capsys, monkeypatch):
+    import mindht.cli as cli
+
+    real = cli.fast_dht
+    seen = []
+
+    def counted(v, n=None):
+        seen.append((type(v), v.shape, n))
+        return real(v, n)
+
+    monkeypatch.setattr(cli, "fast_dht", counted)
+    code, _, _ = run(capsys, "verify", "--trials", "7")
+    assert code == 0
+    assert seen == [(np.ndarray, (n,), None) for n in SUPPORTED_SIZES for _ in range(7)]
 
 
 def test_verify_rejects_zero_trials(capsys):

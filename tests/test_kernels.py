@@ -38,7 +38,8 @@ from mindht.derivation import kernel_plan
 from mindht.kernels import kernel_flow
 from mindht.layers import LAYER_SPECS, apply_layer, max_order
 from mindht.replay import CHUNK_COLUMNS, program as replay_program
-from test_reference import SAMPLES as SPECTRUM_SAMPLES, spectra
+from test_reference import NEAR_OVERFLOW, SAMPLES as SPECTRUM_SAMPLES
+from test_reference import bridge_in_python_floats, spectra
 
 KERNELS = {4: fast_dht4, 8: fast_dht8, 12: fast_dht12, 24: fast_dht24}
 
@@ -185,11 +186,10 @@ def one_block_path(name):
     with pytest.MonkeyPatch.context() as mp:
         for n in SUPPORTED_SIZES:
             k = kernels._kernel(n)
-            mp.setattr(k, "c", None)
-            mp.setattr(k, "dft", None)
+            module = _cgen._loaded(k) if name == "c" else None
+            mp.setattr(k, "c", module and module.block)
+            mp.setattr(k, "dft", module and module.dft)
             mp.setattr(k, "calls", 0)
-            if name == "c":
-                kernels._load_c_block(k)
         yield
 
 
@@ -313,7 +313,8 @@ def forced(name):
 def c_works(find_compiler=_cgen.find_compiler):
     """Whether this machine compiles and loads the C kernels (not under CC=/bin/false)."""
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(kernels._kernel(4), "module", kernels._UNTRIED)
+        for name, value in (("module", kernels._UNTRIED), ("c", None), ("dft", None)):
+            mp.setattr(kernels._kernel(4), name, value)  # a load swaps block and dft in
         mp.setattr(_cgen, "find_compiler", find_compiler)
         return _cgen.backend(4) == "c"
 
@@ -1175,6 +1176,17 @@ def test_c_dft_overflowing_sums_give_the_same_bits_without_a_warning(n):
     assert np.isinf(out.real[0]) and np.isnan(out.real[1]) and np.isnan(out.imag[1])
 
 
+@pytest.mark.parametrize("V", [V for V, _ in NEAR_OVERFLOW])
+def test_c_dft_near_overflow_gives_the_same_bits_without_a_warning(V):
+    # whether or not the NumPy bridge enters np.errstate for V
+    want = bridge_in_python_floats(V).tobytes()
+    for path in ONE_BLOCK_PATHS:
+        with one_block_path(path), warnings.catch_warnings():
+            warnings.simplefilter("error")
+            expect_dft(path, len(V))
+            assert [dht_to_dft(s).tobytes() for s in (V, np.array(V))] == [want] * 2
+
+
 @pytest.mark.parametrize("n", SUPPORTED_SIZES)
 def test_c_dft_result_is_a_fresh_complex128_array(n):
     V = fast_dht(np.random.default_rng(n + 109).uniform(-1.0, 1.0, n))
@@ -1281,6 +1293,25 @@ def test_c_dft_never_starts_a_compile(fresh_kernels, monkeypatch):
         k = kernels._KERNELS[n]
         assert k.calls == 1 and k.module is kernels._UNTRIED and k.dft is None
     assert not [t for t in threading.enumerate() if t.name.startswith("mindht-compile")]
+
+
+def test_an_array_call_that_loads_the_module_swaps_block_and_dft_in(fresh_kernels, monkeypatch):
+    c = c_works()
+    with warnings.catch_warnings(record=True):  # the one fallback warning, without C
+        kernel_flow(8)(np.ones((8, 4)))
+    k = kernels._KERNELS[8]
+    assert k.calls == 0 and uses_c_block(8) == uses_c_dft(8) == c
+    if c:  # no one-block call has run, yet neither goes through NumPy
+
+        def bridge(V):
+            raise AssertionError("dht_to_dft ran the NumPy bridge")
+
+        monkeypatch.setattr(reference, "_dft_bridge", bridge)
+        monkeypatch.setattr(kernels, "np", None)
+    for x, y in GOLDEN[8]:
+        assert fast_dht(x).tobytes() == np.array(y).tobytes()
+        assert dht_to_dft(y).tobytes() == bridge_in_python_floats(y).tobytes()
+    assert k.calls == (0 if c else len(GOLDEN[8]))
 
 
 def test_replaced_flow_after_the_swap_runs_its_own_program(monkeypatch):

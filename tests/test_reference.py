@@ -1,6 +1,8 @@
 """Tests for the brute-force reference transforms and kernel identities."""
 
 import math
+import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -17,6 +19,7 @@ from mindht import (
     naive_idht,
     walsh_hadamard,
 )
+from mindht import reference
 from mindht.layers import all_finite
 
 SIZES = (4, 8, 12, 24)
@@ -221,6 +224,52 @@ def test_dht_to_dft_shape_errors_unchanged():
         with pytest.raises(ValueError) as exc:
             dht_to_dft(V)
         assert str(exc.value) == f"spectrum must be a non-empty 1-D array, got shape {shape}"
+
+
+def bridge_in_python_floats(V):
+    """Each bin of dht_to_dft as the IEEE operations the bridge makes, on
+    Python floats, which overflow to inf without a warning."""
+    n = len(V)
+    out = []
+    for k in range(n):
+        a, b = V[k], V[-k % n]
+        s, d = a + b, a - b
+        z = d * 0.0
+        out.append(complex(s * 0.5 - z, z - d * 0.5))
+    return np.array(out)
+
+
+DBL_MAX = sys.float_info.max
+
+# (spectrum, whether the NumPy bridge enters np.errstate for it)
+NEAR_OVERFLOW = [
+    ([1e308, 0.0, 0.0, 0.0], True),  # a finite sum, but bin 0 is V[0] + V[0] = inf
+    ([math.nextafter(DBL_MAX / 2, math.inf), 0.0, 0.0, 0.0], True),  # just above: bin 0 is inf
+    ([DBL_MAX / 2, 0.0, -DBL_MAX / 2, 0.0], True),  # 2 * max|V| == DBL_MAX: nothing overflows
+    ([math.nextafter(DBL_MAX / 4, math.inf), 0.0, 0.0, 0.0], True),
+    ([DBL_MAX / 4, 0.0, 0.0, 0.0], False),  # 4 * hypot(V) == DBL_MAX
+    ([1e306] * 12 + [-1e306] * 12, False),
+]
+
+
+@pytest.mark.parametrize("V, enters_errstate", NEAR_OVERFLOW)
+def test_dft_bridge_enters_errstate_only_near_overflow(V, enters_errstate, monkeypatch):
+    entered = []
+    real_errstate = np.errstate
+
+    def errstate(**kwargs):
+        entered.append(kwargs)
+        return real_errstate(**kwargs)
+
+    monkeypatch.setattr(np, "errstate", errstate)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        outs = [reference._dft_bridge(s) for s in (V, np.array(V))]
+    assert len(entered) == 2 * enters_errstate
+    want = bridge_in_python_floats(V)
+    for out in outs:
+        assert out.tobytes() == want.tobytes()
+    assert np.isinf(want[0].real) == (V[0] > DBL_MAX / 2)
 
 
 def test_all_finite_is_the_numpy_check():
