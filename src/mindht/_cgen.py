@@ -16,8 +16,9 @@ items, complex or other dtypes, nesting, another length or shape):
     One block, returned as a new float64 array of n_outputs values that it
     makes with NumPy's C API.  The registers are scalar ``double`` locals.
     Its error is ``ValueError("signal contains non-finite samples")``.
-    ``fast_dht`` calls it on its raw input, and on its float64 conversion
-    when that returns ``NotImplemented`` (see ``kernels.COMPILE_AFTER``).
+    ``fast_dht`` calls it on its raw input, and on the floats
+    ``layers.read_block`` reads when that returns ``NotImplemented`` (see
+    ``kernels.COMPILE_AFTER``).
 ``dft(V)``
     ``reference.dht_to_dft`` of a Hartley spectrum V, returned as a new
     complex128 array of n values that it makes with NumPy's C API.  Each bin

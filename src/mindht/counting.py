@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .kernels import _kernel, kernel_flow
-from .layers import SUPPORTED_SIZES, check_size
+from .layers import SUPPORTED_SIZES, check_size, read_block
 
 __all__ = [
     "OpCount",
@@ -146,19 +146,16 @@ class CountingScalar:
 
 
 def run_counted(n: int, v) -> tuple[np.ndarray, OpCount]:
-    """Run the length-n kernel on v through counting scalars.
+    """Run the length-n kernel on v, read by ``layers.read_block``, through
+    counting scalars.
 
     Returns the spectrum (as plain floats) and the measured operation count.
     The numeric path is identical to the float kernel, so the spectrum matches
     the plain-double result bit for bit.
     """
-    check_size(n)
-    a = np.asarray(v, dtype=float)
-    if a.shape != (n,):
-        raise ValueError(f"signal has shape {a.shape}, expected ({n},)")
+    flow = kernel_flow(n)
     tally = OpTally()
-    wrapped = [CountingScalar(x, tally) for x in a.tolist()]
-    out = kernel_flow(n)(wrapped)
+    out = flow([CountingScalar(x, tally) for x in read_block(v, n)])
     return np.array([s.value for s in out]), tally.snapshot()
 
 

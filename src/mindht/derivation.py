@@ -45,7 +45,7 @@ import numpy as np
 
 from .counting import count_ops, trace
 from .kernels import CONSTANT_LABELS, _kernel
-from .layers import LAYER_SPECS, apply_layer, cascade, check_size, max_order
+from .layers import LAYER_SPECS, apply_layer, cascade, check_order, check_size, max_order
 from .reference import dht_matrix
 
 __all__ = [
@@ -81,11 +81,8 @@ class DerivationError(ValueError):
 
 def layer_matrix(n: int, order: int) -> np.ndarray:
     """Integer matrix of a single layer, mapping S(order-1) to S(order)."""
-    check_size(n)
-    specs = LAYER_SPECS[n]
-    if not 1 <= order <= len(specs):
-        raise ValueError(f"layer order {order} invalid for N={n}")
-    return np.array(apply_layer(specs[order - 1], np.eye(n, dtype=np.int64)))
+    order = check_order(n, order, 1)  # checks n first
+    return np.array(apply_layer(LAYER_SPECS[n][order - 1], np.eye(n, dtype=np.int64)))
 
 
 def pre_addition_matrix(n: int, order: int) -> np.ndarray:
@@ -95,12 +92,7 @@ def pre_addition_matrix(n: int, order: int) -> np.ndarray:
     rows, so row i of P is the coefficient vector of slot i of S(order).
     The matrix is read from the kernel's cached derivation and is read-only.
     """
-    mats = _record(n).mats
-    if not 0 <= order < len(mats):
-        raise ValueError(
-            f"layer order {order} invalid for N={n}; valid orders are 0..{len(mats) - 1}"
-        )
-    return mats[order]
+    return _record(n).mats[check_order(n, order)]
 
 
 def _exact_inverse(m: np.ndarray) -> np.ndarray:
@@ -145,6 +137,7 @@ def residual_matrix(n: int, order: int) -> ResidualMatrix:
     result is cached with the kernel's derivation; its entries are read-only.
     """
     rec = _record(n)
+    check_order(n, order)  # before the lookup, where 1.0 would find order 1
     with rec.lock:
         t = rec.residuals.get(order)
         if t is None:

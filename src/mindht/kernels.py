@@ -35,7 +35,8 @@ thread.  Whichever path loads the module, ``block`` and ``dft`` are swapped
 in once it has passed its check, so no one-block call waits for a
 compiler.  From then on ``fast_dht`` hands ``block`` the raw input first: a
 list of floats or a float64 array goes straight to C, and only what
-``block`` declines is converted with NumPy.
+``block`` declines is read by ``layers.read_block``, the Python side of the
+same one-block contract.
 """
 
 from __future__ import annotations
@@ -45,8 +46,7 @@ import threading
 
 import numpy as np
 
-from .layers import LAYER_SPECS, SUPPORTED_SIZES, UnsupportedLengthError
-from .layers import all_finite, cascade, check_size
+from .layers import LAYER_SPECS, cascade, check_size, read_block
 
 __all__ = [
     "SQRT2",
@@ -270,7 +270,11 @@ def _kernel(n: int) -> _Kernel:
 
 def _load_c_block(k: _Kernel) -> None:
     """Load k's C module, which swaps its ``block`` and ``dft`` in (under
-    mindht._cgen's lock, as for an array call, so both share one load)."""
+    mindht._cgen's lock, as for an array call, so both share one load).
+
+    It is the background thread's target rather than ``_cgen._loaded``
+    itself so that ``import mindht._cgen`` (8-14 ms) runs on that thread
+    too, not in the ``COMPILE_AFTER``-th ``fast_dht`` call that starts it."""
     from ._cgen import _loaded
 
     _loaded(k)
@@ -337,17 +341,15 @@ def fast_dht(v, n: int | None = None) -> np.ndarray:
     equal to ``len(v)``, the raw input goes to its ``block(v)`` (mindht._cgen)
     first, which reads a list or tuple of Python floats in place, or a 1-D
     float64 array of any stride, checks for inf and nan in C and returns the
-    result it makes.  Any other input, or any input before then, is
-    validated in one pass: converted to float64 once, its length resolved
-    once and its shape checked once.  The kernel's program then runs on it
-    as that ``block``, or before the module is loaded as a Python function,
-    on the array's ``tolist()`` floats, screened for inf and nan by their
-    sum first (``layers.all_finite``).  The first ``COMPILE_AFTER`` calls of
-    a length, or until an array call has loaded the module, run the Python
-    function; the last of them starts the module's compile on a background
-    thread, and the C ``block`` is swapped in when the module, loaded by
-    either, has passed its load check.  Every route gives the same bits,
-    and the same error for the same input.
+    result it makes.  Any other input, or any input before then, is read by
+    ``layers.read_block``, and the kernel's program runs on the floats it
+    returns: as that ``block``, or before the module is loaded as a Python
+    function.  The first ``COMPILE_AFTER`` calls of a length, or until an
+    array call has loaded the module, run the Python function; the last of
+    them starts the module's compile on a background thread, and the C
+    ``block`` is swapped in when the module, loaded by either, has passed
+    its load check.  Every route gives the same bits, and the same error
+    for the same input.
 
     Parameters
     ----------
@@ -355,12 +357,13 @@ def fast_dht(v, n: int | None = None) -> np.ndarray:
         Input signal.
     n : int, optional
         Expected block length; defaults to ``len(v)``.  A mismatch, or a
-        length without a fast kernel, raises UnsupportedLengthError.
+        length without a fast kernel, raises UnsupportedLengthError
+        (``layers.read_block``).
     """
     if n is None or type(n) is int:
         try:
             size = len(v)
-        except (TypeError, OverflowError):  # unsized: np.asarray decides below
+        except (TypeError, OverflowError):  # unsized: read_block decides below
             size = None
         k = _KERNELS.get(size)
         if k is not None and (n is None or n == size):
@@ -369,32 +372,15 @@ def fast_dht(v, n: int | None = None) -> np.ndarray:
                 out = c(v)
                 if out is not NotImplemented:
                     return out
-    a = np.asarray(v, dtype=float)
-    if n is None:
-        if a.ndim != 1:
-            raise UnsupportedLengthError(
-                f"signal must be 1-D, got shape {a.shape}"
-            )
-        n = a.size
-    check_size(n)
-    if a.shape != (n,):
-        raise UnsupportedLengthError(
-            f"signal has shape {a.shape}, expected ({n},); "
-            f"fast kernels exist for lengths {', '.join(map(str, SUPPORTED_SIZES))}"
-        )
-    k = _KERNELS.get(n)
-    if k is None or k.flow is not _FLOWS[n] or k.spec is not LAYER_SPECS[n]:
-        k = _kernel(n)
+    vals = read_block(v, n)
+    k = _kernel(len(vals))
     if k.c is not None:
-        return k.c(a)
-    vals = a.tolist()
-    if not all_finite(vals):
-        raise ValueError("signal contains non-finite samples")
+        return k.c(vals)
     # Unlocked: each call compares the count it wrote, so racing calls may
     # lose a count or start a second thread, which then finds the module
     # loaded under mindht._cgen's lock, but never skip the threshold.
     calls = k.calls = k.calls + 1
     if calls == COMPILE_AFTER:
         threading.Thread(target=_load_c_block, args=(k,), daemon=True,
-                         name=f"mindht-compile-n{n}").start()
+                         name=f"mindht-compile-n{len(vals)}").start()
     return np.array(k.fn(vals))

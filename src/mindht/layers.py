@@ -14,6 +14,10 @@ A row op is one of
     ("sub",  i, j)  previous[i] - previous[j]
 
 Layer 0 is always the input signal itself.
+
+This module also holds the Python side of the one-block contract:
+``check_size`` for a block length, ``all_finite`` for the samples and
+``read_block``, which every Python reader of one block goes through.
 """
 
 from __future__ import annotations
@@ -28,7 +32,9 @@ __all__ = [
     "LAYER_SPECS",
     "UnsupportedLengthError",
     "check_size",
+    "check_order",
     "all_finite",
+    "read_block",
     "max_order",
     "LayerState",
     "apply_layer",
@@ -68,6 +74,36 @@ def all_finite(vals: list) -> bool:
     each sample.  The answer is exactly that of ``np.isfinite(a).all()``.
     """
     return cmath.isfinite(sum(vals)) or all(map(cmath.isfinite, vals))
+
+
+def read_block(v, n: int | None = None) -> list[float]:
+    """The samples of one block of a supported length, as Python floats.
+
+    This is the Python side of the one-block contract, the twin of the C
+    ``read_block`` (mindht._cgen): ``kernels.fast_dht`` reads with it
+    whatever its C ``block`` declines, and ``pre_addition_state`` and
+    ``counting.run_counted`` read every input with it.  v is converted once,
+    ``np.asarray(v, dtype=float)``.  Omitted, n is the size of v, which must
+    be 1-D; given, n must pass ``check_size`` and v must have shape (n,).
+    Both errors are UnsupportedLengthError.  A sample that is inf or nan
+    raises ``ValueError("signal contains non-finite samples")``, the C
+    reader's error.  The list returned is what the C reader takes in place.
+    """
+    a = np.asarray(v, dtype=float)
+    if n is None:
+        if a.ndim != 1:
+            raise UnsupportedLengthError(f"signal must be 1-D, got shape {a.shape}")
+        n = a.size
+    check_size(n)
+    if a.shape != (n,):
+        raise UnsupportedLengthError(
+            f"signal has shape {a.shape}, expected ({n},); "
+            f"fast kernels exist for lengths {', '.join(map(str, SUPPORTED_SIZES))}"
+        )
+    vals = a.tolist()
+    if not all_finite(vals):
+        raise ValueError("signal contains non-finite samples")
+    return vals
 
 
 def _butterflies(*pairs):
@@ -143,6 +179,21 @@ def max_order(n: int) -> int:
     return len(LAYER_SPECS[check_size(n)])
 
 
+def check_order(n: int, order, first: int = 0) -> int:
+    """Return order if it is a layer order of length n, first to max_order(n).
+
+    An order is an integer by ``check_size``'s rule, an int or NumPy
+    integer, so 1.0, "1" and True are refused with ValueError like an order
+    out of range.
+    """
+    last = max_order(n)
+    if not ((type(order) is int or isinstance(order, np.integer)) and first <= order <= last):
+        raise ValueError(
+            f"layer order {order!r} invalid for N={n}; valid orders are {first}..{last}"
+        )
+    return order
+
+
 @dataclass(frozen=True)
 class LayerState:
     """State vector S(order) of a kernel's pre-addition cascade."""
@@ -181,19 +232,9 @@ def cascade(specs, values) -> list:
 def pre_addition_state(v, n: int, order: int) -> LayerState:
     """Return S(order) for the length-n kernel applied to signal v.
 
-    Order 0 is the input itself; higher orders follow the layer listings
-    for that block length.
+    v is read by ``read_block``.  Order 0 is the input itself; higher
+    orders follow the layer listings for that block length.
     """
-    check_size(n)
-    a = np.asarray(v, dtype=float)
-    if a.shape != (n,):
-        raise UnsupportedLengthError(
-            f"signal has shape {a.shape}, expected ({n},) for this kernel"
-        )
-    specs = LAYER_SPECS[n]
-    if not 0 <= order <= len(specs):
-        raise ValueError(
-            f"layer order {order} invalid for N={n}; valid orders are 0..{len(specs)}"
-        )
-    values = cascade(specs[:order], list(a))[-1]
+    vals = read_block(v, check_size(n))  # n is required: read_block takes None as len(v)
+    values = cascade(LAYER_SPECS[n][:check_order(n, order)], vals)[-1]
     return LayerState(n=n, order=order, values=np.array(values))

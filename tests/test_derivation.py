@@ -1,6 +1,7 @@
 """Derivation machinery: residual matrices, balancing, plan verification."""
 
 import math
+import re
 import sys
 import threading
 import time
@@ -52,6 +53,18 @@ def test_matrix_matches_state(n):
         assert p @ v == pytest.approx(pre_addition_state(v, n, order).values)
         assert p.dtype == np.int64
         assert np.max(np.abs(p)) <= 2
+
+
+def test_matrices_reject_bad_order():
+    residual_matrix(8, 1)  # a cached T(1) must not answer for order 1.0
+    for call, first in ((pre_addition_matrix, 0), (residual_matrix, 0), (layer_matrix, 1)):
+        for order in (1.5, 1.0, "1", True, np.float64(1), first - 1, 3):  # check_size's rule
+            with pytest.raises(ValueError, match=re.escape(
+                    f"layer order {order!r} invalid for N=8; valid orders are {first}..2")):
+                call(8, order)
+    assert pre_addition_matrix(8, np.int64(1)) is pre_addition_matrix(8, 1)
+    assert residual_matrix(8, np.int64(1)) is residual_matrix(8, 1)
+    assert np.array_equal(layer_matrix(8, np.int64(1)), layer_matrix(8, 1))
 
 
 def test_matrix_order_zero_is_identity():

@@ -5,6 +5,7 @@ import cmath
 import functools
 import math
 import os
+import re
 import subprocess
 import sys
 import sysconfig
@@ -202,7 +203,12 @@ def expect_block(name, n):
 
 
 @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
-@pytest.mark.parametrize("call", [fast_dht, fast_dht8])
+@pytest.mark.parametrize(
+    "call",
+    [fast_dht, fast_dht8, lambda v: pre_addition_state(v, 8, 2),
+     lambda v: counting.run_counted(8, v)],
+    ids=["fast_dht", "fast_dht8", "pre_addition_state", "run_counted"],
+)
 def test_non_finite_rejected_at_every_position(call, bad):
     for i in range(8):
         v = np.ones(8)
@@ -233,6 +239,16 @@ def test_finite_input_with_overflowing_sum_accepted(v, monkeypatch):
             # the C block checks each sample in C and calls no Python isfinite
             assert len(calls) == (0 if uses_c_block(8) else 1 + 8)
             assert out.tobytes() == _frozen_fast_dht(v, 8).tobytes()
+
+
+def test_layer_state_of_an_overflowing_block_warns_no_more_than_fast_dht():
+    v = np.full(8, 1e308)  # finite samples whose sums overflow
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        fast_dht(v)
+        state = pre_addition_state(v, 8, 2).values
+    want = layers.cascade(LAYER_SPECS[8], v.tolist())[-1]  # the same IEEE sums on floats
+    assert state.tobytes() == np.array(want).tobytes()
 
 
 _LENGTHS = "fast kernels exist for lengths 4, 8, 12, 24"
@@ -939,7 +955,7 @@ def test_c_block_rejects_non_finite_samples(n):
     for path in ONE_BLOCK_PATHS:
         with one_block_path(path), pytest.MonkeyPatch.context() as mp:
             if uses_c_block(n):  # then only C may raise
-                mp.setattr(kernels, "all_finite", None)
+                mp.setattr(kernels, "read_block", None)
             for i in range(n):
                 for bad in (np.inf, -np.inf, np.nan):
                     v = np.ones(n)
@@ -1004,23 +1020,34 @@ def test_c_block_refuses_wrong_buffers():
         assert type(out) is np.ndarray and out.tobytes() == want
 
 
-def one_block_outcome(*args):
-    """fast_dht's result bytes, or its exception's type and message."""
+def one_block_outcome(*args, call=fast_dht):
+    """call's result bytes (fast_dht's by default), or its exception's type and message."""
     try:
-        out = fast_dht(*args)
+        out = call(*args)
     except Exception as e:
         return type(e), str(e)
     return out.dtype, out.shape, out.tobytes()
 
 
+def read_block_outcomes(v, n=8):
+    """What run_counted and pre_addition_state make of (v, n), as fast_dht's
+    outcome: the spectrum run_counted counts, and fast_dht of the floats
+    pre_addition_state reads as its order-0 state."""
+    return (
+        one_block_outcome(v, call=lambda v: counting.run_counted(n, v)[0]),
+        one_block_outcome(v, call=lambda v: fast_dht(pre_addition_state(v, n, 0).values)),
+    )
+
+
 @contextmanager
 def c_takes_lists(n):
-    """Under the C block, make any use of NumPy in mindht.kernels fail, so a call
-    that still succeeds (or raises a ValueError) went to C on the raw list."""
+    """Under the C block, make any use of NumPy or of the Python reader in
+    mindht.kernels fail, so a call that still succeeds (or raises a
+    ValueError) went to C on the raw list."""
     with pytest.MonkeyPatch.context() as mp:
         if uses_c_block(n):
             mp.setattr(kernels, "np", None)
-            mp.setattr(kernels, "all_finite", None)
+            mp.setattr(kernels, "read_block", None)
         yield
 
 
@@ -1100,6 +1127,10 @@ def test_inputs_the_c_block_does_not_take_get_the_same_result_or_error():
             got[path] = {name: one_block_outcome(*args) for name, args in cases.items()}
     assert got["c"] == got["python"]
     today = got["python"]
+    with one_block_path("python"):  # the Python reader takes each block the same way
+        for name, args in cases.items():
+            v, n = (*args, 8)[:2]
+            assert read_block_outcomes(v, n) == (one_block_outcome(v, n),) * 2, name
     assert today["ints"] == one_block_outcome(np.array(cases["ints"][0], float))
     assert today["bools"] == one_block_outcome(np.array(cases["bools"][0], float))
     assert today["numeric strings"] == one_block_outcome(np.array(strings, float))
@@ -1476,6 +1507,12 @@ def test_state_rejects_bad_order():
         pre_addition_state(np.zeros(4), 4, 1)
     with pytest.raises(ValueError):
         pre_addition_state(np.zeros(12), 12, -1)
+    for order in (1.5, 1.0, "1", True, np.float64(1)):  # check_size's integer rule
+        with pytest.raises(ValueError, match=re.escape(f"layer order {order!r} invalid for N=8")):
+            pre_addition_state(np.zeros(8), 8, order)
+    v = np.arange(8.0)
+    assert pre_addition_state(v, 8, np.int64(1)).values.tobytes() == (
+        pre_addition_state(v, 8, 1).values.tobytes())
 
 
 def test_state_rejects_bad_length():
