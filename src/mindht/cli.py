@@ -1,6 +1,6 @@
 """Command-line front end.
 
-Subcommands: transform, inverse, dft, verify, count, derive, bench.
+Subcommands: transform, inverse, dft, verify, count, derive.
 Exit codes are stable across subcommands:
 
     0  success
@@ -18,15 +18,14 @@ import argparse
 import functools
 import json
 import sys
-import time
 
 import numpy as np
 
 from .counting import audit_dict, audit_passes, audit_report, audit_table
 from .derivation import balance_stages, pre_addition_matrix, verify_decomposition
 from .io import SignalParseError, read_signal, write_complex, write_signal
-from .kernels import fast_dht, kernel_flow
-from .layers import SUPPORTED_SIZES, UnsupportedLengthError, max_order
+from .kernels import fast_dht
+from .layers import SUPPORTED_SIZES, UnsupportedLengthError, check_order, max_order
 from .reference import dht_matrix, dht_to_dft, naive_dht, naive_idht
 
 EXIT_OK = 0
@@ -36,7 +35,6 @@ EXIT_USAGE = 3
 
 DEFAULT_SEED = 2024
 VERIFY_TOL_PER_N = 1e-10  # scaled by N; inputs are drawn uniform in [-1, 1]
-BENCH_BLOCKS = 4096  # columns of the (n, B) batch that bench times on the array path
 
 
 class _Parser(argparse.ArgumentParser):
@@ -91,6 +89,9 @@ def _cmd_dft(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    if args.trials < 1:
+        print("error: --trials must be >= 1", file=sys.stderr)
+        return EXIT_USAGE
     results = []
     status = EXIT_OK
     for n in SUPPORTED_SIZES:
@@ -139,112 +140,75 @@ def _cmd_count(args) -> int:
     return EXIT_OK if ok else EXIT_FAIL
 
 
-def _describe_layer(n: int, order: int, alpha: tuple[float, ...], machine: bool):
-    if machine:
-        return {
-            "order": order,
-            "pre_addition_matrix": pre_addition_matrix(n, order).tolist(),
-            "alphabet": list(alpha),
-        }
-    lines = [f"layer {order}: residual alphabet {tuple(round(a, 12) for a in alpha)}"]
-    lines.append(f"  pre-addition matrix P[{order}]:")
-    for row in pre_addition_matrix(n, order):
-        lines.append("    " + " ".join(f"{x:>2d}" for x in row))
+def _derive_doc(n: int, orders) -> dict:
+    """The derivation of length n's kernel at the given layer orders.
+
+    This is the document `derive --format machine` prints; the text form is
+    rendered from it.
+    """
+    report = verify_decomposition(n)
+    stages, _ = balance_stages(n)
+    return {
+        "n": n,
+        "layers": [
+            {
+                "order": k,
+                "pre_addition_matrix": pre_addition_matrix(n, k).tolist(),
+                "alphabet": list(report.alphabets[k]),
+            }
+            for k in orders
+        ],
+        "special_additions": [
+            {
+                "source_layer": z.source_order,
+                "entries": {str(r): [s, i] for r, (s, i) in sorted(z.entries.items())},
+            }
+            for z in stages
+        ],
+        "multiplication_sites": [
+            {"constant": site.label, "value": site.value, "operand": site.operand_text()}
+            for site in report.mult_sites
+        ],
+        "reconstruction_ok": report.ok,
+        "max_reconstruction_error": report.max_error,
+        "scheduled_additions": report.additions_scheduled,
+        "scheduled_multiplications": report.multiplications_scheduled,
+    }
+
+
+def _derive_text(doc: dict) -> str:
+    lines = [f"derivation for N={doc['n']}"]
+    for layer in doc["layers"]:
+        k, alpha = layer["order"], tuple(round(a, 12) for a in layer["alphabet"])
+        lines += [f"layer {k}: residual alphabet {alpha}", f"  pre-addition matrix P[{k}]:"]
+        for row in layer["pre_addition_matrix"]:
+            lines.append("    " + " ".join(f"{x:>2d}" for x in row))
+    for z in doc["special_additions"]:
+        k = z["source_layer"]
+        lines.append(f"special additions (layer-{k} values):")
+        for r, (s, i) in z["entries"].items():
+            lines.append(f"  V[{r}] <- {'+' if s > 0 else '-'}S{k}[{i}]")
+    lines.append("multiplication sites:")
+    lines += [f"  {m['constant']} * [{m['operand']}]" for m in doc["multiplication_sites"]]
+    ok = "ok" if doc["reconstruction_ok"] else "FAILED"
+    lines += [
+        f"schedule: {doc['scheduled_additions']} additions, "
+        f"{doc['scheduled_multiplications']} multiplications",
+        f"reconstruction {ok} (max deviation {doc['max_reconstruction_error']:.3e})",
+    ]
     return "\n".join(lines)
 
 
 def _cmd_derive(args) -> int:
     n = args.n
-    orders = [args.layer] if args.layer is not None else list(range(max_order(n) + 1))
-    if args.layer is not None and not 0 <= args.layer <= max_order(n):
-        print(f"error: layer {args.layer} invalid for N={n}", file=sys.stderr)
+    try:
+        orders = range(max_order(n) + 1) if args.layer is None else [check_order(n, args.layer)]
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    report = verify_decomposition(n)
-    stages, _ = balance_stages(n)
-    if args.format == "machine":
-        doc = {
-            "n": n,
-            "layers": [_describe_layer(n, k, report.alphabets[k], True) for k in orders],
-            "special_additions": [
-                {
-                    "source_layer": z.source_order,
-                    "entries": {str(r): [s, i] for r, (s, i) in sorted(z.entries.items())},
-                }
-                for z in stages
-            ],
-            "multiplication_sites": [
-                {"constant": site.label, "value": site.value, "operand": site.operand_text()}
-                for site in report.mult_sites
-            ],
-            "reconstruction_ok": report.ok,
-            "max_reconstruction_error": report.max_error,
-            "scheduled_additions": report.additions_scheduled,
-            "scheduled_multiplications": report.multiplications_scheduled,
-        }
-        print(json.dumps(doc, sort_keys=True))
-    else:
-        print(f"derivation for N={n}")
-        for k in orders:
-            print(_describe_layer(n, k, report.alphabets[k], False))
-        for z in stages:
-            print(f"special additions (layer-{z.source_order} values):")
-            for line in z.describe():
-                print("  " + line)
-        print("multiplication sites:")
-        for site in report.mult_sites:
-            print(f"  {site.label} * [{site.operand_text()}]")
-        print(
-            f"schedule: {report.additions_scheduled} additions, "
-            f"{report.multiplications_scheduled} multiplications"
-        )
-        print(
-            f"reconstruction {'ok' if report.ok else 'FAILED'} "
-            f"(max deviation {report.max_error:.3e})"
-        )
-    return EXIT_OK if report.ok else EXIT_FAIL
-
-
-def _cmd_bench(args) -> int:
-    reps = args.reps
-    if reps == 1:
-        print("note: single-sample timings, low confidence")
-    print(
-        "wall time of this Python implementation, informational only; "
-        "the audited quantity is the operation count (see `count`)"
-    )
-    rng = np.random.default_rng(DEFAULT_SEED)
-    for n in SUPPORTED_SIZES:
-        v = rng.uniform(-1.0, 1.0, n)
-        fast_times, naive_times = [], []
-        for _ in range(reps):
-            t0 = time.perf_counter()
-            fast_dht(v)
-            fast_times.append(time.perf_counter() - t0)
-            t0 = time.perf_counter()
-            naive_dht(v)
-            naive_times.append(time.perf_counter() - t0)
-        print(
-            f"N={n:>2}  fast median {np.median(fast_times) * 1e6:8.2f} us"
-            f"  naive median {np.median(naive_times) * 1e6:8.2f} us"
-            f"  ({reps} reps)"
-        )
-    from ._cgen import backend  # not at module level: only bench needs the C backend
-
-    for n in SUPPORTED_SIZES:
-        x = rng.uniform(-1.0, 1.0, (n, BENCH_BLOCKS))
-        kernel = kernel_flow(n)
-        kernel(x)  # the first array call compiles and loads the C kernel
-        times = []
-        for _ in range(reps):
-            t0 = time.perf_counter()
-            kernel(x)
-            times.append(time.perf_counter() - t0)
-        print(
-            f"array n={n:>2}  backend {backend(n):<6}  median "
-            f"{np.median(times) / BENCH_BLOCKS * 1e9:8.2f} ns/block"
-            f"  ({BENCH_BLOCKS} blocks, {reps} reps)"
-        )
-    return EXIT_OK
+    doc = _derive_doc(n, orders)
+    print(json.dumps(doc, sort_keys=True) if args.format == "machine" else _derive_text(doc))
+    return EXIT_OK if doc["reconstruction_ok"] else EXIT_FAIL
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -294,10 +258,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--format", choices=("text", "machine"), default="text")
     p.set_defaults(func=_cmd_derive)
 
-    p = sub.add_parser("bench", help="wall-time comparison, informational only")
-    p.add_argument("--reps", type=int, default=1000, help="repetitions per kernel")
-    p.set_defaults(func=_cmd_bench)
-
     return parser
 
 
@@ -312,9 +272,6 @@ def main(argv=None) -> int:
         args = _parser().parse_args(argv)
     except SystemExit as exc:  # --help, or a usage error remapped to 3
         return int(exc.code or 0)
-    if getattr(args, "trials", 1) < 1 or getattr(args, "reps", 1) < 1:
-        print("error: trial/repetition counts must be >= 1", file=sys.stderr)
-        return EXIT_USAGE
     try:
         return args.func(args)
     except SystemExit as exc:  # file errors raised deep in helpers

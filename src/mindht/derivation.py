@@ -68,7 +68,7 @@ __all__ = [
 ]
 
 RECONSTRUCTION_TOL = 1e-10
-ALPHABET_TOL = 1e-9  # default tol of entry_alphabet and of balancing
+ALPHABET_TOL = 1e-9  # default tol of entry_alphabet and balance_split
 
 
 class DerivationError(ValueError):
@@ -277,27 +277,26 @@ def balance_split(t: ResidualMatrix, tol: float = ALPHABET_TOL):
     )
 
 
-def balance_stages(n: int, tol: float = ALPHABET_TOL):
+def balance_stages(n: int):
     """Run the full balancing pipeline for one kernel.
 
     Balancing peels one special-addition vector at each source layer of the
-    plan's special stages.  Returns (stages, terminal) where stages is the
-    list of special-addition vectors in the order they are peeled and
-    terminal is the balanced residual at the deepest layer.  The result at
-    the default tol is cached with the kernel's derivation: each call gets
-    its own list, and the terminal's entries are read-only.
+    plan's special stages, splitting at ``balance_split``'s default tol.
+    Returns (stages, terminal) where stages is the list of special-addition
+    vectors in the order they are peeled and terminal is the balanced
+    residual at the deepest layer.  The result is cached with the kernel's
+    derivation: each call gets its own list, and the terminal's entries are
+    read-only.
     """
-    if tol != ALPHABET_TOL:
-        return _balance(n, tol)
     rec = _record(n)
     with rec.lock:
         if rec.balance is None:
-            rec.balance = _balance(n, tol)
+            rec.balance = _balance(n)
     stages, terminal = rec.balance
     return list(stages), terminal
 
 
-def _balance(n: int, tol: float):
+def _balance(n: int):
     transitions = tuple(z.source_order for z in kernel_plan(n).special_stages)
     order = min(transitions) if transitions else max_order(n)
     t = residual_matrix(n, order)
@@ -305,7 +304,7 @@ def _balance(n: int, tol: float):
     for k in transitions:
         if t.order != k:
             raise DerivationError(f"pipeline out of step: at order {t.order}, expected {k}")
-        z, t_bal = balance_split(t, tol=tol)
+        z, t_bal = balance_split(t)
         stages.append(z)
         entries = t_bal.entries @ _exact_inverse(layer_matrix(n, k + 1))
         t = ResidualMatrix(n=n, order=k + 1, entries=_frozen(entries))

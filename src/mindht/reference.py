@@ -106,10 +106,12 @@ def dht_matrix(n: int) -> np.ndarray:
     """Return the n x n Hartley kernel matrix with entries cas(2*pi*i*k/n).
 
     Satisfies dht_matrix(n) @ dht_matrix(n) == n * I (the transform is an
-    involution up to scale).
+    involution up to scale).  n is an integer by ``layers.check_size``'s
+    rule, an int or NumPy integer: a bool, a float (4.0 too) or a string is
+    refused with ValueError like an n below 1.
     """
-    if n < 1:
-        raise ValueError(f"matrix order must be >= 1, got {n}")
+    if not ((type(n) is int or isinstance(n, np.integer)) and n >= 1):
+        raise ValueError(f"matrix order must be an integer >= 1, got {n!r}")
     return _dht_kernel(n).copy()
 
 
