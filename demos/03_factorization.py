@@ -36,8 +36,8 @@ t2 = residual_matrix(12, 2)
 print("N=12 T(2) alphabet:", tuple(round(a, 6) for a in entry_alphabet(t2)))
 z, balanced = balance_split(t2)
 print("special additions peeled off T(2):")
-for line in z.describe():
-    print("  ", line)
+for row, (sign, idx) in sorted(z.entries.items()):
+    print(f"   V[{row}] <- {'+' if sign > 0 else '-'}S{z.source_order}[{idx}]")
 print("balanced alphabet: ", tuple(round(a, 6) for a in entry_alphabet(balanced)))
 print()
 

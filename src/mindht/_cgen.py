@@ -96,7 +96,7 @@ from pathlib import Path
 import numpy as np
 
 from .kernels import _UNTRIED, _kernel
-from .layers import check_size
+from .layers import UnsupportedLengthError, check_size
 from .reference import _dft_bridge
 
 # Columns per block of ``batch``.  At N = 24 the 86 vector values of a block
@@ -499,18 +499,28 @@ def _loaded(k):
 
 
 def run(n: int, x: np.ndarray) -> np.ndarray:
-    """``kernel_flow(n)(x)`` for an ndarray x with ndim >= 2."""
+    """``kernel_flow(n)(x)`` for an ndarray x with ndim >= 2: the one batch router.
+
+    The (n, ...) batch is viewed as (n, B) columns and run by C ``batch`` if
+    it is native, aligned float64 with strides in whole elements and the
+    module loads, else by the replay; the float64 result takes x's shape.
+    """
     k = _kernel(check_size(n))
     prog = k.prog
-    if x.dtype == _F64 and x.shape[0] == n:
-        cols = x.reshape(n, -1)
-        if cols.flags.aligned and not (cols.strides[0] % 8 or cols.strides[1] % 8):
-            module = _loaded(k)
-            if module is not None:
-                out = np.empty((prog.n_outputs, cols.shape[1]))
-                module.batch(cols, out)
-                return out.reshape(prog.n_outputs, *x.shape[1:])
-    return prog(x)
+    if x.shape[0] != n:
+        raise UnsupportedLengthError(
+            f"batch has shape {x.shape}, expected ({n}, ...): "
+            "axis 0 holds the samples of each block"
+        )
+    cols = x.reshape(n, -1)
+    if (cols.dtype == _F64 and cols.flags.aligned
+            and not (cols.strides[0] % 8 or cols.strides[1] % 8)
+            and (module := _loaded(k)) is not None):
+        out = np.empty((prog.n_outputs, cols.shape[1]))
+        module.batch(cols, out)
+    else:
+        out = prog(cols)
+    return out.reshape(prog.n_outputs, *x.shape[1:])
 
 
 def backend(n: int) -> str:

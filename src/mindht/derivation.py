@@ -205,16 +205,6 @@ class SpecialAdditionVector:
             z[row, idx] = sign
         return z
 
-    def describe(self) -> list[str]:
-        out = []
-        for row in range(self.n):
-            if row in self.entries:
-                sign, idx = self.entries[row]
-                out.append(
-                    f"V[{row}] <- {'+' if sign > 0 else '-'}S{self.source_order}[{idx}]"
-                )
-        return out
-
 
 def merge_pairs(n: int, order: int) -> list[tuple[int, int]]:
     """Slot pairs of S(order-1) that layer `order` combines with butterflies."""

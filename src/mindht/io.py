@@ -26,12 +26,6 @@ class SignalParseError(ValueError):
     """A signal file could not be parsed; carries the offending location."""
 
 
-def _format(format: str | None, path) -> str:
-    if format is not None:
-        return format
-    return "csv" if Path(path).suffix.lower() == ".csv" else "text"
-
-
 def _parse_real(token: str, path, where: str) -> float:
     try:
         x = float(token)
@@ -42,9 +36,12 @@ def _parse_real(token: str, path, where: str) -> float:
     return x
 
 
-def read_signal(path, format: str | None = None) -> tuple[np.ndarray, str]:
-    """Read a real signal from a file; returns (samples, format)."""
-    fmt = _format(format, path)
+def read_signal(path) -> tuple[np.ndarray, str]:
+    """Read a real signal from a file; returns (samples, format).
+
+    The format is ``"csv"`` for a ``.csv`` extension (any case), else ``"text"``.
+    """
+    fmt = "csv" if Path(path).suffix.lower() == ".csv" else "text"
     text = Path(path).read_text()
     values: list[float] = []
     if fmt == "csv":

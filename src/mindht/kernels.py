@@ -295,8 +295,9 @@ def kernel_flow(n: int):
     Every call runs the kernel's one program, ``counting.trace(n)``.  On an
     ndarray with ndim >= 2, the n samples of each block along axis 0, it
     runs as generated C on float64 input (mindht._cgen), else replayed over
-    column chunks (mindht.replay), and returns one ndarray of shape (n, ...)
-    and dtype ``np.result_type(x, float)``; the input is never written to.
+    column chunks (mindht.replay) on its values converted to float64, and
+    returns one float64 ndarray of shape (n, ...); the input is never
+    written to.
     Any other input (a list, scalars, counting scalars, a 1-D array) runs the
     program as a Python function and gets its list back.  Both paths do the
     same IEEE operations in the same order, so each column equals the

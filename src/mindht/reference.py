@@ -220,12 +220,16 @@ def walsh_hadamard(v, order: int | None = None) -> np.ndarray:
     """Unnormalized Walsh-Hadamard transform (Sylvester ordering).
 
     Computed as log2(n) stages of 2-point butterflies, additions only.
-    `order`, when given, must equal the signal length and be a power of two.
+    `order`, when given, must equal the signal length and be a power of two,
+    and be an integer by ``check_size``'s rule: an int or NumPy integer, so
+    4.0, "4" and True are refused.
     """
     a = _as_signal(v)
     n = a.size
-    if order is not None and order != n:
-        raise ValueError(f"signal length {n} does not match transform order {order}")
+    if order is not None and not (
+        (type(order) is int or isinstance(order, np.integer)) and order == n
+    ):
+        raise ValueError(f"transform order {order!r} must be the integer signal length {n}")
     if n & (n - 1):
         raise ValueError(f"Walsh-Hadamard order must be a power of two, got {n}")
     out = a.copy()

@@ -4,16 +4,17 @@
 becomes one in-place ufunc call, run chunk by chunk over CHUNK_COLUMNS
 columns so the intermediates of a chunk stay in cache, where running a flow
 over whole rows would allocate and stream one temporary row per operation.
-The schedule (``ops``, ``consts``, ``n_regs``) is what the replay runs on
-arrays the C kernels do not take (another dtype, odd strides, no working
-compiler), what mindht._cgen turns into the two entry points of one C
-extension module per length (``block`` for one block, ``batch`` for
-arrays), and what ``_emit`` turns into a straight-line Python function for
-one block (``kernels.kernel_flow(n)`` on anything but an ndarray with
-ndim >= 2, and ``fast_dht`` until its length's module is loaded, by an
-array call or on a background thread after ``kernels.COMPILE_AFTER``
-calls, or whenever no module loads).  All of them do the same IEEE operations on the same
-operands in the same order, so they agree bit for bit.  The schedule and
+The schedule (``ops``, ``consts``, ``n_regs``) is what the replay runs, in
+float64, on the batches ``mindht._cgen.run`` does not hand to C (another
+dtype, odd strides, no working compiler), what mindht._cgen turns into two
+entry points of one C extension module per length (``block`` for one block,
+``batch`` for arrays), and what ``_emit`` turns into a straight-line Python
+function for one block (``kernels.kernel_flow(n)`` on anything but an
+ndarray with ndim >= 2, and ``fast_dht`` until its length's module is
+loaded, by an array call or on a background thread after
+``kernels.COMPILE_AFTER`` calls, or whenever no module loads).  All of them
+do the same IEEE operations on the same operands in the same order, so they
+agree bit for bit.  The schedule and
 the function are made once per kernel record (``kernels._KERNELS``), with
 its trace.  Imported on the first kernel call or trace, not with mindht.
 """
@@ -26,7 +27,7 @@ import numpy as np
 
 from .counting import OpTally
 from .kernels import _kernel
-from .layers import UnsupportedLengthError, check_size
+from .layers import check_size
 
 # Columns per chunk of the array path.  At N = 24 one chunk's 38 register
 # rows take 2.4 MiB, inside a 4 MiB L2; the chunk-size sweep that picked the
@@ -45,13 +46,8 @@ class _Program:
     chunk: the input row views, the output row views, the constants, then
     the register row views.  A register row is released at its value's last
     use, so a node may overwrite its own operand; an output node is written
-    straight into its row of the result.
-
-    Register buffers (n_regs x CHUNK_COLUMNS) outlive the call: allocating
-    one per call made large batches about 13% slower in the bulk benchmark.
-    A call takes a spare buffer of its dtype, or allocates one, and hands it
-    back when done, so concurrent calls never share one.  Every register row
-    is written before it is read, so old contents never reach a result.
+    straight into its row of the result.  A call allocates its own register
+    buffer, so concurrent calls share nothing.
     """
 
     def __init__(self, n: int, traced: OpTally):
@@ -99,7 +95,6 @@ class _Program:
         self.n_regs = n_regs
         self.consts = list(consts)
         self.ops = [(f, *(base[kind] + i for kind, i in args)) for f, *args in ops]
-        self._spare: dict[np.dtype, list[np.ndarray]] = {}
 
     def statements(self, const) -> list[str]:
         """Each op as ``o = a + b`` over rows x0.., y0.., r0.., constant c as const(c)."""
@@ -107,34 +102,22 @@ class _Program:
         names += [const(c) for c in self.consts] + [f"r{i}" for i in range(self.n_regs)]
         return [f"{names[o]} = {names[a]} {_SYMBOLS[f]} {names[b]}" for f, a, b, o in self.ops]
 
-    def __call__(self, x: np.ndarray) -> np.ndarray:
-        if x.shape[0] != self.n:
-            raise UnsupportedLengthError(
-                f"batch has shape {x.shape}, expected ({self.n}, ...): "
-                "axis 0 holds the samples of each block"
-            )
-        dtype = np.result_type(x, float)
-        cols = x.reshape(self.n, -1)
+    def __call__(self, cols: np.ndarray) -> np.ndarray:
+        """The (n_outputs, B) float64 result of (n, B) columns, the twin of C ``batch``.
+
+        Each chunk is converted as ``layers.read_block`` converts a block,
+        ``astype(float, copy=False)``.
+        """
         width = cols.shape[1]
-        out = np.empty((self.n_outputs, width), dtype)
-        spare = self._spare.setdefault(dtype, [])
-        try:
-            regs = spare.pop()
-        except IndexError:
-            regs = np.empty((self.n_regs, CHUNK_COLUMNS), dtype)
-        try:
-            step = regs.shape[1]
-            for c0 in range(0, width, step):
-                c1 = min(c0 + step, width)
-                chunk = cols[:, c0:c1]
-                if chunk.dtype != dtype:
-                    chunk = chunk.astype(dtype)
-                v = [*chunk, *out[:, c0:c1], *self.consts, *regs[:, : c1 - c0]]
-                for f, a, b, o in self.ops:
-                    f(v[a], v[b], v[o])
-        finally:
-            spare.append(regs)
-        return out.reshape(self.n_outputs, *x.shape[1:])
+        out = np.empty((self.n_outputs, width))
+        regs = np.empty((self.n_regs, min(width, CHUNK_COLUMNS)))
+        for c0 in range(0, width, CHUNK_COLUMNS):
+            c1 = min(c0 + CHUNK_COLUMNS, width)
+            chunk = cols[:, c0:c1].astype(float, copy=False)
+            v = [*chunk, *out[:, c0:c1], *self.consts, *regs[:, : c1 - c0]]
+            for f, a, b, o in self.ops:
+                f(v[a], v[b], v[o])
+        return out
 
 
 def _emit(prog: _Program):

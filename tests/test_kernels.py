@@ -401,19 +401,34 @@ def test_array_path_layouts(n):
                 assert np.array_equal(x, before)
 
 
+def recorded(call):
+    """call()'s result and the set of warning classes it raised."""
+    with warnings.catch_warnings(record=True) as seen:
+        warnings.simplefilter("always")
+        result = call()
+    return result, {type(w.message) for w in seen}
+
+
 @pytest.mark.parametrize("n", SUPPORTED_SIZES)
 def test_array_path_int_and_float32_computed_in_float64(n):
+    # a batch converts as layers.read_block converts one block: a float64 result
+    # whose every column is fast_dht of that column, with the same warnings
     rng = np.random.default_rng(n + 37)
-    ints = rng.integers(-1000, 1000, (n, 300))
-    singles = rng.uniform(-1.0, 1.0, (n, 300)).astype(np.float32)
-    for x in (ints, singles):
-        before = x.copy()
+    x = rng.uniform(-1.0, 1.0, (n, 300))
+    batches = (rng.integers(-1000, 1000, (n, 300)), x.astype(np.float32), x.astype(np.float16),
+               x > 0, x.astype(">f8"), x.astype(object), x.astype(str),
+               x.astype(np.longdouble) / 3, x + 1j * x[::-1])
+    for y in batches:
+        before = y.copy()
+        want, want_warned = recorded(lambda: np.array([fast_dht(c) for c in y.T]).T)
+        assert bool(want_warned) == np.iscomplexobj(y)  # complex: ComplexWarning
         for name in BACKENDS:
             with forced(name):
-                out = kernel_flow(n)(x)
+                out, warned = recorded(lambda: kernel_flow(n)(y))
                 assert out.dtype == np.float64
-                assert np.array_equal(out, scalar_columns(n, x))
-                assert np.array_equal(x, before) and x.dtype == before.dtype
+                assert same_bits(out, want)
+                assert warned == want_warned
+                assert np.array_equal(y, before) and y.dtype == before.dtype
 
 
 def test_array_path_rejects_wrong_block_axis():
@@ -693,12 +708,10 @@ def test_inputs_the_c_kernels_do_not_take_run_the_replay(fresh_kernels, monkeypa
     packed[...] = x
     assert packed.strides[1] % 8
     for y in (unaligned, packed, x.astype(">f8"), x.astype(np.float32),
-              (1000 * x).astype(np.int64)):
+              (1000 * x).astype(np.int64), x.astype(np.longdouble)):
         out = kernel_flow(8)(y)
         assert out.dtype == np.float64
         assert same_bits(out, scalar_columns(8, np.asarray(y, float)))
-    wide = kernel_flow(8)(x.astype(np.longdouble))
-    assert wide.dtype == np.longdouble
     assert kernels._KERNELS[8].module is kernels._UNTRIED  # nothing was compiled or loaded
 
 

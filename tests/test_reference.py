@@ -1,6 +1,7 @@
 """Tests for the brute-force reference transforms and kernel identities."""
 
 import math
+import re
 import sys
 import warnings
 
@@ -337,6 +338,12 @@ def test_walsh_hadamard_rejects_bad_order():
         walsh_hadamard([1, 2, 3], 3)
     with pytest.raises(ValueError):
         walsh_hadamard([1, 2, 3, 4], 8)
+    # the order is an integer by check_size's rule: an int or NumPy integer
+    for v, order in (([1, 2, 3, 4], 4.0), ([1, 2, 3, 4], np.float64(4)), ([1, 2, 3, 4], "4"),
+                     ([1], True)):
+        with pytest.raises(ValueError, match=re.escape(f"transform order {order!r}")):
+            walsh_hadamard(v, order)
+    assert walsh_hadamard([1, 2, 3, 4], np.int64(4)).tolist() == [10, -2, -4, 0]
 
 
 def test_walsh_hadamard_matches_kronecker():
