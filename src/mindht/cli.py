@@ -22,7 +22,7 @@ import sys
 import numpy as np
 
 from .counting import audit_dict, audit_passes, audit_report, audit_table
-from .derivation import balance_stages, pre_addition_matrix, verify_decomposition
+from .derivation import _record, balance_stages, pre_addition_matrix, verify_decomposition
 from .io import SignalParseError, read_signal, write_complex, write_signal
 from .kernels import fast_dht
 from .layers import SUPPORTED_SIZES, UnsupportedLengthError, check_order, max_order
@@ -206,9 +206,18 @@ def _cmd_derive(args) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    doc = _derive_doc(n, orders)
-    print(json.dumps(doc, sort_keys=True) if args.format == "machine" else _derive_text(doc))
-    return EXIT_OK if doc["reconstruction_ok"] else EXIT_FAIL
+    # the text is made once per derivation record, layer orders and format;
+    # a replaced flow or listing gets a new record, so new text
+    rec, key = _record(n), (tuple(orders), args.format)
+    with rec.lock:
+        text = rec.texts.get(key)
+        if text is None:
+            doc = _derive_doc(n, orders)
+            text = rec.texts[key] = (
+                json.dumps(doc, sort_keys=True) if args.format == "machine" else _derive_text(doc)
+            )
+    print(text)
+    return EXIT_OK if verify_decomposition(n).ok else EXIT_FAIL
 
 
 def build_parser() -> argparse.ArgumentParser:

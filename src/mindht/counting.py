@@ -196,8 +196,12 @@ def _pruned(nodes: list[tuple], outputs: list[int], n: int) -> OpTally:
 
 
 def count_ops(n: int) -> OpCount:
-    """The operation count of the length-n kernel, counted over its trace."""
-    return trace(n).snapshot()
+    """The operation count of the length-n kernel, counted over its trace.
+
+    It is counted once per kernel record, when the trace is made, so a
+    replaced flow or listing is counted again and a repeated call is a lookup.
+    """
+    return _kernel(check_size(n)).counts
 
 
 @dataclass(frozen=True)

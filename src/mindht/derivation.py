@@ -25,8 +25,9 @@ stage back out to check the factorization reproduces H_N exactly.
 Each kernel is derived once.  The first call for N fills a derivation into
 the kernel's record (``kernels._KERNELS``), which a replaced flow or listing
 replaces; it composes P_0..P_max, and the plan, the residuals T(k), the
-balancing at the default tol and the DecompositionReport are filled into it
-on first use and read from it afterwards.  Both happen under a lock, so
+balancing at the default tol, the DecompositionReport and each text
+``mindht derive`` prints are filled into it on first use and read from it
+afterwards.  Both happen under a lock, so
 racing first calls make each of them once.
 The arrays handed out (P_k, the entries of T(k) and of the balanced
 terminal) are read-only views of that record, and the report's alphabets a
@@ -492,10 +493,12 @@ class _Derivation:
     """Everything derived about one kernel from its trace and listing.
 
     P_0..P_max are composed when the record is made, since kernel_plan needs
-    them all; the plan, the residuals T(k), the default-tol balancing and the
-    report are filled on first use, under the record's ``lock`` (reentrant,
-    since the report's fill reads the plan and the residuals), so racing
-    first uses fill each once.  Its arrays are read-only views.
+    them all; the plan, the residuals T(k), the default-tol balancing, the
+    report and the ``texts`` ``mindht derive`` prints (keyed by the tuple of
+    layer orders and the format) are filled on first use, under the
+    record's ``lock`` (reentrant, since the report's fill reads the plan and
+    the residuals, and a text's fill the report), so racing first uses fill
+    each once.  Its arrays are read-only views.
     """
 
     def __init__(self, n: int, spec: list):
@@ -504,6 +507,7 @@ class _Derivation:
         self.residuals: dict[int, ResidualMatrix] = {}
         self.balance: tuple | None = None
         self.report: DecompositionReport | None = None
+        self.texts: dict[tuple, str] = {}
         self.lock = threading.RLock()
 
 

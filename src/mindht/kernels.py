@@ -23,12 +23,13 @@ asserted exactly by the test suite.
 Everything made from a length's flow and listing lives in one record per
 length, ``_KERNELS[n]``, made under one lock on first use and again once
 ``_FLOWS[n]`` or ``LAYER_SPECS[n]`` is not the object it was made from:
-the pruned trace (``counting.trace(n)``, which every kernel call runs), its
-schedule and emitted Python function (mindht.replay), the C extension
-module (mindht._cgen, with a ``block(v)`` entry point for ``fast_dht``, a
-``dft(V)`` one for ``reference.dht_to_dft`` and a ``batch`` one for float64
-arrays, loaded on the first array call), the one-block call count and the
-derivation (mindht.derivation).  ``fast_dht`` runs the Python function for
+the pruned trace (``counting.trace(n)``, which every kernel call runs) and
+its operation counts (``counting.count_ops(n)``), its schedule and emitted
+Python function (mindht.replay), the C extension module (mindht._cgen, with
+a ``block(v)`` entry point for ``fast_dht``, a ``dft(V)`` one for
+``reference.dht_to_dft`` and a ``batch`` one for float64 arrays, loaded on
+the first array call), the one-block call count and the derivation
+(mindht.derivation).  ``fast_dht`` runs the Python function for
 the first ``COMPILE_AFTER`` calls of a length, or until an array call has
 loaded the module; the last of them starts the compile on a background
 thread.  Whichever path loads the module, ``block`` and ``dft`` are swapped
@@ -225,14 +226,14 @@ _UNTRIED = object()
 
 class _Kernel:
     """Everything made from one length's ``flow`` and listing ``spec``: the
-    pruned ``trace``, its schedule ``prog`` and emitted Python function
-    ``fn``, the C ``module``, its swapped-in ``block`` ``c`` and ``dft``
-    (both None before that; ``reference.dht_to_dft`` calls ``dft``), the
-    one-block calls ``fn`` has served, and the ``derivation``
-    mindht.derivation fills in on first use."""
+    pruned ``trace``, its operation ``counts`` (``counting.count_ops``), its
+    schedule ``prog`` and emitted Python function ``fn``, the C ``module``,
+    its swapped-in ``block`` ``c`` and ``dft`` (both None before that;
+    ``reference.dht_to_dft`` calls ``dft``), the one-block calls ``fn`` has
+    served, and the ``derivation`` mindht.derivation fills in on first use."""
 
-    __slots__ = ("flow", "spec", "trace", "prog", "fn", "module", "c", "dft", "calls",
-                 "derivation")
+    __slots__ = ("flow", "spec", "trace", "counts", "prog", "fn", "module", "c", "dft",
+                 "calls", "derivation")
 
     def __init__(self, n: int, flow, spec):
         from .counting import _trace
@@ -240,6 +241,7 @@ class _Kernel:
 
         self.flow, self.spec = flow, spec
         self.trace = _trace(n, flow)
+        self.counts = self.trace.snapshot()
         self.prog = _Program(n, self.trace)
         self.fn = _emit(self.prog)
         self.module = _UNTRIED

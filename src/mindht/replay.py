@@ -106,7 +106,10 @@ class _Program:
         """The (n_outputs, B) float64 result of (n, B) columns, the twin of C ``batch``.
 
         Each chunk is converted as ``layers.read_block`` converts a block,
-        ``astype(float, copy=False)``.
+        ``astype(float, copy=False)``, with NumPy's warning if a value
+        overflows float64.  The ops run without warnings: a chunk whose
+        result overflows gives inf or nan silently, as C ``batch`` and the
+        one-block kernels do.
         """
         width = cols.shape[1]
         out = np.empty((self.n_outputs, width))
@@ -115,8 +118,9 @@ class _Program:
             c1 = min(c0 + CHUNK_COLUMNS, width)
             chunk = cols[:, c0:c1].astype(float, copy=False)
             v = [*chunk, *out[:, c0:c1], *self.consts, *regs[:, : c1 - c0]]
-            for f, a, b, o in self.ops:
-                f(v[a], v[b], v[o])
+            with np.errstate(over="ignore", invalid="ignore"):
+                for f, a, b, o in self.ops:
+                    f(v[a], v[b], v[o])
         return out
 
 

@@ -2,12 +2,16 @@
 
 import gc
 import json
+import sys
+import threading
+import time
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from mindht import SUPPORTED_SIZES, dht_matrix, naive_dht
+from mindht import cli
 from mindht.cli import main
 from mindht.io import SignalParseError, read_signal, write_signal
 
@@ -357,20 +361,28 @@ def test_derive_single_layer(capsys):
     assert "layer 2" in out and "layer 1" not in out
 
 
+def _golden(name):
+    return (Path(__file__).parent / "data" / name).read_text()
+
+
 @pytest.mark.parametrize("fmt", ("machine", "text"))
 @pytest.mark.parametrize("n", (8, 12, 24))
-def test_derive_output_matches_golden(capsys, n, fmt):
+def test_derive_output_matches_golden(capsys, monkeypatch, n, fmt):
     # tests/data/derive_n{n}_{fmt}.txt holds the stdout of the Fraction
-    # Gauss-Jordan derivation; every alphabet and residual bit must survive
-    golden = (Path(__file__).parent / "data" / f"derive_n{n}_{fmt}.txt").read_text()
-    code, out, _ = run(capsys, "derive", "--n", str(n), "--format", fmt)
-    assert code == 0
-    assert out == golden
+    # Gauss-Jordan derivation; every alphabet and residual bit must survive.
+    # The first call on a fresh derivation makes the text, the later ones
+    # print the text kept in the record
+    from mindht import kernels
+
+    monkeypatch.setattr(kernels._kernel(n), "derivation", None)
+    golden = _golden(f"derive_n{n}_{fmt}.txt")
+    for _ in range(3):
+        assert run(capsys, "derive", "--n", str(n), "--format", fmt) == (0, golden, "")
 
 
 def test_second_derive_composes_no_layer(capsys, monkeypatch):
     # the first derive fills the kernel's derivation record; the second
-    # reads P_k, T(k), the balancing and the report from it
+    # reads P_k, T(k), the balancing, the report and its own text from it
     from mindht import derivation, kernels
 
     calls = []
@@ -380,13 +392,121 @@ def test_second_derive_composes_no_layer(capsys, monkeypatch):
         calls.append(len(spec))
         return real(spec, values)
 
+    docs = []
+    real_doc = cli._derive_doc
+
+    def counted_doc(n, orders):
+        docs.append(n)
+        return real_doc(n, orders)
+
     monkeypatch.setattr(derivation, "apply_layer", counted)
+    monkeypatch.setattr(cli, "_derive_doc", counted_doc)
     monkeypatch.setattr(kernels._kernel(24), "derivation", None)
     first = run(capsys, "derive", "--n", "24", "--format", "machine")
     assert calls  # the record was built through the counted apply_layer
+    assert docs == [24]
     calls.clear()
+    docs.clear()
     assert run(capsys, "derive", "--n", "24", "--format", "machine") == first
     assert calls == []
+    assert docs == []  # the record's text is printed, no document is built
+
+
+def test_interleaved_derive_layer_choices_keep_their_own_text(capsys, monkeypatch):
+    # one key never serves another: each layer choice and format is its own text
+    from mindht import kernels
+
+    monkeypatch.setattr(kernels._kernel(24), "derivation", None)
+    doc = cli._derive_doc(24, [1])
+    layer_one = {"machine": json.dumps(doc, sort_keys=True) + "\n",
+                 "text": cli._derive_text(doc) + "\n"}
+    for _ in range(3):
+        for fmt in ("machine", "text"):
+            full = run(capsys, "derive", "--n", "24", "--format", fmt)
+            assert full == (0, _golden(f"derive_n24_{fmt}.txt"), "")
+            one = run(capsys, "derive", "--n", "24", "--layer", "1", "--format", fmt)
+            assert one == (0, layer_one[fmt], "")
+    assert layer_one["text"].count("pre-addition matrix") == 1
+
+
+def test_racing_derive_calls_make_each_text_once(capsys, monkeypatch):
+    # threads printing derive together on fresh derivations make each text
+    # once, under the derivation record's lock
+    from mindht import kernels
+
+    made = []
+    real_doc = cli._derive_doc
+
+    def slow_doc(n, orders):
+        made.append(n)
+        time.sleep(0.005)  # widens the window between the check and the fill
+        return real_doc(n, orders)
+
+    for n in (8, 12, 24):
+        monkeypatch.setattr(kernels._kernel(n), "derivation", None)
+    monkeypatch.setattr(cli, "_derive_doc", slow_doc)
+    argvs = [["derive", "--n", str(n), "--format", fmt]
+             for n in (8, 12, 24) for fmt in ("machine", "text")]
+    codes = [None] * 8
+    start = threading.Barrier(8)
+
+    def work(i):
+        start.wait(timeout=60)
+        codes[i] = [main(argv) for argv in argvs]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=work, args=(i,)) for i in range(8)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert codes == [[0] * len(argvs)] * 8
+    assert sorted(made) == [8, 8, 12, 12, 24, 24]
+    capsys.readouterr()
+    for argv in argvs:
+        assert run(capsys, *argv) == (0, _golden(f"derive_n{argv[2]}_{argv[4]}.txt"), "")
+    assert len(made) == 6
+
+
+def _dht8_flow_with_one_op_flipped(v):
+    """dht8_flow with output 1 written c - m5 instead of c + m5."""
+    from mindht.kernels import SQRT2
+    from mindht.layers import LAYER_SPECS, cascade
+
+    s, t = cascade(LAYER_SPECS[8], v)[1:]
+    m5 = SQRT2 * s[5]
+    m7 = SQRT2 * s[7]
+    p = s[0] + s[2]
+    q = s[0] - s[2]
+    c = s[1] + s[3]
+    d = s[1] - s[3]
+    return [p + t[4], c - m5, q + t[5], d + m7, p - t[4], c - m5, q - t[5], d - m7]
+
+
+def test_derive_text_follows_a_replaced_flow(capsys, monkeypatch):
+    # a replaced flow gets a new kernel record, so new text and a new exit code;
+    # restoring the flow brings the golden text back
+    from mindht import kernels
+
+    real = kernels._FLOWS[8]
+    golden = {fmt: _golden(f"derive_n8_{fmt}.txt") for fmt in ("machine", "text")}
+    for fmt in golden:
+        assert run(capsys, "derive", "--n", "8", "--format", fmt) == (0, golden[fmt], "")
+    monkeypatch.setitem(kernels._FLOWS, 8, _dht8_flow_with_one_op_flipped)
+    for fmt in golden:
+        for _ in range(2):
+            code, out, _ = run(capsys, "derive", "--n", "8", "--format", fmt)
+            assert code == 1
+            assert out != golden[fmt]
+    assert "reconstruction FAILED" in out
+    monkeypatch.setitem(kernels._FLOWS, 8, real)
+    for fmt in golden:
+        assert run(capsys, "derive", "--n", "8", "--format", fmt) == (0, golden[fmt], "")
 
 
 def test_derive_bad_layer(capsys, monkeypatch):

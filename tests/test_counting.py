@@ -127,6 +127,22 @@ def test_audit_renderings():
     }
 
 
+@pytest.mark.parametrize("n", SUPPORTED_SIZES)
+def test_repeated_count_ops_does_not_recount_the_trace(n, monkeypatch):
+    # the counts are taken once, with the kernel's record; later calls read them
+    first = count_ops(n)
+    calls = []
+    real = OpTally.additions
+
+    def counted(self):
+        calls.append(self)
+        return real.fget(self)
+
+    monkeypatch.setattr(OpTally, "additions", property(counted))
+    assert [count_ops(n) for _ in range(3)] == [first] * 3
+    assert calls == []
+
+
 def test_one_replaced_flow_reaches_counts_plan_and_array_path(monkeypatch):
     # count_ops, kernel_plan and the array path all read the kernel's one
     # trace: one setitem reaches all three, and restoring the flow restores them

@@ -251,6 +251,27 @@ def test_layer_state_of_an_overflowing_block_warns_no_more_than_fast_dht():
     assert state.tobytes() == np.array(want).tobytes()
 
 
+@pytest.mark.parametrize("n", SUPPORTED_SIZES)
+def test_overflowing_batch_gives_the_same_bits_without_a_warning(n):
+    # finite samples whose sums overflow to inf and then give nan: C batch
+    # (the replay without a compiler), the replay on longdouble input and the
+    # one-block fast_dht of each column agree bit for bit, and none warns
+    x = np.full((n, 3), 1e308)
+    x[::2, 1] = -1.7e308
+    x[1::2, 2] = 1.0
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        _cgen.backend(n)  # a failed compile warns once; let that happen here
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        batch = kernel_flow(n)(x)
+        replayed = kernel_flow(n)(x.astype(np.longdouble))
+        blocks = np.array([fast_dht(x[:, j].tolist()) for j in range(3)]).T
+    assert np.isinf(batch).any() and np.isnan(batch).any()
+    assert same_bits(batch, replayed)
+    assert same_bits(batch, blocks)
+
+
 _LENGTHS = "fast kernels exist for lengths 4, 8, 12, 24"
 
 
