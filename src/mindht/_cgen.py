@@ -96,7 +96,7 @@ from pathlib import Path
 import numpy as np
 
 from .kernels import _UNTRIED, _kernel
-from .layers import UnsupportedLengthError, check_size
+from .layers import _F64, UnsupportedLengthError, check_kind, check_size
 from .reference import _dft_bridge
 
 # Columns per block of ``batch``.  At N = 24 the 86 vector values of a block
@@ -104,7 +104,6 @@ from .reference import _dft_bridge
 W = 16
 FLAGS = ("-O3", "-march=native", "-fPIC", "-shared", "-ffp-contract=off")
 
-_F64 = np.dtype(np.float64)
 
 _TEMPLATE = """\
 /* Length-{n} DHT kernel, generated by mindht._cgen from the traced program. */
@@ -501,12 +500,16 @@ def _loaded(k):
 def run(n: int, x: np.ndarray) -> np.ndarray:
     """``kernel_flow(n)(x)`` for an ndarray x with ndim >= 2: the one batch router.
 
-    The (n, ...) batch is viewed as (n, B) columns and run by C ``batch`` if
-    it is native, aligned float64 with strides in whole elements and the
-    module loads, else by the replay; the float64 result takes x's shape.
+    x's dtype passes the kind rule of every input (``layers.check_kind``), so
+    bool, string, object and complex batches raise TypeError, and axis 0 must
+    be n.  The (n, ...) batch is viewed as (n, B) columns and run by C
+    ``batch`` if it is native, aligned float64 with strides in whole elements
+    and the module loads, else by the replay, which reads the other real
+    dtypes as float64; the float64 result takes x's shape.
     """
     k = _kernel(check_size(n))
     prog = k.prog
+    check_kind(x.dtype, "batch")
     if x.shape[0] != n:
         raise UnsupportedLengthError(
             f"batch has shape {x.shape}, expected ({n}, ...): "

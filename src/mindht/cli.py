@@ -62,9 +62,8 @@ def _cmd_transform(args) -> int:
     if args.naive:
         spectrum = naive_dht(v)
     else:
-        n = args.n if args.n is not None else v.size
         try:
-            spectrum = fast_dht(v, n)
+            spectrum = fast_dht(v, args.n)
         except UnsupportedLengthError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return EXIT_USAGE
@@ -80,10 +79,7 @@ def _cmd_inverse(args) -> int:
 
 def _cmd_dft(args) -> int:
     v, fmt = _read(args.infile)
-    if v.size in SUPPORTED_SIZES:
-        spectrum = dht_to_dft(fast_dht(v))
-    else:
-        spectrum = dht_to_dft(naive_dht(v))
+    spectrum = dht_to_dft(fast_dht(v) if v.size in SUPPORTED_SIZES else naive_dht(v))
     write_complex(args.outfile, spectrum, fmt)
     return EXIT_OK
 

@@ -165,7 +165,7 @@ def entry_alphabet(t, tol: float = ALPHABET_TOL) -> tuple[float, ...]:
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
-    entries = t.entries if isinstance(t, ResidualMatrix) else np.asarray(t)
+    entries = t.entries if isinstance(t, ResidualMatrix) else t
     mags = np.sort(np.abs(np.asarray(entries, dtype=float)).ravel())
     reps: list[float] = []
     clusters = np.split(mags, np.flatnonzero(np.diff(mags) > tol) + 1) if mags.size else []

@@ -299,7 +299,9 @@ def kernel_flow(n: int):
     runs as generated C on float64 input (mindht._cgen), else replayed over
     column chunks (mindht.replay) on its values converted to float64, and
     returns one float64 ndarray of shape (n, ...); the input is never
-    written to.
+    written to.  A batch that is not real numbers (bool, string, object or
+    complex) raises TypeError, by the kind rule of every input
+    (``layers.check_kind``).
     Any other input (a list, scalars, counting scalars, a 1-D array) runs the
     program as a Python function and gets its list back.  Both paths do the
     same IEEE operations in the same order, so each column equals the
@@ -345,9 +347,11 @@ def fast_dht(v, n: int | None = None) -> np.ndarray:
     first, which reads a list or tuple of Python floats in place, or a 1-D
     float64 array of any stride, checks for inf and nan in C and returns the
     result it makes.  Any other input, or any input before then, is read by
-    ``layers.read_block``, and the kernel's program runs on the floats it
-    returns: as that ``block``, or before the module is loaded as a Python
-    function.  The first ``COMPILE_AFTER`` calls of a length, or until an
+    ``layers.read_block``, which reads real numbers (ints, float32 and the
+    other real dtypes) as float64 and refuses bools, strings, object arrays
+    and complex values with TypeError, and the kernel's program runs on the
+    floats it returns: as that ``block``, or before the module is loaded as
+    a Python function.  The first ``COMPILE_AFTER`` calls of a length, or until an
     array call has loaded the module, run the Python function; the last of
     them starts the module's compile on a background thread, and the C
     ``block`` is swapped in when the module, loaded by either, has passed
@@ -356,7 +360,7 @@ def fast_dht(v, n: int | None = None) -> np.ndarray:
 
     Parameters
     ----------
-    v : array-like of float
+    v : array-like of real numbers
         Input signal.
     n : int, optional
         Expected block length; defaults to ``len(v)``.  A mismatch, or a

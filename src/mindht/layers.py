@@ -15,9 +15,10 @@ A row op is one of
 
 Layer 0 is always the input signal itself.
 
-This module also holds the Python side of the one-block contract:
-``check_size`` for a block length, ``all_finite`` for the samples and
-``read_block``, which every Python reader of one block goes through.
+This module also holds the Python side of the input contract: ``is_integer``
+for a block length or order, ``read_samples``, the one reader every 1-D input
+goes through, and ``read_block``, which reads one block of a supported length
+with it.
 """
 
 from __future__ import annotations
@@ -31,9 +32,12 @@ __all__ = [
     "SUPPORTED_SIZES",
     "LAYER_SPECS",
     "UnsupportedLengthError",
+    "is_integer",
     "check_size",
     "check_order",
+    "check_kind",
     "all_finite",
+    "read_samples",
     "read_block",
     "max_order",
     "LayerState",
@@ -43,29 +47,47 @@ __all__ = [
 ]
 
 SUPPORTED_SIZES = (4, 8, 12, 24)
+_LENGTHS = ", ".join(map(str, SUPPORTED_SIZES))
+
+_F64 = np.dtype(np.float64)
 
 
 class UnsupportedLengthError(ValueError):
-    """Raised when a fast-path operation is asked for a length it cannot do."""
+    """Raised when an input's shape or length is not one the operation takes."""
+
+
+def is_integer(x) -> bool:
+    """Whether x is an integer by the rule of every block length and order: an
+    int or NumPy integer.  A bool, a float equal to an integer (8.0) or a
+    string is not."""
+    return type(x) is int or isinstance(x, np.integer)
 
 
 def check_size(n: int) -> int:
-    """Return n if it is a supported block length: an int or NumPy integer.
+    """Return n if it is a supported block length, an integer by ``is_integer``.
 
     An equal float or string (8.0, np.float64(8), "8") is refused too.  The
     membership test comes first, so a supported int pays one type check.
     """
-    if n in SUPPORTED_SIZES and (type(n) is int or isinstance(n, np.integer)):
+    if n in SUPPORTED_SIZES and is_integer(n):
         return n
-    if not isinstance(n, (int, np.integer)):
+    if not (is_integer(n) or type(n) is bool):  # True is refused below, as a length
         raise UnsupportedLengthError(f"block length must be an integer, got {n!r}")
-    raise UnsupportedLengthError(
-        f"block length {n} is not supported; valid lengths are 4, 8, 12, 24"
-    )
+    raise UnsupportedLengthError(f"block length {n} is not supported; "
+                                 f"valid lengths are {_LENGTHS}")
+
+
+def check_kind(dtype: np.dtype, what: str, complex_ok: bool = False) -> None:
+    """The kind rule of every input: real numbers (NumPy kinds f, i and u),
+    and complex numbers (kind c) where complex_ok.  Any other dtype (bool,
+    strings, object, datetime) raises TypeError naming what and the dtype."""
+    if dtype.kind not in ("fiuc" if complex_ok else "fiu"):
+        numbers = "real or complex" if complex_ok else "real"
+        raise TypeError(f"{what} must hold {numbers} numbers, got dtype {dtype}")
 
 
 def all_finite(vals: list) -> bool:
-    """Whether every sample in vals is finite: the check of every 1-D signal.
+    """Whether every sample in vals is finite: the finite check of ``read_samples``.
 
     vals is the list of Python floats or complex numbers an array's
     ``tolist()`` gives.  A sum of finite samples is finite unless it
@@ -76,33 +98,61 @@ def all_finite(vals: list) -> bool:
     return cmath.isfinite(sum(vals)) or all(map(cmath.isfinite, vals))
 
 
+def read_samples(v, n: int | None = None, what: str = "signal",
+                 complex_ok: bool = False) -> tuple[np.ndarray, list]:
+    """The one reader of a 1-D input: its samples as an array and as a list.
+
+    Every Python reader of a signal or spectrum calls it: ``read_block``, the
+    oracles and the NumPy DFT bridge of mindht.reference, and ``dft_to_dht``
+    with complex_ok.  In order:
+
+    * conversion: v is converted once, ``np.asarray(v)``, and NumPy's dtype
+      for it decides its kind (a list mixing bools or ints with floats is
+      floats);
+    * kind: ``check_kind``, so bools, strings, object arrays (such as a list of
+      ints beyond 64 bits) and complex values where complex_ok is false raise
+      TypeError.  The samples are read as float64: float16, float32, ints and
+      longdouble are converted, so float32 is upcast; where complex_ok,
+      anything but float64 is read as complex128;
+    * shape: given, n is the one shape (n,) taken; omitted, any non-empty 1-D
+      input is.  Anything else raises UnsupportedLengthError;
+    * finite: a sample that is inf or nan raises
+      ``ValueError("<what> contains non-finite samples")``.
+
+    Returns the float64 (or complex128) array, which is v itself when v is
+    one, and its ``tolist()``.
+    """
+    a = np.asarray(v)
+    if a.dtype is not _F64:
+        check_kind(a.dtype, what, complex_ok)
+        a = a.astype(complex if complex_ok else float, copy=False)
+    if n is not None and a.shape != (n,):
+        raise UnsupportedLengthError(f"{what} has shape {a.shape}, expected ({n},); "
+                                     f"fast kernels exist for lengths {_LENGTHS}")
+    if a.ndim != 1:
+        raise UnsupportedLengthError(f"{what} must be 1-D, got shape {a.shape}")
+    if not a.size:
+        raise UnsupportedLengthError(f"{what} must be a non-empty 1-D array, got shape (0,)")
+    vals = a.tolist()
+    if not all_finite(vals):
+        raise ValueError(f"{what} contains non-finite samples")
+    return a, vals
+
+
 def read_block(v, n: int | None = None) -> list[float]:
     """The samples of one block of a supported length, as Python floats.
 
     This is the Python side of the one-block contract, the twin of the C
     ``read_block`` (mindht._cgen): ``kernels.fast_dht`` reads with it
     whatever its C ``block`` declines, and ``pre_addition_state`` and
-    ``counting.run_counted`` read every input with it.  v is converted once,
-    ``np.asarray(v, dtype=float)``.  Omitted, n is the size of v, which must
-    be 1-D; given, n must pass ``check_size`` and v must have shape (n,).
-    Both errors are UnsupportedLengthError.  A sample that is inf or nan
-    raises ``ValueError("signal contains non-finite samples")``, the C
-    reader's error.  The list returned is what the C reader takes in place.
+    ``counting.run_counted`` read every input with it.  v is read by
+    ``read_samples``, which raises its errors; read_block adds the block-length
+    rule, ``check_size``: given, n is checked before v is read, and v must
+    have shape (n,); omitted, n is the size of v.  The list returned is what
+    the C reader takes in place.
     """
-    a = np.asarray(v, dtype=float)
-    if n is None:
-        if a.ndim != 1:
-            raise UnsupportedLengthError(f"signal must be 1-D, got shape {a.shape}")
-        n = a.size
-    check_size(n)
-    if a.shape != (n,):
-        raise UnsupportedLengthError(
-            f"signal has shape {a.shape}, expected ({n},); "
-            f"fast kernels exist for lengths {', '.join(map(str, SUPPORTED_SIZES))}"
-        )
-    vals = a.tolist()
-    if not all_finite(vals):
-        raise ValueError("signal contains non-finite samples")
+    vals = read_samples(v, n if n is None else check_size(n))[1]
+    check_size(len(vals))
     return vals
 
 
@@ -182,12 +232,11 @@ def max_order(n: int) -> int:
 def check_order(n: int, order, first: int = 0) -> int:
     """Return order if it is a layer order of length n, first to max_order(n).
 
-    An order is an integer by ``check_size``'s rule, an int or NumPy
-    integer, so 1.0, "1" and True are refused with ValueError like an order
-    out of range.
+    An order is an integer by ``is_integer``, so 1.0, "1" and True are
+    refused with ValueError like an order out of range.
     """
     last = max_order(n)
-    if not ((type(order) is int or isinstance(order, np.integer)) and first <= order <= last):
+    if not (is_integer(order) and first <= order <= last):
         raise ValueError(
             f"layer order {order!r} invalid for N={n}; valid orders are {first}..{last}"
         )

@@ -10,10 +10,13 @@ DFT and the algebraic DHT<->DFT conversions round out the oracle set, plus an
 unnormalized Walsh-Hadamard transform (the additions-only building block the
 fast kernels are made of).
 
-``dht_to_dft`` runs in NumPy for any length, and for the supported lengths in
-the kernel's generated C module once ``kernels.fast_dht`` or an array call
-has loaded it (mindht._cgen ``dft``), with the same bits.  The DFT oracle
-is ``naive_dft``.
+Every input is read by ``layers.read_samples``, the one reader of a 1-D
+input: real numbers of any length >= 1, read as float64, and for
+``dft_to_dht`` complex numbers too, read as complex128; anything else raises
+(see its docstring).  ``dht_to_dft`` runs in NumPy for any length, and for
+the supported lengths in the kernel's generated C module once
+``kernels.fast_dht`` or an array call has loaded it (mindht._cgen ``dft``),
+with the same bits.  The DFT oracle is ``naive_dft``.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ import math
 import numpy as np
 
 from . import kernels
-from .layers import all_finite
+from .layers import is_integer, read_samples
 
 __all__ = [
     "cas",
@@ -46,15 +49,6 @@ def cas(x: float) -> float:
 def cas_prime(x: float) -> float:
     """Complementary kernel cos(x) - sin(x)."""
     return math.cos(x) - math.sin(x)
-
-
-def _as_signal(v, name: str = "signal") -> np.ndarray:
-    a = np.asarray(v, dtype=float)
-    if a.ndim != 1 or a.size < 1:
-        raise ValueError(f"{name} must be a non-empty 1-D array, got shape {a.shape}")
-    if not all_finite(a.tolist()):
-        raise ValueError(f"{name} contains non-finite samples")
-    return a
 
 
 # Kernel matrices are cached: the verification suites hammer small sizes.
@@ -106,11 +100,11 @@ def dht_matrix(n: int) -> np.ndarray:
     """Return the n x n Hartley kernel matrix with entries cas(2*pi*i*k/n).
 
     Satisfies dht_matrix(n) @ dht_matrix(n) == n * I (the transform is an
-    involution up to scale).  n is an integer by ``layers.check_size``'s
-    rule, an int or NumPy integer: a bool, a float (4.0 too) or a string is
-    refused with ValueError like an n below 1.
+    involution up to scale).  n is an integer by ``layers.is_integer``: a
+    bool, a float (4.0 too) or a string is refused with ValueError like an n
+    below 1.
     """
-    if not ((type(n) is int or isinstance(n, np.integer)) and n >= 1):
+    if not (is_integer(n) and n >= 1):
         raise ValueError(f"matrix order must be an integer >= 1, got {n!r}")
     return _dht_kernel(n).copy()
 
@@ -121,19 +115,19 @@ def naive_dht(v) -> np.ndarray:
     This is the project-wide oracle; every fast kernel is required to agree
     with it to within rounding.
     """
-    a = _as_signal(v)
+    a = read_samples(v)[0]
     return _dht_kernel(a.size) @ a
 
 
 def naive_idht(V) -> np.ndarray:
     """Inverse DHT: apply the forward kernel again and divide by N."""
-    a = _as_signal(V, "spectrum")
+    a = read_samples(V, what="spectrum")[0]
     return (_dht_kernel(a.size) @ a) / a.size
 
 
 def naive_dft(v) -> np.ndarray:
     """Direct-summation DFT of a real signal (oracle for the conversions)."""
-    a = _as_signal(v)
+    a = read_samples(v)[0]
     return _dft_kernel(a.size) @ a.astype(complex)
 
 
@@ -154,7 +148,7 @@ def dht_to_dft(V) -> np.ndarray:
     """
     try:
         k = kernels._KERNELS.get(len(V))
-    except (TypeError, OverflowError):  # unsized: _dft_bridge's np.asarray decides
+    except (TypeError, OverflowError):  # unsized: _dft_bridge's reader decides
         k = None
     if k is not None and k.dft is not None:
         out = k.dft(V)
@@ -166,7 +160,7 @@ def dht_to_dft(V) -> np.ndarray:
 def _dft_bridge(V) -> np.ndarray:
     """``dht_to_dft`` in NumPy, for any length.
 
-    The spectrum is checked once (``_as_signal``), and the bridge is fused:
+    The spectrum is read once (``layers.read_samples``), and the bridge is fused:
     the sums and differences are written straight into the real and
     imaginary parts of one complex result, which is halved in place, with
     no complex temporaries.  Each part is bit for bit what the complex
@@ -183,8 +177,8 @@ def _dft_bridge(V) -> np.ndarray:
     4 * hypot(V) keeps 2 * max|V| below DBL_MAX; it is one C call on the
     samples, cheaper than ``max`` and ``min`` or the ``np.errstate`` it skips.
     """
-    a = _as_signal(V, "spectrum")
-    if math.isfinite(4.0 * math.hypot(*a.tolist())):
+    a, vals = read_samples(V, what="spectrum")
+    if math.isfinite(4.0 * math.hypot(*vals)):
         return _fused_bridge(a)
     with np.errstate(over="ignore", invalid="ignore"):
         return _fused_bridge(a)
@@ -207,12 +201,12 @@ def _fused_bridge(a: np.ndarray) -> np.ndarray:
 
 
 def dft_to_dht(U) -> np.ndarray:
-    """Convert a DFT spectrum back to the Hartley spectrum: V[k] = Re - Im."""
-    a = np.asarray(U, dtype=complex)
-    if a.ndim != 1 or a.size < 1:
-        raise ValueError(f"spectrum must be a non-empty 1-D array, got shape {a.shape}")
-    if not all_finite(a.tolist()):
-        raise ValueError("spectrum contains non-finite coefficients")
+    """Convert a DFT spectrum back to the Hartley spectrum: V[k] = Re - Im.
+
+    The one reader that takes complex input: U is read as complex128, or
+    kept as float64 if it is that already; both give the same bits.
+    """
+    a = read_samples(U, what="spectrum", complex_ok=True)[0]
     return a.real - a.imag
 
 
@@ -221,14 +215,12 @@ def walsh_hadamard(v, order: int | None = None) -> np.ndarray:
 
     Computed as log2(n) stages of 2-point butterflies, additions only.
     `order`, when given, must equal the signal length and be a power of two,
-    and be an integer by ``check_size``'s rule: an int or NumPy integer, so
-    4.0, "4" and True are refused.
+    and be an integer by ``layers.is_integer``, so 4.0, "4" and True are
+    refused.
     """
-    a = _as_signal(v)
+    a = read_samples(v)[0]
     n = a.size
-    if order is not None and not (
-        (type(order) is int or isinstance(order, np.integer)) and order == n
-    ):
+    if order is not None and not (is_integer(order) and order == n):
         raise ValueError(f"transform order {order!r} must be the integer signal length {n}")
     if n & (n - 1):
         raise ValueError(f"Walsh-Hadamard order must be a power of two, got {n}")

@@ -105,11 +105,11 @@ class _Program:
     def __call__(self, cols: np.ndarray) -> np.ndarray:
         """The (n_outputs, B) float64 result of (n, B) columns, the twin of C ``batch``.
 
-        Each chunk is converted as ``layers.read_block`` converts a block,
-        ``astype(float, copy=False)``, with NumPy's warning if a value
-        overflows float64.  The ops run without warnings: a chunk whose
-        result overflows gives inf or nan silently, as C ``batch`` and the
-        one-block kernels do.
+        Each chunk is converted as ``layers.read_samples`` converts a block,
+        to float64 (``_cgen.run`` has refused any dtype that is not real
+        numbers), with NumPy's warning if a value overflows float64.  The ops
+        run without warnings: a chunk whose result overflows gives inf or nan
+        silently, as C ``batch`` and the one-block kernels do.
         """
         width = cols.shape[1]
         out = np.empty((self.n_outputs, width))

@@ -200,6 +200,26 @@ def test_inverse_round_trip(tmp_path, capsys):
     assert values == pytest.approx(v, abs=1e-12)
 
 
+# tests/data/commands: one signal per length (signal_nN, in .txt and .csv) and
+# what each file command writes for it, byte for byte; .github/workflows/tests.yml
+# runs the same commands through the console script
+FILE_COMMANDS = (
+    [(f"transform_n{n}", ["transform", "--n", str(n)], n) for n in SUPPORTED_SIZES]
+    + [("naive_n10", ["transform", "--naive"], 10)]
+    + [(f"{op}_n{n}", [op], n) for op in ("dft", "inverse") for n in (4, 8, 10, 12, 24)]
+)
+
+
+@pytest.mark.parametrize("ext", ("txt", "csv"))
+@pytest.mark.parametrize("name, argv, n", FILE_COMMANDS, ids=[c[0] for c in FILE_COMMANDS])
+def test_file_command_output_matches_golden(tmp_path, capsys, name, argv, n, ext):
+    data = Path(__file__).parent / "data" / "commands"
+    out = tmp_path / f"out.{ext}"
+    assert run(capsys, *argv, "--in", str(data / f"signal_n{n}.{ext}"), "--out", str(out)) == (
+        0, "", "")
+    assert out.read_bytes() == (data / f"{name}.{ext}").read_bytes()
+
+
 def test_dft_matches_oracle(tmp_path, capsys):
     from mindht import naive_dft
 

@@ -432,23 +432,32 @@ def recorded(call):
 
 @pytest.mark.parametrize("n", SUPPORTED_SIZES)
 def test_array_path_int_and_float32_computed_in_float64(n):
-    # a batch converts as layers.read_block converts one block: a float64 result
-    # whose every column is fast_dht of that column, with the same warnings
+    # a batch of real numbers converts as layers.read_samples converts one
+    # block: a float64 result whose every column is fast_dht of that column,
+    # without a warning; a bool, object, string or complex batch is refused by
+    # the same kind rule (layers.check_kind) as each of its columns
     rng = np.random.default_rng(n + 37)
     x = rng.uniform(-1.0, 1.0, (n, 300))
     batches = (rng.integers(-1000, 1000, (n, 300)), x.astype(np.float32), x.astype(np.float16),
-               x > 0, x.astype(">f8"), x.astype(object), x.astype(str),
-               x.astype(np.longdouble) / 3, x + 1j * x[::-1])
-    for y in batches:
+               x.astype(">f8"), x.astype(np.longdouble) / 3)
+    refused = (x > 0, x.astype(object), x.astype(str), x + 1j * x[::-1])
+    for y in batches + refused:
         before = y.copy()
-        want, want_warned = recorded(lambda: np.array([fast_dht(c) for c in y.T]).T)
-        assert bool(want_warned) == np.iscomplexobj(y)  # complex: ComplexWarning
         for name in BACKENDS:
             with forced(name):
-                out, warned = recorded(lambda: kernel_flow(n)(y))
-                assert out.dtype == np.float64
-                assert same_bits(out, want)
-                assert warned == want_warned
+                if y.dtype.kind in "fiu":
+                    want, want_warned = recorded(lambda: np.array([fast_dht(c) for c in y.T]).T)
+                    out, warned = recorded(lambda: kernel_flow(n)(y))
+                    assert out.dtype == np.float64
+                    assert same_bits(out, want)
+                    assert warned == want_warned == set()
+                else:
+                    for call, what in ((lambda: fast_dht(y[:, 0]), "signal"),
+                                       (lambda: kernel_flow(n)(y), "batch")):
+                        with pytest.raises(TypeError) as exc:
+                            call()
+                        message = f"{what} must hold real numbers, got dtype {y.dtype}"
+                        assert str(exc.value) == message
                 assert np.array_equal(y, before) and y.dtype == before.dtype
 
 
@@ -1008,12 +1017,15 @@ def test_c_block_takes_strided_read_only_and_other_dtype_input(n):
     unaligned = np.ndarray((n,), float, raw, offset=4)
     unaligned[...] = base[:n]
     inputs = [base[::2], base[::-2], frozen, unaligned, rng.integers(-1000, 1000, n),
-              base[:n].astype(np.float32), rng.random(n) < 0.5, base[:n].astype(">f8")]
+              base[:n].astype(np.float32), base[:n].astype(">f8")]
     want = [_frozen_fast_dht(v, n).tobytes() for v in inputs]
     for path in ONE_BLOCK_PATHS:
         with one_block_path(path):
             expect_block(path, n)
             assert [fast_dht(v).tobytes() for v in inputs] == want
+            # a bool array is not numbers (layers.check_kind)
+            with pytest.raises(TypeError, match="^signal must hold real numbers, got dtype bool$"):
+                fast_dht(rng.random(n) < 0.5)
     assert not frozen.flags.writeable and np.array_equal(frozen, base[:n])
 
 
@@ -1166,8 +1178,10 @@ def test_inputs_the_c_block_does_not_take_get_the_same_result_or_error():
             v, n = (*args, 8)[:2]
             assert read_block_outcomes(v, n) == (one_block_outcome(v, n),) * 2, name
     assert today["ints"] == one_block_outcome(np.array(cases["ints"][0], float))
-    assert today["bools"] == one_block_outcome(np.array(cases["bools"][0], float))
-    assert today["numeric strings"] == one_block_outcome(np.array(strings, float))
+    # bools and strings are not numbers (layers.check_kind)
+    assert today["bools"] == (TypeError, "signal must hold real numbers, got dtype bool")
+    assert today["numeric strings"] == (TypeError, "signal must hold real numbers, got dtype <U4")
+    assert today["string"] == (TypeError, "signal must hold real numbers, got dtype <U8")
     assert today["np.float64 items"] == today["tuple"] == today["np.int64 n"]
     assert today["np.float64 items"] == one_block_outcome(np.array(floats))
     assert today["nested list"] == (UnsupportedLengthError, "signal must be 1-D, got shape (1, 8)")
@@ -1200,12 +1214,14 @@ def expect_dft(name, n):
 
 @contextmanager
 def c_takes_spectra(n):
-    """Under the C dft, make any use of NumPy in mindht.reference fail, so a call
-    that still succeeds (or raises a ValueError) went to C on the raw input."""
+    """Under the C dft, make any use of NumPy or of the one reader in
+    mindht.reference fail, so a call that still succeeds (or raises a
+    ValueError) went to C on the raw input."""
+    c_works()  # its first call loads a module, whose check runs the NumPy bridge
     with pytest.MonkeyPatch.context() as mp:
         if uses_c_dft(n):
             mp.setattr(reference, "np", None)
-            mp.setattr(reference, "all_finite", None)
+            mp.setattr(reference, "read_samples", None)
         yield
 
 
@@ -1318,18 +1334,18 @@ def test_inputs_the_c_dft_does_not_take_get_the_same_result_or_error():
     assert got["c"] == got["python"]
     today = got["python"]
     assert today["ints"] == dft_outcome(np.array(cases["ints"](), float))
-    assert today["bools"] == dft_outcome(np.array(cases["bools"](), float))
-    assert today["numeric strings"] == dft_outcome(np.array(strings, float))
     assert today["np.float64 items"] == dft_outcome(np.array(V))
-    (complex_result, complex_warnings) = today["complex array"]
-    assert complex_result == dft_outcome(np.array(V))[0]
-    assert [w[0].__name__ for w in complex_warnings] == ["ComplexWarning"]
+    # bools, strings and complex values are refused by the kind rule
+    # (layers.check_kind) without a warning; the imaginary part is not dropped
+    for name, dtype in (("bools", "bool"), ("numeric strings", "<U4"),
+                        ("complex array", "complex128"), ("generator", "object")):
+        assert today[name] == ((TypeError, f"spectrum must hold real numbers, got dtype {dtype}"),
+                               [])
     assert today["too long"] == (dft_outcome(np.array(V + [1.0]))[0], [])
     assert today["too long"][0][1] == (9,)
     for name, shape in (("2-D (n, n)", "(8, 8)"), ("0-d array", "()")):
-        assert today[name] == (
-            (ValueError, f"spectrum must be a non-empty 1-D array, got shape {shape}"), [])
-    assert today["generator"][0][0] is TypeError
+        message = f"spectrum must be 1-D, got shape {shape}"
+        assert today[name] == ((UnsupportedLengthError, message), [])
 
 
 def test_c_dft_takes_what_c_block_takes():

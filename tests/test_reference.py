@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from mindht import (
+    UnsupportedLengthError,
     cas,
     cas_prime,
     dft_to_dht,
@@ -230,10 +231,13 @@ def test_dht_to_dft_rejects_non_finite_at_every_position(bad):
 
 
 def test_dht_to_dft_shape_errors_unchanged():
-    for V, shape in (([], "(0,)"), (np.ones((2, 2)), "(2, 2)"), (3.0, "()")):
-        with pytest.raises(ValueError) as exc:
+    # the shape rule of layers.read_samples, whose "must be 1-D" is read_block's
+    for V, message in (([], "must be a non-empty 1-D array, got shape (0,)"),
+                       (np.ones((2, 2)), "must be 1-D, got shape (2, 2)"),
+                       (3.0, "must be 1-D, got shape ()")):
+        with pytest.raises(UnsupportedLengthError) as exc:
             dht_to_dft(V)
-        assert str(exc.value) == f"spectrum must be a non-empty 1-D array, got shape {shape}"
+        assert str(exc.value) == f"spectrum {message}"
 
 
 def bridge_in_python_floats(V):
@@ -300,7 +304,7 @@ def test_all_finite_is_the_numpy_check():
 
 def test_dft_to_dht_rejects_non_finite():
     for bad in (complex(math.inf, 0), complex(0, math.nan), complex(1, -math.inf)):
-        with pytest.raises(ValueError, match="^spectrum contains non-finite coefficients$"):
+        with pytest.raises(ValueError, match="^spectrum contains non-finite samples$"):
             dft_to_dht([1.0, bad, 2.0j])
     with np.errstate(over="ignore"):  # finite coefficients whose Re - Im overflows
         assert dft_to_dht([1e308 + 1e308j, 1e308 - 1e308j]).tolist() == [0.0, math.inf]
