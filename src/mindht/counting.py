@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kernels import _kernel, kernel_flow
+from .kernels import _derived, _kernel, kernel_flow
 from .layers import SUPPORTED_SIZES, check_size, read_block
 
 __all__ = [
@@ -195,13 +195,14 @@ def _pruned(nodes: list[tuple], outputs: list[int], n: int) -> OpTally:
     return prog
 
 
+@_derived
 def count_ops(n: int) -> OpCount:
     """The operation count of the length-n kernel, counted over its trace.
 
-    It is counted once per kernel record, when the trace is made, so a
+    It is counted once per kernel record (``kernels._derived``), so a
     replaced flow or listing is counted again and a repeated call is a lookup.
     """
-    return _kernel(check_size(n)).counts
+    return trace(n).snapshot()
 
 
 @dataclass(frozen=True)

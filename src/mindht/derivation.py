@@ -22,21 +22,18 @@ lands back in the kernel's constant alphabet; it re-derives the extracted
 special stages from H_N alone.  verify_decomposition multiplies every plan
 stage back out to check the factorization reproduces H_N exactly.
 
-Each kernel is derived once.  The first call for N fills a derivation into
-the kernel's record (``kernels._KERNELS``), which a replaced flow or listing
-replaces; it composes P_0..P_max, and the plan, the residuals T(k), the
-balancing at the default tol, the DecompositionReport and each text
-``mindht derive`` prints are filled into it on first use and read from it
-afterwards.  Both happen under a lock, so
-racing first calls make each of them once.
-The arrays handed out (P_k, the entries of T(k) and of the balanced
-terminal) are read-only views of that record, and the report's alphabets a
-read-only mapping.
+Each kernel is derived once per kernel record (``kernels._KERNELS``),
+which a replaced flow or listing replaces: P_0..P_max, the plan, each
+residual T(k), the balancing at the default tol and the DecompositionReport
+are ``kernels._derived`` fills of that record, made on first use under its
+lock, so racing first calls make each of them once, and read from it
+afterwards.  The arrays handed out (P_k, the entries of T(k) and of the
+balanced terminal) are read-only views of that record, and the report's
+alphabets a read-only mapping.
 """
 
 from __future__ import annotations
 
-import threading
 from collections.abc import Mapping
 from dataclasses import dataclass
 from operator import add, sub
@@ -45,7 +42,7 @@ from types import MappingProxyType
 import numpy as np
 
 from .counting import count_ops, trace
-from .kernels import CONSTANT_LABELS, _kernel
+from .kernels import CONSTANT_LABELS, _derived, _kernel
 from .layers import LAYER_SPECS, apply_layer, cascade, check_order, check_size, max_order
 from .reference import dht_matrix
 
@@ -93,7 +90,20 @@ def pre_addition_matrix(n: int, order: int) -> np.ndarray:
     rows, so row i of P is the coefficient vector of slot i of S(order).
     The matrix is read from the kernel's cached derivation and is read-only.
     """
-    return _record(n).mats[check_order(n, order)]
+    return _mats(n)[check_order(n, order)]
+
+
+@_derived
+def _mats(n: int) -> tuple[np.ndarray, ...]:
+    """P_0..P_max of the kernel record's listing, composed together, read-only."""
+    eye = np.eye(n, dtype=np.int64)
+    return tuple(_frozen(np.array(m)) for m in cascade(_kernel(n).spec, eye))
+
+
+def _frozen(a: np.ndarray) -> np.ndarray:
+    """A read-only view of a, which nobody can make writable again."""
+    a.flags.writeable = False
+    return a.view()
 
 
 def _exact_inverse(m: np.ndarray) -> np.ndarray:
@@ -137,22 +147,21 @@ def residual_matrix(n: int, order: int) -> ResidualMatrix:
     product T @ P fails to reproduce H_n to within 1e-10 entrywise.  The
     result is cached with the kernel's derivation; its entries are read-only.
     """
-    rec = _record(n)
-    check_order(n, order)  # before the lookup, where 1.0 would find order 1
-    with rec.lock:
-        t = rec.residuals.get(order)
-        if t is None:
-            p = pre_addition_matrix(n, order)
-            h = dht_matrix(n)
-            entries = h @ _exact_inverse(p)
-            err = float(np.max(np.abs(h - entries @ p)))
-            if err > RECONSTRUCTION_TOL:
-                raise DerivationError(
-                    f"residual reconstruction failed for N={n} order {order}: "
-                    f"max deviation {err:.3e}"
-                )
-            t = rec.residuals[order] = ResidualMatrix(n=n, order=order, entries=_frozen(entries))
-    return t
+    # the order is checked before the lookup, where 1.0 would find order 1
+    return _residual(n, check_order(n, order))
+
+
+@_derived
+def _residual(n: int, order: int) -> ResidualMatrix:
+    p = pre_addition_matrix(n, order)
+    h = dht_matrix(n)
+    entries = h @ _exact_inverse(p)
+    err = float(np.max(np.abs(h - entries @ p)))
+    if err > RECONSTRUCTION_TOL:
+        raise DerivationError(
+            f"residual reconstruction failed for N={n} order {order}: max deviation {err:.3e}"
+        )
+    return ResidualMatrix(n=n, order=order, entries=_frozen(entries))
 
 
 def entry_alphabet(t, tol: float = ALPHABET_TOL) -> tuple[float, ...]:
@@ -279,14 +288,11 @@ def balance_stages(n: int):
     derivation: each call gets its own list, and the terminal's entries are
     read-only.
     """
-    rec = _record(n)
-    with rec.lock:
-        if rec.balance is None:
-            rec.balance = _balance(n)
-    stages, terminal = rec.balance
+    stages, terminal = _balance(n)
     return list(stages), terminal
 
 
+@_derived
 def _balance(n: int):
     transitions = tuple(z.source_order for z in kernel_plan(n).special_stages)
     order = min(transitions) if transitions else max_order(n)
@@ -351,7 +357,7 @@ def _coefficients(nodes: list[tuple], n: int) -> list:
     return vecs
 
 
-def _extract_plan(n: int, program, mats: list[np.ndarray]) -> KernelPlan:
+def _extract_plan(n: int, program, mats: tuple[np.ndarray, ...]) -> KernelPlan:
     """Express the kernel's trace against the LAYER_SPECS slots.
 
     mats[k] is P_k, whose row i is the coefficient vector of slot S(k)[i].  A
@@ -401,17 +407,14 @@ def _extract_plan(n: int, program, mats: list[np.ndarray]) -> KernelPlan:
     return KernelPlan(n, mult_sites, special, post_rows, dead)
 
 
+@_derived
 def kernel_plan(n: int) -> KernelPlan:
     """Factorization plan for one kernel (sites, specials, post rows).
 
     Extracted from the kernel's trace on first use and cached; a replaced
     ``kernels._FLOWS[n]`` or ``LAYER_SPECS[n]`` is extracted again.
     """
-    rec = _record(n)
-    with rec.lock:
-        if rec.plan is None:
-            rec.plan = _extract_plan(n, trace(n), rec.mats)
-    return rec.plan
+    return _extract_plan(n, trace(n), _mats(n))
 
 
 # ---------------------------------------------------------------------------
@@ -437,7 +440,7 @@ def plan_matrix(n: int) -> np.ndarray:
     slots contribute the matching row of P_order, multiplication sites their
     constant times the operand vector.
     """
-    plan, mats = kernel_plan(n), _record(n).mats
+    plan, mats = kernel_plan(n), _mats(n)
     sites = [
         site.value * sum(sign * mats[order][idx] for sign, (_, order, idx) in site.operand)
         for site in plan.mult_sites
@@ -449,6 +452,7 @@ def plan_matrix(n: int) -> np.ndarray:
     return rebuilt
 
 
+@_derived
 def verify_decomposition(n: int) -> DecompositionReport:
     """Multiply out every derived stage and compare against the DHT matrix.
 
@@ -457,69 +461,20 @@ def verify_decomposition(n: int) -> DecompositionReport:
     checks the result equals dht_matrix(n) to within 1e-10 entrywise.  The
     report also carries the per-layer residual alphabets, the balancing
     stages, and the scheduled operation counts of the kernel implementing the
-    plan.  It is made once per kernel derivation and shared by every call.
+    plan.  It is made once per kernel record and shared by every call.
     """
-    rec = _record(n)
-    with rec.lock:
-        if rec.report is None:
-            plan = kernel_plan(n)
-            err = float(np.max(np.abs(plan_matrix(n) - dht_matrix(n))))
-            ops = count_ops(n)
-            alphabets = {k: entry_alphabet(residual_matrix(n, k)) for k in range(len(rec.mats))}
-            rec.report = DecompositionReport(
-                n=n,
-                ok=err <= RECONSTRUCTION_TOL,
-                max_error=err,
-                alphabets=MappingProxyType(alphabets),
-                mult_sites=plan.mult_sites,
-                special_stages=plan.special_stages,
-                additions_scheduled=ops.additions,
-                multiplications_scheduled=ops.multiplications,
-            )
-    return rec.report
+    plan = kernel_plan(n)
+    err = float(np.max(np.abs(plan_matrix(n) - dht_matrix(n))))
+    ops = count_ops(n)
+    alphabets = {k: entry_alphabet(residual_matrix(n, k)) for k in range(len(_mats(n)))}
+    return DecompositionReport(
+        n=n,
+        ok=err <= RECONSTRUCTION_TOL,
+        max_error=err,
+        alphabets=MappingProxyType(alphabets),
+        mult_sites=plan.mult_sites,
+        special_stages=plan.special_stages,
+        additions_scheduled=ops.additions,
+        multiplications_scheduled=ops.multiplications,
+    )
 
-
-# ---------------------------------------------------------------------------
-# the derivation record
-
-
-def _frozen(a: np.ndarray) -> np.ndarray:
-    """A read-only view of a, which nobody can make writable again."""
-    a.flags.writeable = False
-    return a.view()
-
-
-class _Derivation:
-    """Everything derived about one kernel from its trace and listing.
-
-    P_0..P_max are composed when the record is made, since kernel_plan needs
-    them all; the plan, the residuals T(k), the default-tol balancing, the
-    report and the ``texts`` ``mindht derive`` prints (keyed by the tuple of
-    layer orders and the format) are filled on first use, under the
-    record's ``lock`` (reentrant, since the report's fill reads the plan and
-    the residuals, and a text's fill the report), so racing first uses fill
-    each once.  Its arrays are read-only views.
-    """
-
-    def __init__(self, n: int, spec: list):
-        self.mats = [_frozen(np.array(s)) for s in cascade(spec, np.eye(n, dtype=np.int64))]
-        self.plan: KernelPlan | None = None
-        self.residuals: dict[int, ResidualMatrix] = {}
-        self.balance: tuple | None = None
-        self.report: DecompositionReport | None = None
-        self.texts: dict[tuple, str] = {}
-        self.lock = threading.RLock()
-
-
-_LOCK = threading.Lock()  # guards making derivations
-
-
-def _record(n: int) -> _Derivation:
-    """The derivation in kernel n's record, made on first use under one lock,
-    so racing first uses share one."""
-    k = _kernel(check_size(n))
-    if k.derivation is None:
-        with _LOCK:
-            if k.derivation is None:
-                k.derivation = _Derivation(n, k.spec)
-    return k.derivation

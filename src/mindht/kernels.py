@@ -23,14 +23,16 @@ asserted exactly by the test suite.
 Everything made from a length's flow and listing lives in one record per
 length, ``_KERNELS[n]``, made under one lock on first use and again once
 ``_FLOWS[n]`` or ``LAYER_SPECS[n]`` is not the object it was made from:
-the pruned trace (``counting.trace(n)``, which every kernel call runs) and
-its operation counts (``counting.count_ops(n)``), its schedule and emitted
-Python function (mindht.replay), the C extension module (mindht._cgen, with
-a ``block(v)`` entry point for ``fast_dht``, a ``dft(V)`` one for
-``reference.dht_to_dft`` and a ``batch`` one for float64 arrays, loaded on
-the first array call), the one-block call count and the derivation
-(mindht.derivation).  ``fast_dht`` runs the Python function for
-the first ``COMPILE_AFTER`` calls of a length, or until an array call has
+the pruned trace (``counting.trace(n)``, which every kernel call runs), its
+schedule and emitted Python function (mindht.replay), the C extension
+module (mindht._cgen, with a ``block(v)`` entry point for ``fast_dht``, a
+``dft(V)`` one for ``reference.dht_to_dft`` and a ``batch`` one for float64
+arrays, loaded on the first array call), the one-block call count, and
+whatever is made lazily from them by a ``_derived`` function: the
+operation counts (``counting.count_ops``), the derivation
+(mindht.derivation) and the text ``mindht derive`` prints, each made once
+under the record's one lock.  ``fast_dht`` runs the Python function for the
+first ``COMPILE_AFTER`` calls of a length, or until an array call has
 loaded the module; the last of them starts the compile on a background
 thread.  Whichever path loads the module, ``block`` and ``dft`` are swapped
 in once it has passed its check, so no one-block call waits for a
@@ -42,6 +44,7 @@ same one-block contract.
 
 from __future__ import annotations
 
+import functools
 import math
 import threading
 
@@ -226,14 +229,14 @@ _UNTRIED = object()
 
 class _Kernel:
     """Everything made from one length's ``flow`` and listing ``spec``: the
-    pruned ``trace``, its operation ``counts`` (``counting.count_ops``), its
-    schedule ``prog`` and emitted Python function ``fn``, the C ``module``,
-    its swapped-in ``block`` ``c`` and ``dft`` (both None before that;
-    ``reference.dht_to_dft`` calls ``dft``), the one-block calls ``fn`` has
-    served, and the ``derivation`` mindht.derivation fills in on first use."""
+    pruned ``trace``, its schedule ``prog`` and emitted Python function
+    ``fn``, the C ``module``, its swapped-in ``block`` ``c`` and ``dft``
+    (both None before that; ``reference.dht_to_dft`` calls ``dft``), the
+    one-block calls ``fn`` has served, and the values of the ``_derived``
+    functions, made under the record's ``lock`` into ``derived``."""
 
-    __slots__ = ("flow", "spec", "trace", "counts", "prog", "fn", "module", "c", "dft",
-                 "calls", "derivation")
+    __slots__ = ("flow", "spec", "trace", "prog", "fn", "module", "c", "dft", "calls",
+                 "derived", "lock")
 
     def __init__(self, n: int, flow, spec):
         from .counting import _trace
@@ -241,13 +244,13 @@ class _Kernel:
 
         self.flow, self.spec = flow, spec
         self.trace = _trace(n, flow)
-        self.counts = self.trace.snapshot()
         self.prog = _Program(n, self.trace)
         self.fn = _emit(self.prog)
         self.module = _UNTRIED
         self.c = self.dft = None
         self.calls = 0
-        self.derivation = None
+        self.derived: dict[tuple, object] = {}
+        self.lock = threading.RLock()
 
 
 # n -> _Kernel.  Records are made under _LOCK, so racing first calls share one.
@@ -268,6 +271,26 @@ def _kernel(n: int) -> _Kernel:
             if k is None or k.flow is not flow or k.spec is not spec:
                 k = _KERNELS[n] = _Kernel(n, flow, spec)
     return k
+
+
+def _derived(fn):
+    """fn(n, *args), made once per record of length n and arguments.
+
+    The value is kept in the record's ``derived``, keyed by fn and the
+    arguments, so a replaced flow or listing makes it again.  It is made
+    under the record's reentrant lock, so racing first calls make it once
+    and one fill may call another; a fill that raises stores nothing.
+    """
+    @functools.wraps(fn)
+    def derived(n, *args):
+        k, key = _kernel(check_size(n)), (fn, *args)
+        if key not in k.derived:
+            with k.lock:
+                if key not in k.derived:
+                    k.derived[key] = fn(n, *args)
+        return k.derived[key]
+
+    return derived
 
 
 def _load_c_block(k: _Kernel) -> None:

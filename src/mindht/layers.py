@@ -113,7 +113,8 @@ def read_samples(v, n: int | None = None, what: str = "signal",
       ints beyond 64 bits) and complex values where complex_ok is false raise
       TypeError.  The samples are read as float64: float16, float32, ints and
       longdouble are converted, so float32 is upcast; where complex_ok,
-      anything but float64 is read as complex128;
+      anything but float64 is read as complex128.  A long double beyond
+      float64's range becomes inf without a warning, for the finite check;
     * shape: given, n is the one shape (n,) taken; omitted, any non-empty 1-D
       input is.  Anything else raises UnsupportedLengthError;
     * finite: a sample that is inf or nan raises
@@ -125,7 +126,15 @@ def read_samples(v, n: int | None = None, what: str = "signal",
     a = np.asarray(v)
     if a.dtype is not _F64:
         check_kind(a.dtype, what, complex_ok)
-        a = a.astype(complex if complex_ok else float, copy=False)
+        to = complex if complex_ok else float
+        if a.dtype.char in "gG":
+            # long double, the one dtype wider than float64: a sample beyond
+            # its range reads as inf, which the finite check refuses with no
+            # warning before it
+            with np.errstate(over="ignore"):
+                a = a.astype(to)
+        else:
+            a = a.astype(to, copy=False)
     if n is not None and a.shape != (n,):
         raise UnsupportedLengthError(f"{what} has shape {a.shape}, expected ({n},); "
                                      f"fast kernels exist for lengths {_LENGTHS}")

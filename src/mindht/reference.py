@@ -21,6 +21,7 @@ with the same bits.  The DFT oracle is ``naive_dft``.
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -51,35 +52,27 @@ def cas_prime(x: float) -> float:
     return math.cos(x) - math.sin(x)
 
 
-# Kernel matrices are cached: the verification suites hammer small sizes.
-_DHT_CACHE: dict[int, np.ndarray] = {}
-_DFT_CACHE: dict[int, np.ndarray] = {}
-_BRIDGE_CACHE: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
-
-
+# Kernel matrices are cached, read-only: the verification suites hammer small sizes.
+@functools.cache
 def _dht_kernel(n: int) -> np.ndarray:
-    m = _DHT_CACHE.get(n)
-    if m is None:
-        # Angles are reduced as (i*k) mod n before scaling by 2*pi/n so large
-        # index products never lose precision in the trig argument.
-        ik = np.outer(np.arange(n), np.arange(n)) % n
-        ang = 2.0 * np.pi * ik / n
-        m = np.cos(ang) + np.sin(ang)
-        m.flags.writeable = False
-        _DHT_CACHE[n] = m
+    # Angles are reduced as (i*k) mod n before scaling by 2*pi/n so large
+    # index products never lose precision in the trig argument.
+    ik = np.outer(np.arange(n), np.arange(n)) % n
+    ang = 2.0 * np.pi * ik / n
+    m = np.cos(ang) + np.sin(ang)
+    m.flags.writeable = False
     return m
 
 
+@functools.cache
 def _dft_kernel(n: int) -> np.ndarray:
-    m = _DFT_CACHE.get(n)
-    if m is None:
-        ik = np.outer(np.arange(n), np.arange(n)) % n
-        m = np.exp(-2j * np.pi * ik / n)
-        m.flags.writeable = False
-        _DFT_CACHE[n] = m
+    ik = np.outer(np.arange(n), np.arange(n)) % n
+    m = np.exp(-2j * np.pi * ik / n)
+    m.flags.writeable = False
     return m
 
 
+@functools.cache
 def _bridge_operands(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Read-only operands of dht_to_dft for length n.
 
@@ -87,12 +80,9 @@ def _bridge_operands(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     float of a length-n complex array).  Array operands keep the ufunc calls
     off NumPy's slower Python-scalar path.
     """
-    ops = _BRIDGE_CACHE.get(n)
-    if ops is None:
-        ops = ((-np.arange(n)) % n, np.zeros(n), np.full(2 * n, 0.5))
-        for x in ops:
-            x.flags.writeable = False
-        _BRIDGE_CACHE[n] = ops
+    ops = ((-np.arange(n)) % n, np.zeros(n), np.full(2 * n, 0.5))
+    for x in ops:
+        x.flags.writeable = False
     return ops
 
 

@@ -390,19 +390,19 @@ def _golden(name):
 def test_derive_output_matches_golden(capsys, monkeypatch, n, fmt):
     # tests/data/derive_n{n}_{fmt}.txt holds the stdout of the Fraction
     # Gauss-Jordan derivation; every alphabet and residual bit must survive.
-    # The first call on a fresh derivation makes the text, the later ones
+    # The first call on a fresh kernel record makes the text, the later ones
     # print the text kept in the record
     from mindht import kernels
 
-    monkeypatch.setattr(kernels._kernel(n), "derivation", None)
+    monkeypatch.setattr(kernels._kernel(n), "derived", {})
     golden = _golden(f"derive_n{n}_{fmt}.txt")
     for _ in range(3):
         assert run(capsys, "derive", "--n", str(n), "--format", fmt) == (0, golden, "")
 
 
 def test_second_derive_composes_no_layer(capsys, monkeypatch):
-    # the first derive fills the kernel's derivation record; the second
-    # reads P_k, T(k), the balancing, the report and its own text from it
+    # the first derive fills the kernel's record; the second reads P_k,
+    # T(k), the balancing, the report and its own text from it
     from mindht import derivation, kernels
 
     calls = []
@@ -421,7 +421,7 @@ def test_second_derive_composes_no_layer(capsys, monkeypatch):
 
     monkeypatch.setattr(derivation, "apply_layer", counted)
     monkeypatch.setattr(cli, "_derive_doc", counted_doc)
-    monkeypatch.setattr(kernels._kernel(24), "derivation", None)
+    monkeypatch.setattr(kernels._kernel(24), "derived", {})
     first = run(capsys, "derive", "--n", "24", "--format", "machine")
     assert calls  # the record was built through the counted apply_layer
     assert docs == [24]
@@ -436,7 +436,7 @@ def test_interleaved_derive_layer_choices_keep_their_own_text(capsys, monkeypatc
     # one key never serves another: each layer choice and format is its own text
     from mindht import kernels
 
-    monkeypatch.setattr(kernels._kernel(24), "derivation", None)
+    monkeypatch.setattr(kernels._kernel(24), "derived", {})
     doc = cli._derive_doc(24, [1])
     layer_one = {"machine": json.dumps(doc, sort_keys=True) + "\n",
                  "text": cli._derive_text(doc) + "\n"}
@@ -450,8 +450,8 @@ def test_interleaved_derive_layer_choices_keep_their_own_text(capsys, monkeypatc
 
 
 def test_racing_derive_calls_make_each_text_once(capsys, monkeypatch):
-    # threads printing derive together on fresh derivations make each text
-    # once, under the derivation record's lock
+    # threads printing derive together on fresh kernel records make each
+    # text once, under the record's lock
     from mindht import kernels
 
     made = []
@@ -463,7 +463,7 @@ def test_racing_derive_calls_make_each_text_once(capsys, monkeypatch):
         return real_doc(n, orders)
 
     for n in (8, 12, 24):
-        monkeypatch.setattr(kernels._kernel(n), "derivation", None)
+        monkeypatch.setattr(kernels._kernel(n), "derived", {})
     monkeypatch.setattr(cli, "_derive_doc", slow_doc)
     argvs = [["derive", "--n", str(n), "--format", fmt]
              for n in (8, 12, 24) for fmt in ("machine", "text")]

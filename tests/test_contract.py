@@ -154,3 +154,19 @@ def test_input_contract(row, column):
         got, warned = outcome(call, v)
         assert warned == []
         assert got == expected(row, column, v)
+
+
+@pytest.mark.skipif(np.finfo(np.longdouble).max <= np.finfo(np.float64).max,
+                    reason="np.longdouble is float64 here")
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("column", [c for c in COLUMNS if COLUMNS[c][3] != "batch"])
+def test_longdouble_beyond_float64_is_one_error(column):
+    # a finite long double that float64 cannot hold is read as inf, so the
+    # finite check's ValueError is the one report of it: no overflow warning
+    # comes first, which would be the error where warnings are errors
+    call, n, what, _ = COLUMNS[column]
+    path = column.split()[-1]
+    v = np.full(n, np.longdouble("1e400"))
+    with one_block_path(path) if path in ("c", "python") else nullcontext():
+        with pytest.raises(ValueError, match=f"^{what} contains non-finite samples$"):
+            call(v)

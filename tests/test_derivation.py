@@ -471,6 +471,36 @@ def test_every_swapped_sub_row_builds_a_kernel_verify_rejects(monkeypatch):
     assert verify_decomposition(24).ok
 
 
+def test_a_raising_fill_stores_nothing(monkeypatch, capsys):
+    # a swapped layer-1 sub row leaves no valid balance split: each call
+    # balances again and raises again, the report still says the kernel is
+    # wrong, and the restored listing derives the golden text again
+    from pathlib import Path
+
+    from mindht import cli, derivation
+
+    listing = LAYER_SPECS[24]
+    splits = []
+    real_split = derivation.balance_split
+
+    def counted_split(t, *args):
+        splits.append(t.order)
+        return real_split(t, *args)
+
+    monkeypatch.setattr(derivation, "balance_split", counted_split)
+    monkeypatch.setitem(LAYER_SPECS, 24, _swapped(listing, 1, 3))
+    for _ in range(2):
+        with pytest.raises(DerivationError, match="no valid balance split for N=24"):
+            balance_stages(24)
+    assert splits == [2, 3] * 2  # the split at layer 3 fails, and is tried again
+    assert verify_decomposition(24).ok is False
+    monkeypatch.setitem(LAYER_SPECS, 24, listing)
+    data = Path(__file__).parent / "data"
+    for fmt in ("text", "machine"):
+        assert cli.main(["derive", "--n", "24", "--format", fmt]) == 0
+        assert capsys.readouterr().out == (data / f"derive_n24_{fmt}.txt").read_text()
+
+
 def _derived(n):
     """The cached derivation reads: P_k and T(k) per layer, balancing, report."""
     orders = range(max_order(n) + 1)
@@ -581,32 +611,26 @@ def test_arrays_handed_out_are_read_only(n):
 
 
 def test_racing_first_derivation_calls_build_each_record_once(monkeypatch):
-    # on warm kernel records with no derivation yet, threads making their first
-    # derivation calls together share one record and fill each field once
+    # on warm kernel records with nothing derived yet, threads making their
+    # first derivation calls together fill each value of each record once
     from mindht import derivation, kernels
 
-    built, plans, balances = [], [], []
-    real_init, real_extract, real_balance = (
-        derivation._Derivation.__init__, derivation._extract_plan, derivation._balance)
+    fills = []
 
-    def slow_init(self, n, spec):
-        built.append(n)
-        time.sleep(0.005)  # widens the window between the check and the fill
-        real_init(self, n, spec)
+    class SlowFills(dict):
+        """A record's derived values, logging each (n, fill, args) stored."""
 
-    def counted(log, real):
-        def wrapper(n, *args):
-            log.append(n)
-            time.sleep(0.005)
-            return real(n, *args)
+        def __init__(self, n):
+            super().__init__()
+            self.n = n
 
-        return wrapper
+        def __setitem__(self, key, value):
+            time.sleep(0.005)  # widens the window between the check and the store
+            fills.append((self.n, *key))
+            super().__setitem__(key, value)
 
     for n in SUPPORTED_SIZES:
-        monkeypatch.setattr(kernels._kernel(n), "derivation", None)
-    monkeypatch.setattr(derivation._Derivation, "__init__", slow_init)
-    monkeypatch.setattr(derivation, "_extract_plan", counted(plans, real_extract))
-    monkeypatch.setattr(derivation, "_balance", counted(balances, real_balance))
+        monkeypatch.setattr(kernels._kernel(n), "derived", SlowFills(n))
     seen = {n: set() for n in SUPPORTED_SIZES}
     start = threading.Barrier(8)
 
@@ -627,7 +651,11 @@ def test_racing_first_derivation_calls_build_each_record_once(monkeypatch):
     finally:
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads)
+    built, plans, balances = (
+        [n for n, fill, *_ in fills if fill is f.__wrapped__]
+        for f in (derivation._mats, derivation.kernel_plan, derivation._balance))
     for log in (built, plans, balances):
         assert sorted(log) == list(SUPPORTED_SIZES)
+    assert len(fills) == len(set(fills))  # the residuals and the report too
     assert all(len(ids) == 1 for ids in seen.values())
     assert all(verify_decomposition(n).ok for n in SUPPORTED_SIZES)
