@@ -126,15 +126,10 @@ def read_samples(v, n: int | None = None, what: str = "signal",
     a = np.asarray(v)
     if a.dtype is not _F64:
         check_kind(a.dtype, what, complex_ok)
-        to = complex if complex_ok else float
-        if a.dtype.char in "gG":
-            # long double, the one dtype wider than float64: a sample beyond
-            # its range reads as inf, which the finite check refuses with no
-            # warning before it
-            with np.errstate(over="ignore"):
-                a = a.astype(to)
-        else:
-            a = a.astype(to, copy=False)
+        # a long double beyond float64's range reads as inf, which the finite
+        # check refuses with no overflow warning before it
+        with np.errstate(over="ignore"):
+            a = a.astype(complex if complex_ok else float, copy=False)
     if n is not None and a.shape != (n,):
         raise UnsupportedLengthError(f"{what} has shape {a.shape}, expected ({n},); "
                                      f"fast kernels exist for lengths {_LENGTHS}")

@@ -5,8 +5,9 @@ Every cell asserts the result's bits or the exception's class and message, and
 that the call raised no warning.  The rule behind the table: real numbers (NumPy
 kinds f, i and u) are read as float64; bools, strings, object arrays and complex
 values (except in ``dft_to_dht``) raise TypeError (``layers.check_kind``); a
-sample that is inf or nan raises ValueError, except in a batch, where it runs
-through; a wrong shape raises UnsupportedLengthError.
+sample that is inf or nan, or a long double beyond float64's range (read as
+inf), raises ValueError, except in a batch, where it runs through; a wrong
+shape raises UnsupportedLengthError.
 """
 
 import warnings
@@ -61,6 +62,8 @@ ROWS = {
     "object array": (lambda x: x[:, 0].astype(object), lambda x: x.astype(object)),
     "complex": (lambda x: x[:, 0] + 1j * x[::-1, 0], lambda x: x + 1j * x[::-1]),
     "inf/nan": (lambda x: _with_specials(x)[:, 0], _with_specials),
+    # finite, but inf as a float64 (already inf where longdouble is float64)
+    "longdouble beyond float64": (lambda x: np.full(len(x), np.longdouble("1e400")), None),
     "wrong shape": (lambda x: x.T, lambda x: x.T),
 }
 REAL = ("float list", "float64 array", "ints", "float32", ">f8", "longdouble")
@@ -113,7 +116,7 @@ def expected(row, column, v):
     if row in NOT_NUMBERS:
         numbers = "real or complex" if column == "dft_to_dht" else "real"
         return TypeError, f"{what} must hold {numbers} numbers, got dtype {NOT_NUMBERS[row]}"
-    if row == "inf/nan":
+    if row in ("inf/nan", "longdouble beyond float64"):
         if reads == "batch":  # not checked (undecided): inf and nan run through
             out = kernels._kernel(n).prog(v)
             assert np.isnan(out).any()
@@ -155,18 +158,3 @@ def test_input_contract(row, column):
         assert warned == []
         assert got == expected(row, column, v)
 
-
-@pytest.mark.skipif(np.finfo(np.longdouble).max <= np.finfo(np.float64).max,
-                    reason="np.longdouble is float64 here")
-@pytest.mark.filterwarnings("error")
-@pytest.mark.parametrize("column", [c for c in COLUMNS if COLUMNS[c][3] != "batch"])
-def test_longdouble_beyond_float64_is_one_error(column):
-    # a finite long double that float64 cannot hold is read as inf, so the
-    # finite check's ValueError is the one report of it: no overflow warning
-    # comes first, which would be the error where warnings are errors
-    call, n, what, _ = COLUMNS[column]
-    path = column.split()[-1]
-    v = np.full(n, np.longdouble("1e400"))
-    with one_block_path(path) if path in ("c", "python") else nullcontext():
-        with pytest.raises(ValueError, match=f"^{what} contains non-finite samples$"):
-            call(v)

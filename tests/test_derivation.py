@@ -612,10 +612,19 @@ def test_arrays_handed_out_are_read_only(n):
 
 def test_racing_first_derivation_calls_build_each_record_once(monkeypatch):
     # on warm kernel records with nothing derived yet, threads making their
-    # first derivation calls together fill each value of each record once
+    # first derivation calls together make each value of each record once
+    # (P_k by cascade, the plan by _extract_plan, the balancing) and store it once
     from mindht import derivation, kernels
 
-    fills = []
+    built, plans, balances, fills = [], [], [], []
+
+    def counted(log, real, length=lambda n, *args: n):
+        def wrapper(*args):
+            log.append(length(*args))
+            time.sleep(0.005)  # widens the window between the check and the fill
+            return real(*args)
+
+        return wrapper
 
     class SlowFills(dict):
         """A record's derived values, logging each (n, fill, args) stored."""
@@ -631,6 +640,11 @@ def test_racing_first_derivation_calls_build_each_record_once(monkeypatch):
 
     for n in SUPPORTED_SIZES:
         monkeypatch.setattr(kernels._kernel(n), "derived", SlowFills(n))
+    monkeypatch.setattr(derivation, "cascade", counted(
+        built, derivation.cascade, lambda specs, values: len(values)))
+    monkeypatch.setattr(derivation, "_extract_plan", counted(plans, derivation._extract_plan))
+    monkeypatch.setattr(derivation, "_balance", kernels._derived(
+        counted(balances, derivation._balance.__wrapped__)))
     seen = {n: set() for n in SUPPORTED_SIZES}
     start = threading.Barrier(8)
 
@@ -651,10 +665,9 @@ def test_racing_first_derivation_calls_build_each_record_once(monkeypatch):
     finally:
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads)
-    built, plans, balances = (
-        [n for n, fill, *_ in fills if fill is f.__wrapped__]
-        for f in (derivation._mats, derivation.kernel_plan, derivation._balance))
-    for log in (built, plans, balances):
+    stored = [[n for n, fill, *_ in fills if fill is f.__wrapped__]
+              for f in (derivation._mats, derivation.kernel_plan, derivation._balance)]
+    for log in (built, plans, balances, *stored):
         assert sorted(log) == list(SUPPORTED_SIZES)
     assert len(fills) == len(set(fills))  # the residuals and the report too
     assert all(len(ids) == 1 for ids in seen.values())
