@@ -22,7 +22,7 @@ import sys
 import numpy as np
 
 from .counting import audit_dict, audit_passes, audit_report, audit_table
-from .derivation import balance_stages, pre_addition_matrix, verify_decomposition
+from .derivation import DerivationError, balance_stages, pre_addition_matrix, verify_decomposition
 from .io import SignalParseError, read_signal, write_complex, write_signal
 from .kernels import _derived, fast_dht
 from .layers import SUPPORTED_SIZES, UnsupportedLengthError, check_order, max_order
@@ -199,10 +199,14 @@ def _cmd_derive(args) -> int:
     n = args.n
     try:
         orders = range(max_order(n) + 1) if args.layer is None else [check_order(n, args.layer)]
-    except ValueError as exc:
+        text = _derive_output(n, tuple(orders), args.format)
+    except DerivationError as exc:  # a listing that derives no factorization
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_FAIL
+    except ValueError as exc:  # a --layer out of range
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    print(_derive_output(n, tuple(orders), args.format))
+    print(text)
     return EXIT_OK if verify_decomposition(n).ok else EXIT_FAIL
 
 

@@ -14,13 +14,16 @@ special-addition stages and the post-addition rows are all extracted from
 the trace.  Every slot is a node by construction, except the slots no output
 needs, which the trace prunes (``KernelPlan.dead_slots``).  Independently,
 the residual matrices T(k) - what remains of the transform after k layers,
-satisfying V = T(k) . S(k) - are reconstructed here as H_N . P_k^{-1} with
-P_k the exact integer layer composition.  Balancing splits oversized
-residual entries (magnitude above one) into an integer part, applied as a
-"special addition" of an already-computed layer value, plus a remainder that
-lands back in the kernel's constant alphabet; it re-derives the extracted
-special stages from H_N alone.  verify_decomposition multiplies every plan
-stage back out to check the factorization reproduces H_N exactly.
+satisfying V = T(k) . S(k) - are reconstructed here as H_N . P_k^{-1}, with
+P_k^{-1} = L_1^{-1} ... L_k^{-1} read from the listing: a layer L of passes
+and butterflies has orthogonal rows, so L^{-1} = L^T / (L L^T), exact in
+float64, and a layer of any other shape is refused by name.  Balancing
+splits oversized residual entries (magnitude above one) into an integer
+part, applied as a "special addition" of an already-computed layer value,
+plus a remainder that lands back in the kernel's constant alphabet; it
+re-derives the extracted special stages from H_N alone.
+verify_decomposition multiplies every plan stage back out to check the
+factorization reproduces H_N exactly.
 
 Each kernel is derived once per kernel record (``kernels._KERNELS``),
 which a replaced flow or listing replaces: P_0..P_max, the plan, each
@@ -106,28 +109,23 @@ def _frozen(a: np.ndarray) -> np.ndarray:
     return a.view()
 
 
-def _exact_inverse(m: np.ndarray) -> np.ndarray:
-    """Exact inverse of an integer matrix, each entry correctly rounded.
+def _layer_inverse(n: int, order: int) -> np.ndarray:
+    """Inverse of layer `order`, read from its listing as L.T / (L @ L.T).
 
-    With D = round(|det m|) and A = rint(D * inv(m)), m @ A == D * I in int64
-    (exact while n * max|m| * max|A| < 2^63) proves A / D is the inverse, and
-    A, D < 2^53 are exact floats, so each IEEE division A / D rounds once.
+    A layer of passes and butterflies has orthogonal rows, so D = L @ L.T is
+    diagonal, ones for passes and twos for butterflies, and L.T / D is the
+    inverse: its entries are 0, +-1 and +-1/2, exact in float64.  Any other
+    layer raises DerivationError naming it and its offending rows.
     """
-    n = m.shape[0]
-    try:
-        d = round(abs(float(np.linalg.det(m))))
-        a = np.rint(d * np.linalg.inv(m)) if d else None
-    except np.linalg.LinAlgError:
-        d = 0
-    if not d:
-        raise DerivationError("pre-addition matrix is singular; a layer row is likely wrong")
-    big = float(np.max(np.abs(a)))
-    if not (big < 2**53 and d < 2**53 and n * int(np.max(np.abs(m))) * int(big) < 2**63):
-        raise DerivationError(f"inverse of a {n}x{n} matrix too large to certify in int64")
-    a = a.astype(np.int64)
-    if not np.array_equal(m @ a, d * np.eye(n, dtype=np.int64)):
-        raise DerivationError(f"float inverse of a {n}x{n} matrix failed its integer check")
-    return a / d
+    m = layer_matrix(n, order)
+    g = m @ m.T
+    bad = [f"rows {r} and {s} read the same slot" for r, s in np.argwhere(np.triu(g, 1))]
+    bad += [f"row {r} cancels to zero" for r in np.flatnonzero(g.diagonal() == 0)]
+    if bad:
+        raise DerivationError(
+            f"N={n} layer {order} is not passes and butterflies: {'; '.join(bad)}"
+        )
+    return m.T / g.diagonal()
 
 
 @dataclass(frozen=True)
@@ -142,10 +140,12 @@ class ResidualMatrix:
 def residual_matrix(n: int, order: int) -> ResidualMatrix:
     """Compute T(order) = H_n @ P_order^{-1} and gate the reconstruction.
 
-    P_order^{-1} is exact (see _exact_inverse).  Raises DerivationError if
-    the layer composition is singular or fails its certificate, or if the
-    product T @ P fails to reproduce H_n to within 1e-10 entrywise.  The
-    result is cached with the kernel's derivation; its entries are read-only.
+    P_order^{-1} is the product of the layers' inverses, each read from its
+    listing (see _layer_inverse), so it is exact in float64.  Raises
+    DerivationError naming the layer and rows if a layer is not passes and
+    butterflies, or if the product T @ P fails to reproduce H_n to within
+    1e-10 entrywise.  The result is cached with the kernel's derivation; its
+    entries are read-only.
     """
     # the order is checked before the lookup, where 1.0 would find order 1
     return _residual(n, check_order(n, order))
@@ -153,9 +153,11 @@ def residual_matrix(n: int, order: int) -> ResidualMatrix:
 
 @_derived
 def _residual(n: int, order: int) -> ResidualMatrix:
-    p = pre_addition_matrix(n, order)
+    p, inv = pre_addition_matrix(n, order), np.eye(n)
+    for k in range(1, order + 1):
+        inv = inv @ _layer_inverse(n, k)  # P^{-1} = L_1^{-1} ... L_order^{-1}
     h = dht_matrix(n)
-    entries = h @ _exact_inverse(p)
+    entries = h @ inv
     err = float(np.max(np.abs(h - entries @ p)))
     if err > RECONSTRUCTION_TOL:
         raise DerivationError(
@@ -303,7 +305,7 @@ def _balance(n: int):
             raise DerivationError(f"pipeline out of step: at order {t.order}, expected {k}")
         z, t_bal = balance_split(t)
         stages.append(z)
-        entries = t_bal.entries @ _exact_inverse(layer_matrix(n, k + 1))
+        entries = t_bal.entries @ _layer_inverse(n, k + 1)
         t = ResidualMatrix(n=n, order=k + 1, entries=_frozen(entries))
     return stages, t
 

@@ -544,6 +544,33 @@ def test_derive_bad_layer(capsys, monkeypatch):
         assert f"layer order {layer} invalid for N=12; valid orders are 0..3" in err
 
 
+def test_derive_of_an_underivable_listing_exits_1(capsys, monkeypatch):
+    # a listing the derivation refuses is a failed audit, not a crash:
+    # derive prints the DerivationError to stderr, nothing to stdout, and
+    # exits 1; the restored listing derives the golden text again
+    from mindht.layers import LAYER_SPECS
+
+    listing = LAYER_SPECS[24]
+    swapped = [list(layer) for layer in listing]
+    swapped[0][3] = ("sub", 13, 1)  # operands swapped: no valid balance split
+    repeated = [list(layer) for layer in listing]
+    repeated[0][3] = repeated[0][2]  # row 2 in place of row 3: layer 1 is singular
+    for spec, msg in (
+        (swapped, "error: no valid balance split for N=24: "),
+        (repeated, "error: N=24 layer 1 is not passes and butterflies: "
+                   "rows 2 and 3 read the same slot\n"),
+    ):
+        monkeypatch.setitem(LAYER_SPECS, 24, spec)
+        for fmt in ("text", "machine"):
+            code, out, err = run(capsys, "derive", "--n", "24", "--format", fmt)
+            assert (code, out) == (1, "")
+            assert err.startswith(msg) and err.count("\n") == 1
+    monkeypatch.setitem(LAYER_SPECS, 24, listing)
+    for fmt in ("text", "machine"):
+        golden = _golden(f"derive_n24_{fmt}.txt")
+        assert run(capsys, "derive", "--n", "24", "--format", fmt) == (0, golden, "")
+
+
 def test_bench_is_not_a_subcommand(capsys):
     # wall time is perfbench's (--trace 1); the CLI has no timing harness
     code, out, err = run(capsys, "bench")

@@ -29,7 +29,7 @@ from mindht.counting import trace
 from mindht.derivation import (
     DerivationError,
     ResidualMatrix,
-    _exact_inverse,
+    _layer_inverse,
     layer_matrix,
     merge_pairs,
 )
@@ -99,6 +99,16 @@ def test_determinants_are_powers_of_two(n):
         assert mag > 0 and (mag & (mag - 1)) == 0
 
 
+@pytest.mark.parametrize("n", SUPPORTED_SIZES)
+def test_every_layer_is_passes_and_butterflies(n):
+    # the model the layer inverse reads: L @ L.T is diagonal, one for each
+    # pass and two for each butterfly row
+    for k, spec in enumerate(LAYER_SPECS[n], start=1):
+        m = layer_matrix(n, k)
+        want = np.diag([1 if op[0] == "pass" else 2 for op in spec])
+        assert np.array_equal(m @ m.T, want)
+
+
 # --- residual matrices ---
 
 
@@ -129,12 +139,34 @@ def test_residual_12_has_oversized_entries_before_balancing():
     assert max(alpha) == pytest.approx(1.0 + SQRT3_M1_HALF, abs=1e-12)
 
 
-def test_residual_singular_layer_is_reported():
-    # a deliberately broken (rank-deficient) layer must fail loudly
-    from mindht.derivation import _exact_inverse
+def test_residual_singular_layer_is_reported(monkeypatch):
+    # layer 1 of N = 24 with row 2, add(1, 13), repeated in place of its
+    # partner sub(1, 13) is singular: every derivation that inverts it names
+    # the layer and the two rows, keeps nothing of the raising fill and
+    # raises again
+    from mindht import kernels
 
-    with pytest.raises(DerivationError):
-        _exact_inverse(np.array([[1, 1], [1, 1]], dtype=np.int64))
+    spec = [list(layer) for layer in LAYER_SPECS[24]]
+    spec[0][3] = spec[0][2]
+    monkeypatch.setitem(LAYER_SPECS, 24, spec)
+    msg = "N=24 layer 1 is not passes and butterflies: rows 2 and 3 read the same slot"
+    for _ in range(2):
+        for call in (lambda: residual_matrix(24, 1), lambda: residual_matrix(24, 4),
+                     lambda: balance_stages(24), lambda: verify_decomposition(24)):
+            with pytest.raises(DerivationError, match=f"^{re.escape(msg)}$"):
+                call()
+    stored = {(fn.__name__, *args) for fn, *args in kernels._kernel(24).derived}
+    assert stored == {("_mats",), ("kernel_plan",), ("count_ops",), ("_residual", 0)}
+
+
+def test_layer_with_a_cancelling_row_is_reported(monkeypatch):
+    # sub(1, 1) reads slot 1 against itself: its row is zero
+    spec = [list(layer) for layer in LAYER_SPECS[24]]
+    spec[0][3] = ("sub", 1, 1)
+    monkeypatch.setitem(LAYER_SPECS, 24, spec)
+    with pytest.raises(DerivationError, match=re.escape(
+            "N=24 layer 1 is not passes and butterflies: row 3 cancels to zero")):
+        residual_matrix(24, 1)
 
 
 def _fraction_inverse(m):
@@ -165,33 +197,15 @@ def _assert_same_bits(got, want):
 
 @pytest.mark.parametrize("n", SUPPORTED_SIZES)
 def test_exact_inverse_matches_fraction_oracle(n):
-    mats = [pre_addition_matrix(n, k) for k in range(max_order(n) + 1)]
-    mats += [layer_matrix(n, k) for k in range(1, max_order(n) + 1)]
-    for m in mats:
-        _assert_same_bits(_exact_inverse(m), _fraction_inverse(m))
-
-
-def test_exact_inverse_non_dyadic():
-    # determinants 3, 4 and 35: thirds and 35ths have no exact float, so
-    # each entry must be the correctly rounded quotient, as in the oracle
-    for rows in ([[3, 1], [0, 1]], [[2, 1, 0], [1, 2, 1], [0, 1, 2]], [[0, 5], [-7, 3]]):
-        m = np.array(rows, dtype=np.int64)
-        _assert_same_bits(_exact_inverse(m), _fraction_inverse(m))
-    assert _exact_inverse(np.array([[3, 1], [0, 1]]))[0, 0] == 1 / 3
-
-
-def test_exact_inverse_rejects_a_wrong_float_inverse(monkeypatch):
-    # the integer check, not the float inverse, is what makes the result exact
-    real_inv = np.linalg.inv
-    monkeypatch.setattr(np.linalg, "inv", lambda m: real_inv(m) + 0.3)
-    with pytest.raises(DerivationError, match="integer check"):
-        _exact_inverse(pre_addition_matrix(24, 3))
-
-
-def test_exact_inverse_rejects_entries_beyond_int64():
-    m = np.array([[2**40, 0], [0, 2**40 + 1]], dtype=np.int64)
-    with pytest.raises(DerivationError, match="too large"):
-        _exact_inverse(m)
+    # each layer's inverse, read from its listing as L.T / (L @ L.T), and
+    # each T(k) built on their product have the bits that a Fraction
+    # Gauss-Jordan inverse gives
+    h = dht_matrix(n)
+    for k in range(max_order(n) + 1):
+        if k:
+            _assert_same_bits(_layer_inverse(n, k), _fraction_inverse(layer_matrix(n, k)))
+        p_inv = _fraction_inverse(pre_addition_matrix(n, k))
+        _assert_same_bits(residual_matrix(n, k).entries, h @ p_inv)
 
 
 # --- alphabet clustering ---
