@@ -17,8 +17,8 @@ items, complex or other dtypes, nesting, another length or shape):
     makes with NumPy's C API.  The registers are scalar ``double`` locals.
     Its error is ``ValueError("signal contains non-finite samples")``.
     ``fast_dht`` calls it on its raw input, and on the floats
-    ``layers.read_block`` reads when that returns ``NotImplemented`` (see
-    ``kernels.COMPILE_AFTER``).
+    ``layers.read_block`` reads when that returns ``NotImplemented``, once
+    the module is loaded (see ``kernels.COMPILE_AFTER``).
 ``dft(V)``
     ``reference.dht_to_dft`` of a Hartley spectrum V, returned as a new
     complex128 array of n values that it makes with NumPy's C API.  Each bin
@@ -28,7 +28,8 @@ items, complex or other dtypes, nesting, another length or shape):
     ``ValueError("spectrum contains non-finite samples")``.
     ``dht_to_dft`` calls it on its raw input.
 ``batch(x, y)``
-    ``kernel_flow(n)(X)`` on float64 arrays, through the buffer protocol: x
+    ``kernel_flow(n)(X)``, and ``fast_dht(X, axis=a)`` once the module is
+    loaded, on float64 arrays, through the buffer protocol: x
     is (n, B) with element strides, y the C-contiguous (n_outputs, B)
     result.  It walks the batch in blocks of W columns.  Every input,
     output and register is one GCC vector-extension value of W doubles, so
@@ -50,12 +51,14 @@ A module is compiled at most once per kernel and process, into a shared
 object in a private per-process temporary directory that is removed at exit,
 with ``Python.h`` from ``sysconfig.get_paths()["include"]`` and
 ``numpy/arrayobject.h`` from ``numpy.get_include()`` (``_include_flags``);
-nothing is cached between processes.  The first array call for a length
-compiles it then and there (0.3-0.5 s per N with gcc 12 on a 2.1 GHz Xeon);
-a one-block call never waits for it: ``fast_dht`` compiles on a background
-thread after ``kernels.COMPILE_AFTER`` calls, and ``dht_to_dft`` never
-compiles.  Whichever call loads the module swaps its ``block`` and ``dft``
-into the record, so one-block calls use them from then on.  At exit a
+nothing is cached between processes.  The first ``kernel_flow`` array call
+for a length compiles it then and there (0.3-0.5 s per N with gcc 12 on a
+2.1 GHz Xeon); ``fast_dht`` never waits for it: it runs the Python function
+or the replay and compiles on a background thread once it has run
+``kernels.COMPILE_AFTER`` blocks of the length, by either route, and
+``dht_to_dft`` never compiles.  Whichever call loads the module swaps its
+``block`` and ``dft`` into the record, so one-block calls use them from
+then on.  At exit a
 compiler still running is killed before the directory is removed.  The module is kept in
 the kernel's record (``kernels._KERNELS``) and one lock covers loading, so
 threads and the background compile share one load, and a replaced
@@ -484,10 +487,13 @@ def _load(k):
 _LOCK = threading.Lock()  # guards loading
 
 
-def _loaded(k):
+def _loaded(k, load: bool = True):
     """The checked extension module of kernel record k, loaded into it on first
-    use with its ``block`` and ``dft`` swapped in (``k.c``, ``k.dft``), or None."""
+    use with its ``block`` and ``dft`` swapped in (``k.c``, ``k.dft``), or None.
+    Without load, None until another call has loaded it."""
     if k.module is _UNTRIED:
+        if not load:
+            return None
         with _LOCK:
             if k.module is _UNTRIED:
                 module = _load(k)
@@ -497,7 +503,7 @@ def _loaded(k):
     return k.module
 
 
-def run(n: int, x: np.ndarray) -> np.ndarray:
+def run(n: int, x: np.ndarray, *, load: bool = True) -> np.ndarray:
     """``kernel_flow(n)(x)`` for an ndarray x with ndim >= 2: the one batch router.
 
     x's dtype passes the kind rule of every input (``layers.check_kind``), so
@@ -505,7 +511,10 @@ def run(n: int, x: np.ndarray) -> np.ndarray:
     be n.  The (n, ...) batch is viewed as (n, B) columns and run by C
     ``batch`` if it is native, aligned float64 with strides in whole elements
     and the module loads, else by the replay, which reads the other real
-    dtypes as float64; the float64 result takes x's shape.
+    dtypes as float64; the float64 result takes x's shape.  ``kernel_flow``
+    loads the module in the caller's thread; ``fast_dht``'s array route
+    passes load=False, so it uses the module only if it is already loaded
+    and never waits for a compiler.
     """
     k = _kernel(check_size(n))
     prog = k.prog
@@ -518,7 +527,7 @@ def run(n: int, x: np.ndarray) -> np.ndarray:
     cols = x.reshape(n, -1)
     if (cols.dtype == _F64 and cols.flags.aligned
             and not (cols.strides[0] % 8 or cols.strides[1] % 8)
-            and (module := _loaded(k)) is not None):
+            and (module := _loaded(k, load)) is not None):
         out = np.empty((prog.n_outputs, cols.shape[1]))
         module.batch(cols, out)
     else:

@@ -84,30 +84,35 @@ def _cmd_dft(args) -> int:
     return EXIT_OK
 
 
+def _verify_length(n: int, trials: int, seed: int) -> dict:
+    """verify's result for length n; its arrays go when it returns, before the next n's."""
+    # one draw of every trial is the same PCG64 stream as one draw per trial,
+    # and one fast_dht call runs all of its rows; two rows drawn after them
+    # go through the one-block fast_dht too, and must equal their rows of the
+    # batch bit for bit.  The oracle is one stacked product: an (n, n) matrix
+    # times (trials, n, 1) runs BLAS gemv per row, the call naive_dht's M @ v
+    # makes, so each row has naive_dht's bits (signals @ M is gemm, which
+    # rounds differently); the errors |fast - naive| are then computed in its
+    # result, with no temporary
+    rng = np.random.default_rng([seed, n])
+    signals = rng.uniform(-1.0, 1.0, (trials, n))
+    fast = fast_dht(signals)
+    rows_agree = all(fast_dht(signals[i]).tobytes() == fast[i].tobytes()
+                     for i in (rng.random(2) * trials).astype(int))
+    err = np.matmul(dht_matrix(n), signals[:, :, None])[..., 0]
+    np.abs(np.subtract(err, fast, out=err), out=err)
+    worst = float(err.max())
+    tol = VERIFY_TOL_PER_N * n
+    return {"n": n, "trials": trials, "max_error": worst, "tolerance": tol,
+            "ok": rows_agree and worst <= tol}
+
+
 def _cmd_verify(args) -> int:
     if args.trials < 1:
         print("error: --trials must be >= 1", file=sys.stderr)
         return EXIT_USAGE
-    results = []
-    status = EXIT_OK
-    for n in SUPPORTED_SIZES:
-        # one draw of every trial is the same PCG64 stream as one draw per
-        # trial; each row still goes through the one-block fast_dht.  The
-        # oracle is one stacked product: an (n, n) matrix times (trials, n, 1)
-        # runs BLAS gemv per row, the call naive_dht's M @ v makes, so each
-        # row has naive_dht's bits (signals @ M is gemm, which rounds
-        # differently)
-        signals = np.random.default_rng([args.seed, n]).uniform(-1.0, 1.0, (args.trials, n))
-        fast = np.array([fast_dht(v) for v in signals])
-        naive = np.matmul(dht_matrix(n), signals[:, :, None])[..., 0]
-        worst = float(np.max(np.abs(fast - naive)))
-        tol = VERIFY_TOL_PER_N * n
-        ok = worst <= tol
-        if not ok:
-            status = EXIT_FAIL
-        results.append(
-            {"n": n, "trials": args.trials, "max_error": worst, "tolerance": tol, "ok": ok}
-        )
+    results = [_verify_length(n, args.trials, args.seed) for n in SUPPORTED_SIZES]
+    status = EXIT_OK if all(r["ok"] for r in results) else EXIT_FAIL
     if args.format == "machine":
         print(json.dumps({"seed": args.seed, "results": results}, sort_keys=True))
     else:

@@ -27,19 +27,20 @@ the pruned trace (``counting.trace(n)``, which every kernel call runs), its
 schedule and emitted Python function (mindht.replay), the C extension
 module (mindht._cgen, with a ``block(v)`` entry point for ``fast_dht``, a
 ``dft(V)`` one for ``reference.dht_to_dft`` and a ``batch`` one for float64
-arrays, loaded on the first array call), the one-block call count, and
-whatever is made lazily from them by a ``_derived`` function: the
-operation counts (``counting.count_ops``), the derivation
-(mindht.derivation) and the text ``mindht derive`` prints, each made once
-under the record's one lock.  ``fast_dht`` runs the Python function for the
-first ``COMPILE_AFTER`` calls of a length, or until an array call has
-loaded the module; the last of them starts the compile on a background
-thread.  Whichever path loads the module, ``block`` and ``dft`` are swapped
-in once it has passed its check, so no one-block call waits for a
-compiler.  From then on ``fast_dht`` hands ``block`` the raw input first: a
-list of floats or a float64 array goes straight to C, and only what
-``block`` declines is read by ``layers.read_block``, the Python side of the
-same one-block contract.
+arrays, loaded on the first ``kernel_flow`` array call), the count of
+blocks ``fast_dht`` has run, and whatever is made lazily from them by a
+``_derived`` function: the operation counts (``counting.count_ops``), the
+derivation (mindht.derivation) and the text ``mindht derive`` prints, each
+made once under the record's one lock.  ``fast_dht`` never waits for a
+compiler: until the module is loaded it runs one block as the Python
+function and an array of blocks as the replay, and the call that takes
+the length's count of blocks to ``COMPILE_AFTER`` or past it starts the
+compile on a background thread.  Whichever path loads the module, ``block`` and ``dft``
+are swapped in once it has passed its check.  From then on ``fast_dht``
+hands ``block`` the raw input first: a list of floats or a 1-D float64
+array goes straight to C, and only what ``block`` declines is read by
+``layers.read_block``, the Python side of the same one-block contract, or
+by ``layers.read_blocks`` for an array of blocks, which C ``batch`` runs.
 """
 
 from __future__ import annotations
@@ -50,7 +51,7 @@ import threading
 
 import numpy as np
 
-from .layers import LAYER_SPECS, cascade, check_size, read_block
+from .layers import LAYER_SPECS, cascade, check_size, read_block, read_blocks
 
 __all__ = [
     "SQRT2",
@@ -214,12 +215,14 @@ def dht24_flow(v):
 
 _FLOWS = {4: dht4_flow, 8: dht8_flow, 12: dht12_flow, 24: dht24_flow}
 
-# One-block calls of one length's program that fast_dht serves from the
-# emitted Python function before a background thread compiles its C module.
-# A process that makes fewer never compiles: setup_s makes one call per N
-# and ``mindht verify`` at most its --trials (default 1000).  A compile takes
-# 0.2-0.4 s of another core; at 1-4 us saved per call it pays off after about
-# 10^5 calls, and a loop of calls reaches this count within tens of ms.
+# Blocks of one length that fast_dht runs, by either route, before a
+# background thread compiles its C module: one per one-block call, one per
+# block of an array call.  Until then a one-block call runs the emitted
+# Python function and an array call the replay.  A process that runs fewer
+# never compiles: setup_s runs one block per N and ``mindht verify`` its
+# --trials plus two (default 1000).  A compile takes 0.2-0.4 s of another
+# core; at 1-4 us saved per one-block call it pays off after about 10^5
+# calls, and a loop of calls reaches this count within tens of ms.
 COMPILE_AFTER = 4096
 
 
@@ -232,7 +235,8 @@ class _Kernel:
     pruned ``trace``, its schedule ``prog`` and emitted Python function
     ``fn``, the C ``module``, its swapped-in ``block`` ``c`` and ``dft``
     (both None before that; ``reference.dht_to_dft`` calls ``dft``), the
-    one-block calls ``fn`` has served, and the values of the ``_derived``
+    blocks ``fast_dht`` has run before ``c`` was swapped in (``calls``,
+    counted toward ``COMPILE_AFTER``), and the values of the ``_derived``
     functions, made under the record's ``lock`` into ``derived``."""
 
     __slots__ = ("flow", "spec", "trace", "prog", "fn", "module", "c", "dft", "calls",
@@ -258,7 +262,7 @@ class _Kernel:
 # _cgen import this module, and ``import mindht`` should not pay for them.
 _KERNELS: dict[int, _Kernel] = {}
 _LOCK = threading.Lock()
-_run = None
+_cgen = None
 
 
 def _kernel(n: int) -> _Kernel:
@@ -305,13 +309,14 @@ def _load_c_block(k: _Kernel) -> None:
     _loaded(k)
 
 
-def _array(n: int, x: np.ndarray) -> np.ndarray:
-    global _run
-    if _run is None:
-        from ._cgen import run
+def _router():
+    """mindht._cgen, whose ``run`` routes every array call, imported on first use."""
+    global _cgen
+    if _cgen is None:
+        from . import _cgen as module
 
-        _run = run
-    return _run(n, x)
+        _cgen = module
+    return _cgen
 
 
 def kernel_flow(n: int):
@@ -336,7 +341,7 @@ def kernel_flow(n: int):
 
     def kernel(v):
         if isinstance(v, np.ndarray) and v.ndim >= 2:
-            return _array(n, v)
+            return _router().run(n, v)
         return _kernel(n).fn(v)
 
     return kernel
@@ -362,33 +367,46 @@ def fast_dht24(v) -> np.ndarray:
     return fast_dht(v, 24)
 
 
-def fast_dht(v, n: int | None = None) -> np.ndarray:
-    """Fast DHT of a signal whose length is one of 4, 8, 12, 24.
+def fast_dht(v, n: int | None = None, axis: int = -1) -> np.ndarray:
+    """Fast DHT of a signal whose length is one of 4, 8, 12, 24, or of every
+    block of an ndarray along one axis.
 
     Once the length's C module is loaded and n is omitted or an ``int``
     equal to ``len(v)``, the raw input goes to its ``block(v)`` (mindht._cgen)
     first, which reads a list or tuple of Python floats in place, or a 1-D
     float64 array of any stride, checks for inf and nan in C and returns the
-    result it makes.  Any other input, or any input before then, is read by
-    ``layers.read_block``, which reads real numbers (ints, float32 and the
-    other real dtypes) as float64 and refuses bools, strings, object arrays
-    and complex values with TypeError, and the kernel's program runs on the
-    floats it returns: as that ``block``, or before the module is loaded as
-    a Python function.  The first ``COMPILE_AFTER`` calls of a length, or until an
-    array call has loaded the module, run the Python function; the last of
-    them starts the module's compile on a background thread, and the C
-    ``block`` is swapped in when the module, loaded by either, has passed
-    its load check.  Every route gives the same bits, and the same error
-    for the same input.
+    result it makes.  An ndarray with ndim >= 2, which ``block`` declines,
+    is read as blocks along ``axis`` by ``layers.read_blocks``, with the
+    one-block contract for each block, and runs through ``_cgen.run``: as C
+    ``batch`` if the module is already loaded, else as the replay; the
+    float64 result has v's shape.  Any other input, or any input before the
+    module is loaded, is read by ``layers.read_block``, which reads real
+    numbers (ints, float32 and the other real dtypes) as float64 and refuses
+    bools, strings, object arrays and complex values with TypeError, and the
+    kernel's program runs on the floats it returns: as that ``block``, or
+    before the module is loaded as a Python function.  No call waits for a
+    compiler: once either route has run ``COMPILE_AFTER`` blocks of a
+    length, the call that crosses that count starts the module's compile
+    on a background thread, and ``block`` is swapped in when the module,
+    loaded by it or by a ``kernel_flow`` array call, has passed its load
+    check.  Every route gives the same bits, and the same error for the
+    same block.
 
     Parameters
     ----------
     v : array-like of real numbers
-        Input signal.
+        Input signal, or an ndarray of blocks.
     n : int, optional
-        Expected block length; defaults to ``len(v)``.  A mismatch, or a
-        length without a fast kernel, raises UnsupportedLengthError
-        (``layers.read_block``).
+        Expected block length; defaults to ``len(v)``, or for an ndarray
+        with ndim >= 2 to ``v.shape[axis]``.  A mismatch, or a length without
+        a fast kernel, raises UnsupportedLengthError (``layers.read_block``).
+    axis : int, optional
+        The axis of an ndarray with ndim >= 2 that holds each block's
+        samples; default -1, so the rows of a (B, n) array are its blocks.
+        Other inputs are one block and ignore it.  It is not keyword-only,
+        as in ``numpy.fft.fft(a, n, axis)``: CPython 3.11 does not
+        specialize calls to a function with keyword-only parameters, which
+        costs a one-block call about 18 ns.
     """
     if n is None or type(n) is int:
         try:
@@ -402,15 +420,30 @@ def fast_dht(v, n: int | None = None) -> np.ndarray:
                 out = c(v)
                 if out is not NotImplemented:
                     return out
+    if isinstance(v, np.ndarray) and v.ndim >= 2:
+        blocks = read_blocks(v, n, axis)
+        k = _kernel(len(blocks))
+        if k.c is None:
+            _count(k, blocks.size // len(blocks))
+        return _router().run(len(blocks), blocks, load=False).swapaxes(0, axis)
     vals = read_block(v, n)
     k = _kernel(len(vals))
     if k.c is not None:
         return k.c(vals)
-    # Unlocked: each call compares the count it wrote, so racing calls may
-    # lose a count or start a second thread, which then finds the module
-    # loaded under mindht._cgen's lock, but never skip the threshold.
-    calls = k.calls = k.calls + 1
-    if calls == COMPILE_AFTER:
-        threading.Thread(target=_load_c_block, args=(k,), daemon=True,
-                         name=f"mindht-compile-n{len(vals)}").start()
+    _count(k, 1)
     return np.array(k.fn(vals))
+
+
+def _count(k: _Kernel, blocks: int) -> None:
+    """Count blocks run by fast_dht toward ``COMPILE_AFTER``; the call that
+    crosses it starts the compile of k's module on a background thread.
+
+    Unlocked: each call compares the count it read with the one it wrote, so
+    racing calls may lose a count or start a second thread, which then finds
+    the module loaded under mindht._cgen's lock, but never skip the threshold.
+    """
+    before = k.calls
+    k.calls = before + blocks
+    if before < COMPILE_AFTER <= before + blocks:
+        threading.Thread(target=_load_c_block, args=(k,), daemon=True,
+                         name=f"mindht-compile-n{k.prog.n}").start()

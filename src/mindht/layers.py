@@ -17,8 +17,9 @@ Layer 0 is always the input signal itself.
 
 This module also holds the Python side of the input contract: ``is_integer``
 for a block length or order, ``read_samples``, the one reader every 1-D input
-goes through, and ``read_block``, which reads one block of a supported length
-with it.
+goes through, ``read_block``, which reads one block of a supported length
+with it, and ``read_blocks``, which applies that contract to every block of
+an array.
 """
 
 from __future__ import annotations
@@ -39,6 +40,7 @@ __all__ = [
     "all_finite",
     "read_samples",
     "read_block",
+    "read_blocks",
     "max_order",
     "LayerState",
     "apply_layer",
@@ -130,17 +132,23 @@ def read_samples(v, n: int | None = None, what: str = "signal",
         # check refuses with no overflow warning before it
         with np.errstate(over="ignore"):
             a = a.astype(complex if complex_ok else float, copy=False)
-    if n is not None and a.shape != (n,):
-        raise UnsupportedLengthError(f"{what} has shape {a.shape}, expected ({n},); "
-                                     f"fast kernels exist for lengths {_LENGTHS}")
-    if a.ndim != 1:
-        raise UnsupportedLengthError(f"{what} must be 1-D, got shape {a.shape}")
-    if not a.size:
-        raise UnsupportedLengthError(f"{what} must be a non-empty 1-D array, got shape (0,)")
+    _check_shape(a.shape, n, what)
     vals = a.tolist()
     if not all_finite(vals):
         raise ValueError(f"{what} contains non-finite samples")
     return a, vals
+
+
+def _check_shape(shape: tuple, n: int | None, what: str) -> None:
+    """The shape rule of a 1-D input: (n,) where n is given, else any non-empty
+    1-D shape; anything else raises UnsupportedLengthError."""
+    if n is not None and shape != (n,):
+        raise UnsupportedLengthError(f"{what} has shape {shape}, expected ({n},); "
+                                     f"fast kernels exist for lengths {_LENGTHS}")
+    if len(shape) != 1:
+        raise UnsupportedLengthError(f"{what} must be 1-D, got shape {shape}")
+    if not shape[0]:
+        raise UnsupportedLengthError(f"{what} must be a non-empty 1-D array, got shape (0,)")
 
 
 def read_block(v, n: int | None = None) -> list[float]:
@@ -158,6 +166,34 @@ def read_block(v, n: int | None = None) -> list[float]:
     vals = read_samples(v, n if n is None else check_size(n))[1]
     check_size(len(vals))
     return vals
+
+
+def read_blocks(x: np.ndarray, n: int | None = None, axis: int = -1) -> np.ndarray:
+    """The blocks of an ndarray x with ndim >= 2, each a 1-D slice along axis,
+    as x read as float64 with axis swapped to the front (``swapaxes(axis, 0)``),
+    so each block's m samples lie along axis 0.
+
+    This is ``read_block`` applied to every block, with its errors in its
+    order: given, n is checked first; x's dtype must pass ``check_kind`` and
+    is read as float64, a copy unless x is float64 (a long double beyond
+    float64's range reads as inf); each block must have shape (n,), or be
+    non-empty where n is omitted; a sample that is inf or nan raises
+    ``ValueError("signal contains non-finite samples")``; and m must be a
+    supported block length.  An axis x does not have raises NumPy's AxisError.
+    """
+    if n is not None:
+        check_size(n)
+    a = x
+    if a.dtype is not _F64:
+        check_kind(a.dtype, "signal")
+        with np.errstate(over="ignore"):
+            a = a.astype(float)
+    blocks = a.swapaxes(axis, 0)
+    _check_shape(blocks.shape[:1], n, "signal")
+    if not np.isfinite(blocks).all():
+        raise ValueError("signal contains non-finite samples")
+    check_size(len(blocks))
+    return blocks
 
 
 def _butterflies(*pairs):

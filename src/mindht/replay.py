@@ -6,15 +6,16 @@ columns so the intermediates of a chunk stay in cache, where running a flow
 over whole rows would allocate and stream one temporary row per operation.
 The schedule (``ops``, ``consts``, ``n_regs``) is what the replay runs, in
 float64, on the batches ``mindht._cgen.run`` does not hand to C (another
-dtype, odd strides, no working compiler), what mindht._cgen turns into two
-entry points of one C extension module per length (``block`` for one block,
+dtype, odd strides, no working compiler, or a ``fast_dht`` array call
+before the module is loaded), what mindht._cgen turns into two entry
+points of one C extension module per length (``block`` for one block,
 ``batch`` for arrays), and what ``_emit`` turns into a straight-line Python
 function for one block (``kernels.kernel_flow(n)`` on anything but an
 ndarray with ndim >= 2, and ``fast_dht`` until its length's module is
-loaded, by an array call or on a background thread after
-``kernels.COMPILE_AFTER`` calls, or whenever no module loads).  All of them
-do the same IEEE operations on the same operands in the same order, so they
-agree bit for bit.  The schedule and
+loaded, by a ``kernel_flow`` array call or on a background thread once
+``fast_dht`` has run ``kernels.COMPILE_AFTER`` blocks of the length, or
+whenever no module loads).  All of them do the same IEEE operations on the
+same operands in the same order, so they agree bit for bit.  The schedule and
 the function are made once per kernel record (``kernels._KERNELS``), with
 its trace.  Imported on the first kernel call or trace, not with mindht.
 """

@@ -11,9 +11,11 @@ import numpy as np
 import pytest
 
 from mindht import SUPPORTED_SIZES, dht_matrix, naive_dht
-from mindht import cli
+from mindht import _cgen, cli, kernels
 from mindht.cli import main
 from mindht.io import SignalParseError, read_signal, write_signal
+from mindht.layers import read_block
+from test_kernels import BACKENDS, forced
 
 
 def run(capsys, *argv):
@@ -263,6 +265,17 @@ def test_verify_output_matches_golden(capsys, fmt):
     assert out == golden
 
 
+@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("fmt", ("machine", "text"))
+def test_verify_output_matches_golden_on_either_batch_backend(capsys, fmt, backend):
+    # verify's array calls run C batch once the module is loaded, else the replay
+    golden = (Path(__file__).parent / "data" / f"verify_seed2024_trials50_{fmt}.txt").read_text()
+    with forced(backend):
+        code, out, _ = run(capsys, "verify", "--trials", "50", "--seed", "2024", "--format", fmt)
+    assert code == 0
+    assert out == golden
+
+
 @pytest.mark.parametrize("trials", (1, 2, 50, 1000))
 def test_verify_oracle_is_naive_dht_bit_for_bit(trials):
     # verify checks all of a length's trials against one stacked product; a
@@ -275,20 +288,23 @@ def test_verify_oracle_is_naive_dht_bit_for_bit(trials):
             assert stacked.tobytes() == np.array([naive_dht(v) for v in signals]).tobytes()
 
 
-def test_verify_runs_fast_dht_once_per_trial_on_a_row(capsys, monkeypatch):
-    import mindht.cli as cli
-
+def test_verify_makes_two_one_block_calls_per_n_at_any_trials(capsys, monkeypatch):
+    # each length's trials run as one array call; two rows of it go through
+    # the one-block fast_dht again, however many trials there are
     real = cli.fast_dht
     seen = []
 
-    def counted(v, n=None):
-        seen.append((type(v), v.shape, n))
-        return real(v, n)
+    def counted(v, n=None, **kwargs):
+        seen.append((type(v), v.shape, n, kwargs))
+        return real(v, n, **kwargs)
 
     monkeypatch.setattr(cli, "fast_dht", counted)
-    code, _, _ = run(capsys, "verify", "--trials", "7")
-    assert code == 0
-    assert seen == [(np.ndarray, (n,), None) for n in SUPPORTED_SIZES for _ in range(7)]
+    for trials in (7, 1000):
+        seen.clear()
+        code, _, _ = run(capsys, "verify", "--trials", str(trials))
+        assert code == 0
+        assert seen == [(np.ndarray, shape, None, {}) for n in SUPPORTED_SIZES
+                        for shape in ((trials, n), (n,), (n,))]
 
 
 def test_verify_rejects_zero_trials(capsys):
@@ -355,6 +371,52 @@ def test_verify_detects_corrupted_kernel(capsys, monkeypatch):
     code, _, err = run(capsys, "verify", "--trials", "5")
     assert code == 1
     assert "FAILED" in err
+
+
+def verify_results(capsys):
+    code, out, _ = run(capsys, "verify", "--trials", "50", "--format", "machine")
+    return code, json.loads(out)["results"]
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_verify_spot_rows_detect_a_corrupted_one_block_kernel(capsys, monkeypatch, backend):
+    # negative control: only the one-block C entry point of N = 12 is off, by
+    # one ulp in one output; the batch and the oracle cannot see that, the
+    # rows checked through the one-block fast_dht must
+    with forced(backend):
+        good = verify_results(capsys)[1]
+        k = kernels._kernel(12)
+
+        def off_by_one_ulp(v):
+            out = np.array(k.fn(read_block(v)))
+            out[3] = np.nextafter(out[3], np.inf)
+            return out
+
+        monkeypatch.setattr(k, "c", off_by_one_ulp)
+        code, results = verify_results(capsys)
+    assert code == 1
+    assert [r["ok"] for r in results] == [n != 12 for n in SUPPORTED_SIZES]
+    assert [r["max_error"] for r in results] == [r["max_error"] for r in good]
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_verify_oracle_detects_a_corrupted_batch_route(capsys, monkeypatch, backend):
+    # negative control: only the batch route of N = 24 is off, in one output
+    # row; the oracle comparison alone must fail it
+    real = _cgen.run
+
+    def corrupted(n, x, **kwargs):
+        out = real(n, x, **kwargs)
+        if n == 24:
+            out[5] += 1e-6
+        return out
+
+    with forced(backend):
+        monkeypatch.setattr(_cgen, "run", corrupted)
+        code, results = verify_results(capsys)
+    assert code == 1
+    assert [r["ok"] for r in results] == [n != 24 for n in SUPPORTED_SIZES]
+    assert results[-1]["max_error"] > results[-1]["tolerance"]
 
 
 @pytest.mark.parametrize("n", (8, 12, 24))

@@ -6,8 +6,9 @@ that the call raised no warning.  The rule behind the table: real numbers (NumPy
 kinds f, i and u) are read as float64; bools, strings, object arrays and complex
 values (except in ``dft_to_dht``) raise TypeError (``layers.check_kind``); a
 sample that is inf or nan, or a long double beyond float64's range (read as
-inf), raises ValueError, except in a batch, where it runs through; a wrong
-shape raises UnsupportedLengthError.
+inf), raises ValueError, except in a ``kernel_flow`` batch, where it runs
+through; a wrong shape raises UnsupportedLengthError.  ``fast_dht`` reads an
+ndarray with ndim >= 2 as blocks along an axis, each by the one-block rule.
 """
 
 import warnings
@@ -71,10 +72,14 @@ NOT_NUMBERS = {"bools": "bool", "numeric strings": "<U3", "object array": "objec
                "complex": "complex128"}
 
 # name -> (call, length, what its errors name, how it reads: "any" length,
-# one "block" of n, or a "batch"); a path name runs the call in that state
+# one "block" of n, "blocks" of a fast length, one or an ndarray of them, or
+# a "batch" of kernel_flow); a column named batch takes the batch inputs, and
+# a path name runs the call in that state
 COLUMNS = {
-    "fast_dht c": (fast_dht, N, "signal", "any"),
-    "fast_dht python": (fast_dht, N, "signal", "any"),
+    "fast_dht c": (fast_dht, N, "signal", "blocks"),
+    "fast_dht python": (fast_dht, N, "signal", "blocks"),
+    "fast_dht batch c": (lambda x: fast_dht(x, axis=0), N, "signal", "blocks"),
+    "fast_dht batch replay": (lambda x: fast_dht(x, axis=0), N, "signal", "blocks"),
     "pre_addition_state": (lambda v: pre_addition_state(v, N, 2).values, N, "signal", "block"),
     "run_counted": (lambda v: counting.run_counted(N, v)[0], N, "signal", "block"),
     "naive_dht": (naive_dht, N, "signal", "any"),
@@ -125,6 +130,7 @@ def expected(row, column, v):
     assert row == "wrong shape"
     return UnsupportedLengthError, {
         "any": f"{what} must be 1-D, got shape (2, {n})",
+        "blocks": "block length 2 is not supported; valid lengths are 4, 8, 12, 24",
         "block": f"signal has shape (2, {n}), expected ({n},); {LENGTHS}",
         "batch": f"batch has shape (2, {n}), expected ({n}, ...): "
                  "axis 0 holds the samples of each block",
@@ -141,17 +147,23 @@ def fallback_warned():
             _cgen.backend(n)
 
 
+def takes_batches(column):
+    return "batch" in column.split()
+
+
 CELLS = [(row, column) for row in ROWS for column in COLUMNS
-         if not (COLUMNS[column][3] == "batch" and ROWS[row][1] is None)]
+         if not (takes_batches(column) and ROWS[row][1] is None)]
 
 
 @pytest.mark.parametrize("row, column", CELLS, ids=[f"{r}-{c}" for r, c in CELLS])
 def test_input_contract(row, column):
     call, n, _, reads = COLUMNS[column]
     x = np.random.default_rng([131, n]).uniform(-1.0, 1.0, (n, 2))
-    v = ROWS[row][reads == "batch"](x)
+    v = ROWS[row][takes_batches(column)](x)
+    if row == "wrong shape" and column in ("fast_dht c", "fast_dht python"):
+        v = x  # (2, n) is two blocks along axis -1; (n, 2) is n blocks of 2
     path = column.split()[-1]
-    state = (forced(path) if reads == "batch"
+    state = (forced(path) if takes_batches(column)
              else one_block_path(path) if path in ("c", "python") else nullcontext())
     with state:
         got, warned = outcome(call, v)

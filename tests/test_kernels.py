@@ -278,7 +278,8 @@ _LENGTHS = "fast kernels exist for lengths 4, 8, 12, 24"
 @pytest.mark.parametrize(
     "call, message",
     [
-        (lambda: fast_dht(np.ones((2, 4))), "signal must be 1-D, got shape (2, 4)"),
+        # a list is one block; an ndarray with ndim >= 2 holds blocks along an axis
+        (lambda: fast_dht([[1.0] * 4] * 2), "signal must be 1-D, got shape (2, 4)"),
         (lambda: fast_dht([[1.0] * 8]), "signal must be 1-D, got shape (1, 8)"),
         (lambda: fast_dht(np.ones(5)),
          "block length 5 is not supported; valid lengths are 4, 8, 12, 24"),
@@ -286,11 +287,11 @@ _LENGTHS = "fast kernels exist for lengths 4, 8, 12, 24"
          "block length 6 is not supported; valid lengths are 4, 8, 12, 24"),
         (lambda: fast_dht(np.ones(8), n=4),
          f"signal has shape (8,), expected (4,); {_LENGTHS}"),
-        (lambda: fast_dht(np.ones((1, 8)), n=8),
+        (lambda: fast_dht([[1.0] * 8], n=8),
          f"signal has shape (1, 8), expected (8,); {_LENGTHS}"),
         (lambda: fast_dht8(np.ones(12)),
          f"signal has shape (12,), expected (8,); {_LENGTHS}"),
-        (lambda: fast_dht24(np.ones((24, 1))),
+        (lambda: fast_dht24([[1.0]] * 24),
          f"signal has shape (24, 1), expected (24,); {_LENGTHS}"),
     ],
 )
@@ -333,16 +334,23 @@ BACKENDS = ("c", "replay")
 
 @contextmanager
 def forced(name):
-    """Run the array path on the C kernels ("c") or on a forced replay ("replay").
+    """Run the array paths on the C kernels ("c") or on a forced replay ("replay").
 
-    The replay is forced through the compiler lookup, on modules not yet tried.
+    "c" loads every module first, since ``fast_dht``'s array route runs C
+    ``batch`` only once the module is loaded.  The replay is forced through
+    the compiler lookup, on modules not yet tried, and with no background
+    compile started, which could outlive the context.
     """
     with pytest.MonkeyPatch.context() as mp:
-        if name == "replay":
+        if name == "c":
+            for n in SUPPORTED_SIZES:
+                _cgen.backend(n)
+        else:
             for n in SUPPORTED_SIZES:
                 mp.setattr(kernels._kernel(n), "module", kernels._UNTRIED)
             mp.setattr(_cgen, "find_compiler", lambda: None)
             mp.setattr(_cgen, "_warned", True)
+            mp.setattr(kernels, "COMPILE_AFTER", sys.maxsize)
         yield
 
 
@@ -724,6 +732,94 @@ def test_negative_and_non_unit_strides(backend, n):
         assert np.array_equal(base, before)
 
 
+# --- fast_dht on an ndarray of blocks along an axis ---
+
+
+def per_block(x, axis):
+    """The one-block fast_dht of each block of x along axis, in x's layout."""
+    moved = np.moveaxis(x, axis, -1)
+    out = np.empty(moved.shape)
+    for i in np.ndindex(moved.shape[:-1]):
+        out[i] = fast_dht(moved[i])
+    return np.moveaxis(out, -1, axis)
+
+
+def arrays_of_blocks(n):
+    """(x, axis) pairs: ndim 2 and 3, the block axis first, last and in the
+    middle, C-contiguous, transposed and strided, block counts that are and
+    are not multiples of W."""
+    rng = np.random.default_rng(n + 211)
+    wide = rng.uniform(-1.0, 1.0, (3 * n, 4 * W + 6))
+    cube = rng.uniform(-1.0, 1.0, (3, n, 7))
+    return [
+        (rng.uniform(-1.0, 1.0, (W + 5, n)), -1),  # C-contiguous rows
+        (rng.uniform(-1.0, 1.0, (n, 2 * W)), 0),  # C-contiguous columns
+        (rng.uniform(-1.0, 1.0, (n, 37)).T, -1),  # transposed: Fortran order
+        (wide[::3, ::2].T, 1),  # strided both ways
+        (wide[:n, ::-1], 0),  # reversed columns
+        (cube, 1),  # 3-D, the middle axis
+        (cube, -2),
+        (cube.transpose(1, 0, 2), 0),  # 3-D, first axis, transposed
+        (cube.transpose(0, 2, 1), -1),  # 3-D, last axis, transposed
+        (np.ascontiguousarray(cube.transpose(2, 0, 1)), 2),  # 3-D, C-contiguous
+    ]
+
+
+@pytest.mark.parametrize("n", SUPPORTED_SIZES)
+def test_array_route_matches_one_block_calls_bit_for_bit(n):
+    for x, axis in arrays_of_blocks(n):
+        before = x.copy()
+        want = per_block(x, axis)
+        for name in BACKENDS:
+            with forced(name):
+                expect_backend(name, n)
+                out = fast_dht(x, axis=axis)
+                assert out.shape == x.shape and out.dtype == np.float64
+                assert same_bits(np.ascontiguousarray(out), want)
+                assert fast_dht(x, n, axis=axis).tobytes() == out.tobytes()
+                assert np.array_equal(x, before)
+
+
+@pytest.mark.parametrize("n", SUPPORTED_SIZES)
+def test_array_route_runs_other_real_dtypes_as_float64(n):
+    x = np.random.default_rng(n + 223).uniform(-1.0, 1.0, (9, n))
+    for y in ((1000 * x).astype(np.int64), x.astype(np.float32), x.astype(">f8"),
+              x.astype(np.longdouble) / 3, np.zeros((0, n))):  # the last holds no blocks
+        want = per_block(np.asarray(y, float), -1)
+        for name in BACKENDS:
+            with forced(name):
+                out, warned = recorded(lambda: fast_dht(y))
+                assert warned == set()
+                assert same_bits(np.ascontiguousarray(out), want)
+
+
+def test_array_route_errors_match_one_block():
+    # each array is refused with the exception class and message that its
+    # block number row gets from the one-block fast_dht, along any axis
+    x = np.random.default_rng(227).uniform(-1.0, 1.0, (3, 8))
+    cases = [(x > 0, 0), (x + 1j * x, 0), (x.astype(object), 0), (x.astype(str), 0),
+             (np.full((2, 8), np.longdouble("1e400")), 0),
+             (np.random.default_rng(229).uniform(-1.0, 1.0, (3, 10)), 0),
+             (np.ones((3, 0)), 0), (np.ones((3, 2)), 0)]
+    for bad in (np.inf, -np.inf, np.nan):
+        y = x.copy()
+        y[2, 5] = bad
+        cases.append((y, 2))
+    for name in BACKENDS:
+        with forced(name):
+            for y, row in cases:
+                for n in (None, 8, 12):
+                    for v, axis in ((y, -1), (y.T, 0), (y[:, None, :], 2)):
+                        want = one_block_outcome(y[row], n)
+                        assert want[0] in (TypeError, ValueError, UnsupportedLengthError)
+                        got, warned = recorded(lambda: one_block_outcome(v, n, call=(
+                            lambda v, n: fast_dht(v, n, axis=axis))))
+                        assert got == want and warned == set()
+            with pytest.raises(np.exceptions.AxisError if hasattr(np, "exceptions")
+                               else np.AxisError):
+                fast_dht(x, axis=2)
+
+
 def test_inputs_the_c_kernels_do_not_take_run_the_replay(fresh_kernels, monkeypatch):
     def no_c(*args):
         raise AssertionError("the C kernel was loaded")
@@ -755,6 +851,26 @@ def test_import_and_one_block_calls_load_no_c_backend(tmp_path):
     env = {**os.environ, "PYTHONPATH": str(Path(mindht.__file__).parents[1]),
            "TMPDIR": str(tmp_path)}
     subprocess.run([sys.executable, "-c", code], check=True, env=env)
+    assert list(tmp_path.iterdir()) == []  # no object directory was made
+
+
+def test_one_shot_verify_loads_no_c_module(tmp_path):
+    # verify's array calls run the replay and never wait for a compiler; at
+    # --trials 1000 each length runs 1002 blocks, below COMPILE_AFTER
+    code = (
+        "import threading\n"
+        "from mindht import cli, kernels\n"
+        "assert cli.main(['verify', '--trials', '1000']) == 0\n"
+        "assert sorted(kernels._KERNELS) == [4, 8, 12, 24]\n"
+        "for k in kernels._KERNELS.values():\n"
+        "    assert k.module is kernels._UNTRIED and k.c is None and k.calls == 1002\n"
+        "assert not [t for t in threading.enumerate() if t.name.startswith('mindht-compile')]\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(mindht.__file__).parents[1]),
+           "TMPDIR": str(tmp_path)}
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                          timeout=120)
+    assert done.returncode == 0, done.stderr
     assert list(tmp_path.iterdir()) == []  # no object directory was made
 
 
@@ -1453,6 +1569,48 @@ def test_compile_starts_in_the_background_at_the_threshold(fresh_kernels, monkey
     assert same_bits(got[0], scalar_columns(12, x))
     expect_block("c", 12)
     assert fast_dht(v).tobytes() == want
+
+
+def compile_threads():
+    return [t.name for t in threading.enumerate() if t.name.startswith("mindht-compile")]
+
+
+def test_array_blocks_count_toward_the_background_compile(fresh_kernels, monkeypatch):
+    # one compile policy: blocks run by either fast_dht route count toward
+    # COMPILE_AFTER, and the call that crosses it starts one background
+    # compile and returns without waiting for it
+    monkeypatch.setattr(kernels, "COMPILE_AFTER", 10)
+    release = threading.Event()
+    real_load = _cgen._load
+
+    def held(k):
+        assert release.wait(timeout=60)
+        return real_load(k)
+
+    monkeypatch.setattr(_cgen, "_load", held)
+    rng = np.random.default_rng(233)
+    x = rng.uniform(-1.0, 1.0, (4, 8))
+    v = rng.uniform(-1.0, 1.0, 8)
+    want, one = per_block(x, -1), fast_dht(v)  # 5 one-block calls, by Python
+    try:
+        assert same_bits(fast_dht(x), want)  # 9 blocks, the last 4 by the replay
+        k = kernels._KERNELS[8]
+        assert k.calls == 9 and k.module is kernels._UNTRIED and compile_threads() == []
+        assert fast_dht(v).tobytes() == one.tobytes()  # 10: one-block calls count too
+        assert compile_threads() == ["mindht-compile-n8"]
+        for _ in range(3):  # past the threshold: no second compile, no wait
+            assert same_bits(fast_dht(x), want) and k.module is kernels._UNTRIED
+        assert k.calls == 22 and compile_threads() == ["mindht-compile-n8"]
+        fast_dht(np.zeros((9, 12)))  # 9 blocks of 12
+        assert compile_threads() == ["mindht-compile-n8"]
+        fast_dht(np.zeros((30, 12)))  # one call crossing the threshold by many
+        assert sorted(compile_threads()) == ["mindht-compile-n12", "mindht-compile-n8"]
+    finally:
+        release.set()
+        join_compiles()
+    expect_block("c", 8)
+    expect_block("c", 12)
+    assert same_bits(fast_dht(x), want)
 
 
 def test_exit_during_a_background_compile_leaves_no_compiler_or_directory(tmp_path):
