@@ -75,10 +75,15 @@ compiler is found
 (``$CC``, else ``cc``), ``Python.h`` or ``numpy/arrayobject.h`` is missing,
 or compiling or loading fails (one RuntimeWarning per process; a compiler
 that refuses ``-march=native`` is such a failure), when the module fails the
-check above (likewise), and the replay for any array that is not native,
-aligned float64 with strides that are multiples of 8 bytes.  This module is
-imported on the first array call or background compile, not with mindht, and
-compiles nothing before that.
+check above (likewise), and the replay for a batch that is not aligned or
+whose strides are not multiples of 8 bytes.  This module is imported on the
+first array call or background compile, not with mindht, and compiles
+nothing before that.
+
+This module knows neither the input contract nor when to compile: ``run``
+only routes a float64 batch that its caller has read and converted
+(``kernels.kernel_flow`` or ``fast_dht``, by ``layers.to_float64``), and
+mindht.kernels decides when ``_loaded`` runs.
 """
 
 from __future__ import annotations
@@ -99,7 +104,7 @@ from pathlib import Path
 import numpy as np
 
 from .kernels import _UNTRIED, _kernel
-from .layers import _F64, UnsupportedLengthError, check_kind, check_size
+from .layers import check_size
 from .reference import _dft_bridge
 
 # Columns per block of ``batch``.  At N = 24 the 86 vector values of a block
@@ -487,13 +492,10 @@ def _load(k):
 _LOCK = threading.Lock()  # guards loading
 
 
-def _loaded(k, load: bool = True):
+def _loaded(k):
     """The checked extension module of kernel record k, loaded into it on first
-    use with its ``block`` and ``dft`` swapped in (``k.c``, ``k.dft``), or None.
-    Without load, None until another call has loaded it."""
+    use with its ``block`` and ``dft`` swapped in (``k.c``, ``k.dft``), or None."""
     if k.module is _UNTRIED:
-        if not load:
-            return None
         with _LOCK:
             if k.module is _UNTRIED:
                 module = _load(k)
@@ -503,31 +505,19 @@ def _loaded(k, load: bool = True):
     return k.module
 
 
-def run(n: int, x: np.ndarray, *, load: bool = True) -> np.ndarray:
-    """``kernel_flow(n)(x)`` for an ndarray x with ndim >= 2: the one batch router.
+def run(k, x: np.ndarray) -> np.ndarray:
+    """The float64 result of kernel record k on a float64 (n, ...) batch x,
+    read by its caller, in x's shape: the one batch router.
 
-    x's dtype passes the kind rule of every input (``layers.check_kind``), so
-    bool, string, object and complex batches raise TypeError, and axis 0 must
-    be n.  The (n, ...) batch is viewed as (n, B) columns and run by C
-    ``batch`` if it is native, aligned float64 with strides in whole elements
-    and the module loads, else by the replay, which reads the other real
-    dtypes as float64; the float64 result takes x's shape.  ``kernel_flow``
-    loads the module in the caller's thread; ``fast_dht``'s array route
-    passes load=False, so it uses the module only if it is already loaded
-    and never waits for a compiler.
+    x is viewed as (n, B) columns and run by C ``batch`` if k's module is
+    loaded and the columns are aligned with strides in whole elements, else
+    by the replay.  It loads nothing: ``kernel_flow`` loads the module
+    before it calls, and ``fast_dht`` never waits for it.
     """
-    k = _kernel(check_size(n))
-    prog = k.prog
-    check_kind(x.dtype, "batch")
-    if x.shape[0] != n:
-        raise UnsupportedLengthError(
-            f"batch has shape {x.shape}, expected ({n}, ...): "
-            "axis 0 holds the samples of each block"
-        )
-    cols = x.reshape(n, -1)
-    if (cols.dtype == _F64 and cols.flags.aligned
-            and not (cols.strides[0] % 8 or cols.strides[1] % 8)
-            and (module := _loaded(k, load)) is not None):
+    prog, module = k.prog, k.module
+    cols = x.reshape(prog.n, -1)
+    if (module is not None and module is not _UNTRIED and cols.flags.aligned
+            and not (cols.strides[0] % 8 or cols.strides[1] % 8)):
         out = np.empty((prog.n_outputs, cols.shape[1]))
         module.batch(cols, out)
     else:

@@ -27,20 +27,25 @@ the pruned trace (``counting.trace(n)``, which every kernel call runs), its
 schedule and emitted Python function (mindht.replay), the C extension
 module (mindht._cgen, with a ``block(v)`` entry point for ``fast_dht``, a
 ``dft(V)`` one for ``reference.dht_to_dft`` and a ``batch`` one for float64
-arrays, loaded on the first ``kernel_flow`` array call), the count of
-blocks ``fast_dht`` has run, and whatever is made lazily from them by a
-``_derived`` function: the operation counts (``counting.count_ops``), the
-derivation (mindht.derivation) and the text ``mindht derive`` prints, each
-made once under the record's one lock.  ``fast_dht`` never waits for a
+arrays), the count of blocks ``fast_dht`` has run, and whatever is made
+lazily from them by a ``_derived`` function: the operation counts
+(``counting.count_ops``), the derivation (mindht.derivation) and the text
+``mindht derive`` prints, each made once under the record's one lock.
+
+The compile policy lives here alone; mindht._cgen only builds, loads and
+routes.  A ``kernel_flow`` array call loads the module in the caller's
+thread (``_load_c_block``) if it is untried.  ``fast_dht`` never waits for a
 compiler: until the module is loaded it runs one block as the Python
 function and an array of blocks as the replay, and the call that takes
 the length's count of blocks to ``COMPILE_AFTER`` or past it starts the
-compile on a background thread.  Whichever path loads the module, ``block`` and ``dft``
-are swapped in once it has passed its check.  From then on ``fast_dht``
-hands ``block`` the raw input first: a list of floats or a 1-D float64
-array goes straight to C, and only what ``block`` declines is read by
-``layers.read_block``, the Python side of the same one-block contract, or
-by ``layers.read_blocks`` for an array of blocks, which C ``batch`` runs.
+same load on a background thread.  Whichever path loads the module,
+``block`` and ``dft`` are swapped in once it has passed its check.  From
+then on ``fast_dht`` hands ``block`` the raw input first: a list of floats
+or a 1-D float64 array goes straight to C, and only what ``block`` declines
+is read by ``layers.read_block``, the Python side of the same one-block
+contract, or by ``layers.read_blocks`` for an array of blocks, which C
+``batch`` runs.  Both array entry points read and convert their input
+(``layers.to_float64``) before ``_cgen.run`` routes it.
 """
 
 from __future__ import annotations
@@ -51,7 +56,8 @@ import threading
 
 import numpy as np
 
-from .layers import LAYER_SPECS, cascade, check_size, read_block, read_blocks
+from .layers import (LAYER_SPECS, UnsupportedLengthError, cascade, check_size, read_block,
+                     read_blocks, to_float64)
 
 __all__ = [
     "SQRT2",
@@ -299,7 +305,8 @@ def _derived(fn):
 
 def _load_c_block(k: _Kernel) -> None:
     """Load k's C module, which swaps its ``block`` and ``dft`` in (under
-    mindht._cgen's lock, as for an array call, so both share one load).
+    mindht._cgen's lock, so the background thread and ``kernel_flow``'s
+    array calls share one load).
 
     It is the background thread's target rather than ``_cgen._loaded``
     itself so that ``import mindht._cgen`` (8-14 ms) runs on that thread
@@ -324,12 +331,15 @@ def kernel_flow(n: int):
 
     Every call runs the kernel's one program, ``counting.trace(n)``.  On an
     ndarray with ndim >= 2, the n samples of each block along axis 0, it
-    runs as generated C on float64 input (mindht._cgen), else replayed over
-    column chunks (mindht.replay) on its values converted to float64, and
-    returns one float64 ndarray of shape (n, ...); the input is never
-    written to.  A batch that is not real numbers (bool, string, object or
-    complex) raises TypeError, by the kind rule of every input
-    (``layers.check_kind``).
+    reads the batch as float64 by the conversion rule of every input
+    (``layers.to_float64``: a batch that is not real numbers, such as bool,
+    string, object or complex, raises TypeError naming "batch", and any
+    dtype but float64 is copied once, a long double beyond float64's range
+    to inf, silently), checks that axis 0 is n, loads the length's C module
+    in the caller's thread if it is untried, and has ``_cgen.run`` run it:
+    as generated C (mindht._cgen), else replayed over column chunks
+    (mindht.replay).  It returns one float64 ndarray of shape (n, ...); the
+    input is never written to.
     Any other input (a list, scalars, counting scalars, a 1-D array) runs the
     program as a Python function and gets its list back.  Both paths do the
     same IEEE operations in the same order, so each column equals the
@@ -341,7 +351,14 @@ def kernel_flow(n: int):
 
     def kernel(v):
         if isinstance(v, np.ndarray) and v.ndim >= 2:
-            return _router().run(n, v)
+            x = to_float64(v, "batch")
+            if x.shape[0] != n:
+                raise UnsupportedLengthError(f"batch has shape {x.shape}, expected ({n}, ...): "
+                                             "axis 0 holds the samples of each block")
+            k = _kernel(n)
+            if k.module is _UNTRIED:
+                _load_c_block(k)
+            return _router().run(k, x)
         return _kernel(n).fn(v)
 
     return kernel
@@ -377,14 +394,15 @@ def fast_dht(v, n: int | None = None, axis: int = -1) -> np.ndarray:
     float64 array of any stride, checks for inf and nan in C and returns the
     result it makes.  An ndarray with ndim >= 2, which ``block`` declines,
     is read as blocks along ``axis`` by ``layers.read_blocks``, with the
-    one-block contract for each block, and runs through ``_cgen.run``: as C
-    ``batch`` if the module is already loaded, else as the replay; the
-    float64 result has v's shape.  Any other input, or any input before the
-    module is loaded, is read by ``layers.read_block``, which reads real
-    numbers (ints, float32 and the other real dtypes) as float64 and refuses
-    bools, strings, object arrays and complex values with TypeError, and the
-    kernel's program runs on the floats it returns: as that ``block``, or
-    before the module is loaded as a Python function.  No call waits for a
+    one-block contract for each block, and ``_cgen.run`` runs them with the
+    length's record, checking nothing again: as C ``batch`` if the module
+    is already loaded, else as the replay; the float64 result has v's shape.
+    Any other input, or any input before the module is loaded, is read by
+    ``layers.read_block``, which reads real numbers (ints, float32 and the
+    other real dtypes) as float64 and refuses bools, strings, object arrays
+    and complex values with TypeError, and the kernel's program runs on the
+    floats it returns: as that ``block``, or before the module is loaded as
+    a Python function.  No call waits for a
     compiler: once either route has run ``COMPILE_AFTER`` blocks of a
     length, the call that crosses that count starts the module's compile
     on a background thread, and ``block`` is swapped in when the module,
@@ -425,7 +443,7 @@ def fast_dht(v, n: int | None = None, axis: int = -1) -> np.ndarray:
         k = _kernel(len(blocks))
         if k.c is None:
             _count(k, blocks.size // len(blocks))
-        return _router().run(len(blocks), blocks, load=False).swapaxes(0, axis)
+        return _router().run(k, blocks).swapaxes(0, axis)
     vals = read_block(v, n)
     k = _kernel(len(vals))
     if k.c is not None:

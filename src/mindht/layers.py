@@ -16,10 +16,10 @@ A row op is one of
 Layer 0 is always the input signal itself.
 
 This module also holds the Python side of the input contract: ``is_integer``
-for a block length or order, ``read_samples``, the one reader every 1-D input
-goes through, ``read_block``, which reads one block of a supported length
-with it, and ``read_blocks``, which applies that contract to every block of
-an array.
+for a block length or order, ``to_float64``, the one conversion rule of every
+array, ``read_samples``, the one reader every 1-D input goes through,
+``read_block``, which reads one block of a supported length with it, and
+``read_blocks``, which applies that contract to every block of an array.
 """
 
 from __future__ import annotations
@@ -37,6 +37,7 @@ __all__ = [
     "check_size",
     "check_order",
     "check_kind",
+    "to_float64",
     "all_finite",
     "read_samples",
     "read_block",
@@ -88,6 +89,19 @@ def check_kind(dtype: np.dtype, what: str, complex_ok: bool = False) -> None:
         raise TypeError(f"{what} must hold {numbers} numbers, got dtype {dtype}")
 
 
+def to_float64(a: np.ndarray, what: str, complex_ok: bool = False) -> np.ndarray:
+    """a by the conversion rule of every array input: float64 is passed through
+    unchanged; any other dtype must pass ``check_kind`` and is converted to
+    float64 (complex128 where complex_ok), a copy.  ints, float16 and float32
+    convert exactly; a long double beyond float64's range becomes inf without
+    a warning, so the finite check, where there is one, is its one report."""
+    if a.dtype is _F64:
+        return a
+    check_kind(a.dtype, what, complex_ok)
+    with np.errstate(over="ignore"):
+        return a.astype(complex if complex_ok else float, copy=False)
+
+
 def all_finite(vals: list) -> bool:
     """Whether every sample in vals is finite: the finite check of ``read_samples``.
 
@@ -111,12 +125,12 @@ def read_samples(v, n: int | None = None, what: str = "signal",
     * conversion: v is converted once, ``np.asarray(v)``, and NumPy's dtype
       for it decides its kind (a list mixing bools or ints with floats is
       floats);
-    * kind: ``check_kind``, so bools, strings, object arrays (such as a list of
-      ints beyond 64 bits) and complex values where complex_ok is false raise
-      TypeError.  The samples are read as float64: float16, float32, ints and
-      longdouble are converted, so float32 is upcast; where complex_ok,
-      anything but float64 is read as complex128.  A long double beyond
-      float64's range becomes inf without a warning, for the finite check;
+    * kind and conversion: ``to_float64``, so bools, strings, object arrays
+      (such as a list of ints beyond 64 bits) and complex values where
+      complex_ok is false raise TypeError.  The samples are read as float64:
+      float16, float32, ints and longdouble are converted, so float32 is
+      upcast; where complex_ok, anything but float64 is read as complex128.
+      A long double beyond float64's range becomes inf, for the finite check;
     * shape: given, n is the one shape (n,) taken; omitted, any non-empty 1-D
       input is.  Anything else raises UnsupportedLengthError;
     * finite: a sample that is inf or nan raises
@@ -125,13 +139,7 @@ def read_samples(v, n: int | None = None, what: str = "signal",
     Returns the float64 (or complex128) array, which is v itself when v is
     one, and its ``tolist()``.
     """
-    a = np.asarray(v)
-    if a.dtype is not _F64:
-        check_kind(a.dtype, what, complex_ok)
-        # a long double beyond float64's range reads as inf, which the finite
-        # check refuses with no overflow warning before it
-        with np.errstate(over="ignore"):
-            a = a.astype(complex if complex_ok else float, copy=False)
+    a = to_float64(np.asarray(v), what, complex_ok)
     _check_shape(a.shape, n, what)
     vals = a.tolist()
     if not all_finite(vals):
@@ -174,21 +182,16 @@ def read_blocks(x: np.ndarray, n: int | None = None, axis: int = -1) -> np.ndarr
     so each block's m samples lie along axis 0.
 
     This is ``read_block`` applied to every block, with its errors in its
-    order: given, n is checked first; x's dtype must pass ``check_kind`` and
-    is read as float64, a copy unless x is float64 (a long double beyond
-    float64's range reads as inf); each block must have shape (n,), or be
-    non-empty where n is omitted; a sample that is inf or nan raises
+    order: given, n is checked first; x is converted by ``to_float64``, once
+    and whole, so its dtype must pass the kind rule and it is a copy unless x
+    is float64; each block must have shape (n,), or be non-empty where n is
+    omitted; a sample that is inf or nan raises
     ``ValueError("signal contains non-finite samples")``; and m must be a
     supported block length.  An axis x does not have raises NumPy's AxisError.
     """
     if n is not None:
         check_size(n)
-    a = x
-    if a.dtype is not _F64:
-        check_kind(a.dtype, "signal")
-        with np.errstate(over="ignore"):
-            a = a.astype(float)
-    blocks = a.swapaxes(axis, 0)
+    blocks = to_float64(x, "signal").swapaxes(axis, 0)
     _check_shape(blocks.shape[:1], n, "signal")
     if not np.isfinite(blocks).all():
         raise ValueError("signal contains non-finite samples")

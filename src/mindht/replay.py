@@ -4,12 +4,12 @@
 becomes one in-place ufunc call, run chunk by chunk over CHUNK_COLUMNS
 columns so the intermediates of a chunk stay in cache, where running a flow
 over whole rows would allocate and stream one temporary row per operation.
-The schedule (``ops``, ``consts``, ``n_regs``) is what the replay runs, in
-float64, on the batches ``mindht._cgen.run`` does not hand to C (another
-dtype, odd strides, no working compiler, or a ``fast_dht`` array call
-before the module is loaded), what mindht._cgen turns into two entry
-points of one C extension module per length (``block`` for one block,
-``batch`` for arrays), and what ``_emit`` turns into a straight-line Python
+The schedule (``ops``, ``consts``, ``n_regs``) is what the replay runs on
+the float64 batches ``mindht._cgen.run`` does not hand to C (unaligned or
+odd strides, no working compiler, or a ``fast_dht`` array call before the
+module is loaded), what mindht._cgen turns into two entry points of one C
+extension module per length (``block`` for one block, ``batch`` for
+arrays), and what ``_emit`` turns into a straight-line Python
 function for one block (``kernels.kernel_flow(n)`` on anything but an
 ndarray with ndim >= 2, and ``fast_dht`` until its length's module is
 loaded, by a ``kernel_flow`` array call or on a background thread once
@@ -104,21 +104,18 @@ class _Program:
         return [f"{names[o]} = {names[a]} {_SYMBOLS[f]} {names[b]}" for f, a, b, o in self.ops]
 
     def __call__(self, cols: np.ndarray) -> np.ndarray:
-        """The (n_outputs, B) float64 result of (n, B) columns, the twin of C ``batch``.
+        """The (n_outputs, B) float64 result of (n, B) float64 columns, the twin
+        of C ``batch``; its callers have converted them (``layers.to_float64``).
 
-        Each chunk is converted as ``layers.read_samples`` converts a block,
-        to float64 (``_cgen.run`` has refused any dtype that is not real
-        numbers), with NumPy's warning if a value overflows float64.  The ops
-        run without warnings: a chunk whose result overflows gives inf or nan
-        silently, as C ``batch`` and the one-block kernels do.
+        The ops run without warnings: a chunk whose result overflows gives
+        inf or nan silently, as C ``batch`` and the one-block kernels do.
         """
         width = cols.shape[1]
         out = np.empty((self.n_outputs, width))
         regs = np.empty((self.n_regs, min(width, CHUNK_COLUMNS)))
         for c0 in range(0, width, CHUNK_COLUMNS):
             c1 = min(c0 + CHUNK_COLUMNS, width)
-            chunk = cols[:, c0:c1].astype(float, copy=False)
-            v = [*chunk, *out[:, c0:c1], *self.consts, *regs[:, : c1 - c0]]
+            v = [*cols[:, c0:c1], *out[:, c0:c1], *self.consts, *regs[:, : c1 - c0]]
             with np.errstate(over="ignore", invalid="ignore"):
                 for f, a, b, o in self.ops:
                     f(v[a], v[b], v[o])

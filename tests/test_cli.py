@@ -405,9 +405,9 @@ def test_verify_oracle_detects_a_corrupted_batch_route(capsys, monkeypatch, back
     # row; the oracle comparison alone must fail it
     real = _cgen.run
 
-    def corrupted(n, x, **kwargs):
-        out = real(n, x, **kwargs)
-        if n == 24:
+    def corrupted(k, x):
+        out = real(k, x)
+        if k.prog.n == 24:
             out[5] += 1e-6
         return out
 

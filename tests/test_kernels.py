@@ -254,8 +254,9 @@ def test_layer_state_of_an_overflowing_block_warns_no_more_than_fast_dht():
 @pytest.mark.parametrize("n", SUPPORTED_SIZES)
 def test_overflowing_batch_gives_the_same_bits_without_a_warning(n):
     # finite samples whose sums overflow to inf and then give nan: C batch
-    # (the replay without a compiler), the replay on longdouble input and the
-    # one-block fast_dht of each column agree bit for bit, and none warns
+    # (the replay without a compiler), on float64 and on a longdouble copy, the
+    # replay itself and the one-block fast_dht of each column agree bit for
+    # bit, and none warns
     x = np.full((n, 3), 1e308)
     x[::2, 1] = -1.7e308
     x[1::2, 2] = 1.0
@@ -265,9 +266,11 @@ def test_overflowing_batch_gives_the_same_bits_without_a_warning(n):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         batch = kernel_flow(n)(x)
-        replayed = kernel_flow(n)(x.astype(np.longdouble))
+        converted = kernel_flow(n)(x.astype(np.longdouble))
+        replayed = kernels._kernel(n).prog(x)
         blocks = np.array([fast_dht(x[:, j].tolist()) for j in range(3)]).T
     assert np.isinf(batch).any() and np.isnan(batch).any()
+    assert same_bits(batch, converted)
     assert same_bits(batch, replayed)
     assert same_bits(batch, blocks)
 
@@ -430,6 +433,20 @@ def test_array_path_layouts(n):
                 assert np.array_equal(x, before)
 
 
+def spy_c_batch(mp, n):
+    """Record in the list returned each x that the loaded length-n module's C
+    ``batch(x, y)`` runs, patched through mp."""
+    module = kernels._kernel(n).module
+    real, seen = module.batch, []
+
+    def batch(x, y):
+        seen.append(x)
+        return real(x, y)
+
+    mp.setattr(module, "batch", batch)
+    return seen
+
+
 def recorded(call):
     """call()'s result and the set of warning classes it raised."""
     with warnings.catch_warnings(record=True) as seen:
@@ -443,7 +460,9 @@ def test_array_path_int_and_float32_computed_in_float64(n):
     # a batch of real numbers converts as layers.read_samples converts one
     # block: a float64 result whose every column is fast_dht of that column,
     # without a warning; a bool, object, string or complex batch is refused by
-    # the same kind rule (layers.check_kind) as each of its columns
+    # the same kind rule (layers.check_kind) as each of its columns.  The
+    # converted copy is aligned float64, so once the module is loaded it runs
+    # C batch, one call, with the bits of the replay on the converted values
     rng = np.random.default_rng(n + 37)
     x = rng.uniform(-1.0, 1.0, (n, 300))
     batches = (rng.integers(-1000, 1000, (n, 300)), x.astype(np.float32), x.astype(np.float16),
@@ -455,10 +474,15 @@ def test_array_path_int_and_float32_computed_in_float64(n):
             with forced(name):
                 if y.dtype.kind in "fiu":
                     want, want_warned = recorded(lambda: np.array([fast_dht(c) for c in y.T]).T)
-                    out, warned = recorded(lambda: kernel_flow(n)(y))
+                    with pytest.MonkeyPatch.context() as mp:
+                        batched = spy_c_batch(mp, n) if name == "c" and c_works() else None
+                        out, warned = recorded(lambda: kernel_flow(n)(y))
                     assert out.dtype == np.float64
                     assert same_bits(out, want)
+                    assert same_bits(out, kernels._kernel(n).prog(y.astype(float)))
                     assert warned == want_warned == set()
+                    if batched is not None:
+                        assert len(batched) == 1 and batched[0].dtype == np.float64
                 else:
                     for call, what in ((lambda: fast_dht(y[:, 0]), "signal"),
                                        (lambda: kernel_flow(n)(y), "batch")):
@@ -821,10 +845,20 @@ def test_array_route_errors_match_one_block():
 
 
 def test_inputs_the_c_kernels_do_not_take_run_the_replay(fresh_kernels, monkeypatch):
-    def no_c(*args):
-        raise AssertionError("the C kernel was loaded")
+    # C batch takes aligned float64 with strides in whole elements: an
+    # unaligned or packed float64 batch, which kernel_flow does not copy, still
+    # loads the module first, as every kernel_flow array call does, then runs
+    # the replay on the batch itself.  Converted dtypes are aligned copies and
+    # run C batch (test_array_path_int_and_float32_computed_in_float64).
+    monkeypatch.setattr(_cgen, "_warned", True)  # no fallback warning without a compiler
+    ran = []
+    real = replay._Program.__call__
 
-    monkeypatch.setattr(_cgen, "_loaded", no_c)
+    def replayed(prog, cols):
+        ran.append((cols, kernels._KERNELS[8].module))
+        return real(prog, cols)
+
+    monkeypatch.setattr(replay._Program, "__call__", replayed)
     rng = np.random.default_rng(53)
     x = rng.uniform(-1.0, 1.0, (8, 40))
     raw = np.zeros(8 * 40 * 8 + 4, np.uint8)
@@ -832,13 +866,41 @@ def test_inputs_the_c_kernels_do_not_take_run_the_replay(fresh_kernels, monkeypa
     unaligned[...] = x
     packed = np.zeros((8, 40), [("a", "i4"), ("v", "f8")])["v"]  # 12-byte stride
     packed[...] = x
-    assert packed.strides[1] % 8
-    for y in (unaligned, packed, x.astype(">f8"), x.astype(np.float32),
-              (1000 * x).astype(np.int64), x.astype(np.longdouble)):
+    assert not unaligned.flags.aligned and packed.strides[1] % 8
+    for y in (unaligned, packed):
         out = kernel_flow(8)(y)
         assert out.dtype == np.float64
         assert same_bits(out, scalar_columns(8, np.asarray(y, float)))
-    assert kernels._KERNELS[8].module is kernels._UNTRIED  # nothing was compiled or loaded
+        cols, module = ran[-1]
+        assert np.shares_memory(cols, y)  # the replay ran on y itself, not a copy
+        # ... after the module was loaded, or tried where none builds
+        assert module is (_cgen._loaded(kernels._KERNELS[8]) if c_works() else None)
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.int64, np.float32, np.float16, ">f8",
+                                   np.longdouble])
+def test_each_batch_call_applies_the_kind_rule_once(monkeypatch, dtype):
+    # fast_dht(X) reads X once (layers.read_blocks, "signal"), kernel_flow(n)(X)
+    # once, as a batch; _cgen.run only routes and applies no rule of its own.
+    # float64 is passed through without the rule, as every reader passes it.
+    seen = []
+    real = layers.check_kind
+
+    def check_kind(dtype, what, complex_ok=False):
+        seen.append(what)
+        return real(dtype, what, complex_ok)
+
+    for module in (layers, kernels, _cgen, replay):
+        if getattr(module, "check_kind", None) is real:
+            monkeypatch.setattr(module, "check_kind", check_kind)
+    x = (np.random.default_rng(233).uniform(-1.0, 1.0, (8, 5)) * 100).astype(dtype)
+    for name in BACKENDS:
+        with forced(name):
+            for call, what in ((lambda: fast_dht(x.T), "signal"),
+                               (lambda: kernel_flow(8)(x), "batch")):
+                seen.clear()
+                call()
+                assert seen == ([] if dtype is np.float64 else [what])
 
 
 def test_import_and_one_block_calls_load_no_c_backend(tmp_path):
