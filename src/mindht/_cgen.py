@@ -1,24 +1,24 @@
 """C kernels generated from the traced program: one CPython extension per N.
 
-The module of a length emits the kernel's one trace, ``counting.trace(n)``,
-as mindht.replay schedules it (its ``ops``, ``consts`` and ``n_regs``, as
-``_Program.statements``), so the kernel is still described only once, by its
-``*_flow`` and its layer listing.  It has three ``METH_FASTCALL`` entry
-points.  The first two take one argument, an exact list or tuple of n exact
-Python floats, whose values they read in place, or any 1-D float64 buffer
-(PEP 3118) of n samples, any stride; that contract is written once, in the
-module's ``read_block``.  They raise ``ValueError`` before computing anything
-if a sample is inf or nan, and return ``NotImplemented`` for any other
-argument (ints, bools, strings, float subclasses such as ``np.float64``
-items, complex or other dtypes, nesting, another length or shape):
+``load(prog, fn)`` builds, loads and checks the module of a kernel's
+scheduled program (a ``replay._Program``) and its Python function fn, which
+mindht.kernels keeps in the kernel's record.  The module emits the kernel's
+one trace, ``counting.trace(n)``, as mindht.replay schedules it (its
+``ops``, ``consts`` and ``n_regs``, as ``_Program.statements``), so the
+kernel is still described only once, by its ``*_flow`` and its layer
+listing.  It has three ``METH_FASTCALL`` entry points.  The first two take
+one argument, an exact list or tuple of n exact Python floats, whose values
+they read in place, or any 1-D float64 buffer (PEP 3118) of n samples, any
+stride; that contract is written once, in the module's ``read_block``.  They
+raise ``ValueError`` before computing anything if a sample is inf or nan,
+and return ``NotImplemented`` for any other argument (ints, bools, strings,
+float subclasses such as ``np.float64`` items, complex or other dtypes,
+nesting, another length or shape):
 
 ``block(v)``
     One block, returned as a new float64 array of n_outputs values that it
     makes with NumPy's C API.  The registers are scalar ``double`` locals.
     Its error is ``ValueError("signal contains non-finite samples")``.
-    ``fast_dht`` calls it on its raw input, and on the floats
-    ``layers.read_block`` reads when that returns ``NotImplemented``, once
-    the module is loaded (see ``kernels.COMPILE_AFTER``).
 ``dft(V)``
     ``reference.dht_to_dft`` of a Hartley spectrum V, returned as a new
     complex128 array of n values that it makes with NumPy's C API.  Each bin
@@ -26,18 +26,16 @@ items, complex or other dtypes, nesting, another length or shape):
     (``reference._dft_bridge``) in its order, so the bits are the same,
     inf and nan from overflowing sums included.  Its error is
     ``ValueError("spectrum contains non-finite samples")``.
-    ``dht_to_dft`` calls it on its raw input.
 ``batch(x, y)``
-    ``kernel_flow(n)(X)``, and ``fast_dht(X, axis=a)`` once the module is
-    loaded, on float64 arrays, through the buffer protocol: x
-    is (n, B) with element strides, y the C-contiguous (n_outputs, B)
-    result.  It walks the batch in blocks of W columns.  Every input,
-    output and register is one GCC vector-extension value of W doubles, so
-    each node is one vector operation; a block is loaded from each input row
-    and stored into each row of the result directly.  Only a column stride
-    other than 1 and the last, partial block go through a local block of W
-    columns, so Fortran-ordered, transposed and reversed inputs need no
-    copy.  It runs without the interpreter lock.
+    The kernel on float64 arrays, through the buffer protocol: x is (n, B)
+    with element strides, y the C-contiguous (n_outputs, B) result.  It
+    walks the batch in blocks of W columns.  Every input, output and
+    register is one GCC vector-extension value of W doubles, so each node is
+    one vector operation; a block is loaded from each input row and stored
+    into each row of the result directly.  Only a column stride other than 1
+    and the last, partial block go through a local block of W columns, so
+    Fortran-ordered, transposed and reversed inputs need no copy.  It runs
+    without the interpreter lock.
 
 Bit identity: every node is one IEEE double operation (per lane) on the same
 operands in the same order as in the replay and the emitted Python function,
@@ -47,43 +45,20 @@ instructions.  The source refuses to compile unless double arithmetic rounds
 to double, that is unless FLT_EVAL_METHOD is 0, 1, 16, 32 or 64 (C23
 5.2.4.2.2; gcc reports 16 on x86-64 with AVX512-FP16).
 
-A module is compiled at most once per kernel and process, into a shared
-object in a private per-process temporary directory that is removed at exit,
-with ``Python.h`` from ``sysconfig.get_paths()["include"]`` and
-``numpy/arrayobject.h`` from ``numpy.get_include()`` (``_include_flags``);
-nothing is cached between processes.  The first ``kernel_flow`` array call
-for a length compiles it then and there (0.3-0.5 s per N with gcc 12 on a
-2.1 GHz Xeon); ``fast_dht`` never waits for it: it runs the Python function
-or the replay and compiles on a background thread once it has run
-``kernels.COMPILE_AFTER`` blocks of the length, by either route, and
-``dht_to_dft`` never compiles.  Whichever call loads the module swaps its
-``block`` and ``dft`` into the record, so one-block calls use them from
-then on.  At exit a
-compiler still running is killed before the directory is removed.  The module is kept in
-the kernel's record (``kernels._KERNELS``) and one lock covers loading, so
-threads and the background compile share one load, and a replaced
-``kernels._FLOWS[n]`` or ``LAYER_SPECS[n]``, which gets a new record, is
-compiled again.  After loading, ``batch`` runs once on a fixed batch of
-signed zeros, subnormals and mixed magnitudes and on a column-strided view of
-it, and must equal the replay bit for bit; ``block`` runs on every column of
-that batch, once as a list of floats and once as the strided column, and
-must equal the record's Python function bit for bit, and so must ``dft``
-against the NumPy bridge.  A module that fails any of these is not used.
-
-The replay, the Python function and the NumPy bridge run instead when no
-compiler is found
-(``$CC``, else ``cc``), ``Python.h`` or ``numpy/arrayobject.h`` is missing,
-or compiling or loading fails (one RuntimeWarning per process; a compiler
-that refuses ``-march=native`` is such a failure), when the module fails the
-check above (likewise), and the replay for a batch that is not aligned or
-whose strides are not multiples of 8 bytes.  This module is imported on the
-first array call or background compile, not with mindht, and compiles
-nothing before that.
-
-This module knows neither the input contract nor when to compile: ``run``
-only routes a float64 batch that its caller has read and converted
-(``kernels.kernel_flow`` or ``fast_dht``, by ``layers.to_float64``), and
-mindht.kernels decides when ``_loaded`` runs.
+Each object is compiled into a private per-process temporary directory that
+is removed at exit, with ``Python.h`` from ``sysconfig.get_paths()["include"]``
+and ``numpy/arrayobject.h`` from ``numpy.get_include()`` (``_include_flags``);
+nothing is cached between processes.  At exit a compiler still running is
+killed before the directory is removed.  After loading, ``batch`` runs once
+on a fixed batch of signed zeros, subnormals and mixed magnitudes and on a
+column-strided view of it, and must equal the replay bit for bit; ``block``
+runs on every column of that batch, once as a list of floats and once as the
+strided column, and must equal fn bit for bit, and so must ``dft`` against
+the NumPy bridge.  ``load`` returns None, with one RuntimeWarning per
+process, when no compiler is found (``$CC``, else ``cc``), ``Python.h`` or
+``numpy/arrayobject.h`` is missing, compiling or loading fails (a compiler
+that refuses ``-march=native`` is such a failure), or the module fails the
+check.
 """
 
 from __future__ import annotations
@@ -103,8 +78,6 @@ from pathlib import Path
 
 import numpy as np
 
-from .kernels import _UNTRIED, _kernel
-from .layers import check_size
 from .reference import _dft_bridge
 
 # Columns per block of ``batch``.  At N = 24 the 86 vector values of a block
@@ -428,13 +401,11 @@ def _check_batch(n: int) -> np.ndarray:
     return x
 
 
-def _agrees(k, module) -> bool:
-    """Whether ``batch`` equals the replay on the check batch and on a
+def _agrees(prog, fn, module) -> bool:
+    """Whether ``batch`` equals the replay of prog on the check batch and on a
     column-strided view of it, which runs the local-block gather, and, on each
     column of it, given both as a list of floats and as the strided column,
-    ``block`` equals the Python function of kernel record k and ``dft`` the
-    NumPy bridge (``reference._dft_bridge``)."""
-    prog = k.prog
+    ``block`` equals fn and ``dft`` the NumPy bridge (``reference._dft_bridge``)."""
     x = _check_batch(prog.n)
     for v in (x, x[:, ::-2]):
         out = np.empty((prog.n_outputs, v.shape[1]))
@@ -443,7 +414,7 @@ def _agrees(k, module) -> bool:
             return False
     for v in x.T:
         vals = v.tolist()
-        for entry, want in ((module.block, np.array(k.fn(vals))), (module.dft, _dft_bridge(v))):
+        for entry, want in ((module.block, np.array(fn(vals))), (module.dft, _dft_bridge(v))):
             for out in (entry(vals), entry(v)):
                 if not (type(out) is np.ndarray and out.dtype == want.dtype
                         and out.tobytes() == want.tobytes()):
@@ -462,9 +433,9 @@ def _warn(msg: str) -> None:
                       "the Python kernel", RuntimeWarning)
 
 
-def _load(k):
-    """The checked extension module of kernel record k, compiled now, or None."""
-    prog = k.prog
+def load(prog, fn):
+    """The checked extension module of a scheduled program (a ``replay._Program``)
+    whose Python function is fn, compiled now, or None."""
     cc = find_compiler()
     if cc is None:
         _warn("no C compiler found ($CC or cc)")
@@ -483,48 +454,7 @@ def _load(k):
     except (ImportError, OSError, subprocess.SubprocessError) as e:
         _warn(f"building or loading the length-{prog.n} kernel failed ({e})")
         return None
-    if not _agrees(k, module):
+    if not _agrees(prog, fn, module):
         _warn(f"the compiled length-{prog.n} kernel disagreed with the replay")
         return None
     return module
-
-
-_LOCK = threading.Lock()  # guards loading
-
-
-def _loaded(k):
-    """The checked extension module of kernel record k, loaded into it on first
-    use with its ``block`` and ``dft`` swapped in (``k.c``, ``k.dft``), or None."""
-    if k.module is _UNTRIED:
-        with _LOCK:
-            if k.module is _UNTRIED:
-                module = _load(k)
-                if module is not None:
-                    k.c, k.dft = module.block, module.dft
-                k.module = module
-    return k.module
-
-
-def run(k, x: np.ndarray) -> np.ndarray:
-    """The float64 result of kernel record k on a float64 (n, ...) batch x,
-    read by its caller, in x's shape: the one batch router.
-
-    x is viewed as (n, B) columns and run by C ``batch`` if k's module is
-    loaded and the columns are aligned with strides in whole elements, else
-    by the replay.  It loads nothing: ``kernel_flow`` loads the module
-    before it calls, and ``fast_dht`` never waits for it.
-    """
-    prog, module = k.prog, k.module
-    cols = x.reshape(prog.n, -1)
-    if (module is not None and module is not _UNTRIED and cols.flags.aligned
-            and not (cols.strides[0] % 8 or cols.strides[1] % 8)):
-        out = np.empty((prog.n_outputs, cols.shape[1]))
-        module.batch(cols, out)
-    else:
-        out = prog(cols)
-    return out.reshape(prog.n_outputs, *x.shape[1:])
-
-
-def backend(n: int) -> str:
-    """``"c"`` or ``"replay"``: what runs float64 arrays for length n now."""
-    return "c" if _loaded(_kernel(check_size(n))) is not None else "replay"

@@ -138,13 +138,13 @@ class ResidualMatrix:
 
 
 def residual_matrix(n: int, order: int) -> ResidualMatrix:
-    """Compute T(order) = H_n @ P_order^{-1} and gate the reconstruction.
+    """Compute T(order) = H_n @ P_order^{-1}.
 
     P_order^{-1} is the product of the layers' inverses, each read from its
-    listing (see _layer_inverse), so it is exact in float64.  Raises
+    listing (see _layer_inverse); their entries are dyadic, so the product
+    is exact in float64 and T @ P reproduces H_n without a gate.  Raises
     DerivationError naming the layer and rows if a layer is not passes and
-    butterflies, or if the product T @ P fails to reproduce H_n to within
-    1e-10 entrywise.  The result is cached with the kernel's derivation; its
+    butterflies.  The result is cached with the kernel's derivation; its
     entries are read-only.
     """
     # the order is checked before the lookup, where 1.0 would find order 1
@@ -153,17 +153,10 @@ def residual_matrix(n: int, order: int) -> ResidualMatrix:
 
 @_derived
 def _residual(n: int, order: int) -> ResidualMatrix:
-    p, inv = pre_addition_matrix(n, order), np.eye(n)
+    inv = np.eye(n)
     for k in range(1, order + 1):
         inv = inv @ _layer_inverse(n, k)  # P^{-1} = L_1^{-1} ... L_order^{-1}
-    h = dht_matrix(n)
-    entries = h @ inv
-    err = float(np.max(np.abs(h - entries @ p)))
-    if err > RECONSTRUCTION_TOL:
-        raise DerivationError(
-            f"residual reconstruction failed for N={n} order {order}: max deviation {err:.3e}"
-        )
-    return ResidualMatrix(n=n, order=order, entries=_frozen(entries))
+    return ResidualMatrix(n=n, order=order, entries=_frozen(dht_matrix(n) @ inv))
 
 
 def entry_alphabet(t, tol: float = ALPHABET_TOL) -> tuple[float, ...]:

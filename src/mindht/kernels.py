@@ -32,20 +32,27 @@ lazily from them by a ``_derived`` function: the operation counts
 (``counting.count_ops``), the derivation (mindht.derivation) and the text
 ``mindht derive`` prints, each made once under the record's one lock.
 
-The compile policy lives here alone; mindht._cgen only builds, loads and
-routes.  A ``kernel_flow`` array call loads the module in the caller's
-thread (``_load_c_block``) if it is untried.  ``fast_dht`` never waits for a
-compiler: until the module is loaded it runs one block as the Python
-function and an array of blocks as the replay, and the call that takes
-the length's count of blocks to ``COMPILE_AFTER`` or past it starts the
-same load on a background thread.  Whichever path loads the module,
-``block`` and ``dft`` are swapped in once it has passed its check.  From
+The state of a record's C module is kept here alone: untried, failed
+(None), or loaded with its ``block`` and ``dft`` swapped into the record;
+mindht._cgen only builds a program's module and checks it.  A module is
+compiled at most once per record and process, by ``_load_c_block``, under
+one load lock, so threads and the background compile share one load, and a
+replaced flow or listing, which gets a new record, is compiled again.  A
+``kernel_flow`` array call loads the module in the caller's thread if it is
+untried (0.3-0.5 s per N with gcc 12 on a 2.1 GHz Xeon).  ``fast_dht``
+never waits for a compiler: until the module is loaded it runs one block as
+the Python function and an array of blocks as the replay, and the call that
+takes the length's count of blocks to ``COMPILE_AFTER`` or past it starts
+the same load on a background thread; ``dht_to_dft`` never compiles.  From
 then on ``fast_dht`` hands ``block`` the raw input first: a list of floats
 or a 1-D float64 array goes straight to C, and only what ``block`` declines
 is read by ``layers.read_block``, the Python side of the same one-block
-contract, or by ``layers.read_blocks`` for an array of blocks, which C
-``batch`` runs.  Both array entry points read and convert their input
-(``layers.to_float64``) before ``_cgen.run`` routes it.
+contract, or by ``layers.read_blocks`` for an array of blocks.  Both array
+entry points read and convert their input (``layers.to_float64``) before
+``_route`` runs it: as C ``batch`` once the module is loaded and the batch
+is aligned with strides in whole elements, else as the replay, which also
+runs wherever no module loads.  mindht._cgen is imported only by a load, not
+with mindht or by an array call.
 """
 
 from __future__ import annotations
@@ -232,7 +239,7 @@ _FLOWS = {4: dht4_flow, 8: dht8_flow, 12: dht12_flow, 24: dht24_flow}
 COMPILE_AFTER = 4096
 
 
-# _Kernel.module until mindht._cgen has tried to load it (None if that failed).
+# _Kernel.module until _load_c_block has tried to load it (None if that failed).
 _UNTRIED = object()
 
 
@@ -264,11 +271,13 @@ class _Kernel:
 
 
 # n -> _Kernel.  Records are made under _LOCK, so racing first calls share one.
-# Their makers and mindht._cgen are imported on first use: counting, replay and
-# _cgen import this module, and ``import mindht`` should not pay for them.
+# Their makers and mindht._cgen are imported on first use: counting imports this
+# module, and ``import mindht`` should not pay for replay or _cgen.
 _KERNELS: dict[int, _Kernel] = {}
 _LOCK = threading.Lock()
-_cgen = None
+# Guards every C module load.  It is neither _LOCK nor a record's lock, so a
+# compile blocks neither the making of a record nor a first derivation.
+_LOAD_LOCK = threading.Lock()
 
 
 def _kernel(n: int) -> _Kernel:
@@ -303,27 +312,49 @@ def _derived(fn):
     return derived
 
 
-def _load_c_block(k: _Kernel) -> None:
-    """Load k's C module, which swaps its ``block`` and ``dft`` in (under
-    mindht._cgen's lock, so the background thread and ``kernel_flow``'s
-    array calls share one load).
+def _load_c_block(k: _Kernel):
+    """k's checked C module, loaded on first use with its ``block`` and ``dft``
+    swapped into k (``k.c``, ``k.dft``), or None where none loads.
 
-    It is the background thread's target rather than ``_cgen._loaded``
-    itself so that ``import mindht._cgen`` (8-14 ms) runs on that thread
-    too, not in the ``COMPILE_AFTER``-th ``fast_dht`` call that starts it."""
-    from ._cgen import _loaded
+    It is the background thread's target, so ``import mindht._cgen``
+    (8-14 ms) runs on that thread too, not in the ``COMPILE_AFTER``-th
+    ``fast_dht`` call that starts it."""
+    if k.module is _UNTRIED:
+        with _LOAD_LOCK:
+            if k.module is _UNTRIED:
+                from ._cgen import load
 
-    _loaded(k)
+                module = load(k.prog, k.fn)
+                if module is not None:
+                    k.c, k.dft = module.block, module.dft
+                k.module = module
+    return k.module
 
 
-def _router():
-    """mindht._cgen, whose ``run`` routes every array call, imported on first use."""
-    global _cgen
-    if _cgen is None:
-        from . import _cgen as module
+def _backend(n: int) -> str:
+    """``"c"`` or ``"replay"``: what runs float64 arrays for length n now,
+    loading the module if it is untried."""
+    return "c" if _load_c_block(_kernel(check_size(n))) is not None else "replay"
 
-        _cgen = module
-    return _cgen
+
+def _route(k: _Kernel, x: np.ndarray) -> np.ndarray:
+    """The float64 result of kernel record k on a float64 (n, ...) batch x,
+    read by its caller, in x's shape: the one batch router.
+
+    x is viewed as (n, B) columns and run by C ``batch`` if k's module is
+    loaded and the columns are aligned with strides in whole elements, else
+    by the replay.  It loads nothing: ``kernel_flow`` loads the module
+    before it calls, and ``fast_dht`` never waits for it.
+    """
+    prog, module = k.prog, k.module
+    cols = x.reshape(prog.n, -1)
+    if (module is not None and module is not _UNTRIED and cols.flags.aligned
+            and not (cols.strides[0] % 8 or cols.strides[1] % 8)):
+        out = np.empty((prog.n_outputs, cols.shape[1]))
+        module.batch(cols, out)
+    else:
+        out = prog(cols)
+    return out.reshape(prog.n_outputs, *x.shape[1:])
 
 
 def kernel_flow(n: int):
@@ -336,10 +367,10 @@ def kernel_flow(n: int):
     string, object or complex, raises TypeError naming "batch", and any
     dtype but float64 is copied once, a long double beyond float64's range
     to inf, silently), checks that axis 0 is n, loads the length's C module
-    in the caller's thread if it is untried, and has ``_cgen.run`` run it:
-    as generated C (mindht._cgen), else replayed over column chunks
-    (mindht.replay).  It returns one float64 ndarray of shape (n, ...); the
-    input is never written to.
+    in the caller's thread if it is untried (``_load_c_block``), and has
+    ``_route`` run it: as generated C (mindht._cgen), else replayed over
+    column chunks (mindht.replay).  It returns one float64 ndarray of shape
+    (n, ...); the input is never written to.
     Any other input (a list, scalars, counting scalars, a 1-D array) runs the
     program as a Python function and gets its list back.  Both paths do the
     same IEEE operations in the same order, so each column equals the
@@ -356,9 +387,8 @@ def kernel_flow(n: int):
                 raise UnsupportedLengthError(f"batch has shape {x.shape}, expected ({n}, ...): "
                                              "axis 0 holds the samples of each block")
             k = _kernel(n)
-            if k.module is _UNTRIED:
-                _load_c_block(k)
-            return _router().run(k, x)
+            _load_c_block(k)
+            return _route(k, x)
         return _kernel(n).fn(v)
 
     return kernel
@@ -388,13 +418,13 @@ def fast_dht(v, n: int | None = None, axis: int = -1) -> np.ndarray:
     """Fast DHT of a signal whose length is one of 4, 8, 12, 24, or of every
     block of an ndarray along one axis.
 
-    Once the length's C module is loaded and n is omitted or an ``int``
-    equal to ``len(v)``, the raw input goes to its ``block(v)`` (mindht._cgen)
-    first, which reads a list or tuple of Python floats in place, or a 1-D
-    float64 array of any stride, checks for inf and nan in C and returns the
-    result it makes.  An ndarray with ndim >= 2, which ``block`` declines,
+    Once the length's C module is loaded, n is omitted or an ``int`` equal
+    to ``len(v)`` and axis is -1, the raw input goes to its ``block(v)``
+    (mindht._cgen) first, which reads a list or tuple of Python floats in
+    place, or a 1-D float64 array of any stride, checks for inf and nan in C
+    and returns the result it makes.  An ndarray with ndim >= 2, which ``block`` declines,
     is read as blocks along ``axis`` by ``layers.read_blocks``, with the
-    one-block contract for each block, and ``_cgen.run`` runs them with the
+    one-block contract for each block, and ``_route`` runs them with the
     length's record, checking nothing again: as C ``batch`` if the module
     is already loaded, else as the replay; the float64 result has v's shape.
     Any other input, or any input before the module is loaded, is read by
@@ -421,12 +451,14 @@ def fast_dht(v, n: int | None = None, axis: int = -1) -> np.ndarray:
     axis : int, optional
         The axis of an ndarray with ndim >= 2 that holds each block's
         samples; default -1, so the rows of a (B, n) array are its blocks.
-        Other inputs are one block and ignore it.  It is not keyword-only,
+        Any other input is one block, whose axes are -1 and 0: another axis
+        raises NumPy's AxisError, as ``swapaxes`` does for an array of
+        blocks, before the block is read.  It is not keyword-only,
         as in ``numpy.fft.fft(a, n, axis)``: CPython 3.11 does not
         specialize calls to a function with keyword-only parameters, which
         costs a one-block call about 18 ns.
     """
-    if n is None or type(n) is int:
+    if axis == -1 and (n is None or type(n) is int):
         try:
             size = len(v)
         except (TypeError, OverflowError):  # unsized: read_block decides below
@@ -443,7 +475,9 @@ def fast_dht(v, n: int | None = None, axis: int = -1) -> np.ndarray:
         k = _kernel(len(blocks))
         if k.c is None:
             _count(k, blocks.size // len(blocks))
-        return _router().run(k, blocks).swapaxes(0, axis)
+        return _route(k, blocks).swapaxes(0, axis)
+    if axis != -1 and axis != 0:
+        raise getattr(np, "exceptions", np).AxisError(axis, 1)  # np.exceptions: NumPy >= 1.25
     vals = read_block(v, n)
     k = _kernel(len(vals))
     if k.c is not None:
@@ -458,7 +492,7 @@ def _count(k: _Kernel, blocks: int) -> None:
 
     Unlocked: each call compares the count it read with the one it wrote, so
     racing calls may lose a count or start a second thread, which then finds
-    the module loaded under mindht._cgen's lock, but never skip the threshold.
+    the module loaded under ``_LOAD_LOCK``, but never skip the threshold.
     """
     before = k.calls
     k.calls = before + blocks

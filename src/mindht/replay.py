@@ -1,23 +1,18 @@
 """The executors of a kernel's one program, ``counting.trace(n)``.
 
-``program`` schedules the program onto reused register rows: every node
-becomes one in-place ufunc call, run chunk by chunk over CHUNK_COLUMNS
+``_Program`` schedules a traced program onto reused register rows: every
+node becomes one in-place ufunc call, run chunk by chunk over CHUNK_COLUMNS
 columns so the intermediates of a chunk stay in cache, where running a flow
 over whole rows would allocate and stream one temporary row per operation.
 The schedule (``ops``, ``consts``, ``n_regs``) is what the replay runs on
-the float64 batches ``mindht._cgen.run`` does not hand to C (unaligned or
-odd strides, no working compiler, or a ``fast_dht`` array call before the
-module is loaded), what mindht._cgen turns into two entry points of one C
-extension module per length (``block`` for one block, ``batch`` for
-arrays), and what ``_emit`` turns into a straight-line Python
-function for one block (``kernels.kernel_flow(n)`` on anything but an
-ndarray with ndim >= 2, and ``fast_dht`` until its length's module is
-loaded, by a ``kernel_flow`` array call or on a background thread once
-``fast_dht`` has run ``kernels.COMPILE_AFTER`` blocks of the length, or
-whenever no module loads).  All of them do the same IEEE operations on the
-same operands in the same order, so they agree bit for bit.  The schedule and
-the function are made once per kernel record (``kernels._KERNELS``), with
-its trace.  Imported on the first kernel call or trace, not with mindht.
+the float64 batches mindht.kernels does not hand to C ``batch``, what
+mindht._cgen turns into one C extension module per length, and what
+``_emit`` turns into a straight-line Python function for one block.  All of
+them do the same IEEE operations on the same operands in the same order, so
+they agree bit for bit.  The schedule and the function are made once per
+kernel record (``kernels._KERNELS``), with its trace; which of them runs a
+call is decided in mindht.kernels.  This module imports nothing from mindht,
+and is imported on the first kernel call or trace, not with mindht.
 """
 
 from __future__ import annotations
@@ -25,10 +20,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-
-from .counting import OpTally
-from .kernels import _kernel
-from .layers import check_size
 
 # Columns per chunk of the array path.  At N = 24 one chunk's 38 register
 # rows take 2.4 MiB, inside a 4 MiB L2; the chunk-size sweep that picked the
@@ -40,7 +31,8 @@ _SYMBOLS = {f: op for op, f in _UFUNCS.items()}
 
 
 class _Program:
-    """A flow's traced straight-line program, scheduled onto reusable rows.
+    """A flow's traced straight-line program (a ``counting.OpTally``),
+    scheduled onto reusable rows.
 
     Each node of the trace becomes one ``ufunc(a, b, o)`` call writing
     into o, in trace order.  ``a``, ``b`` and ``o`` index one list per
@@ -51,7 +43,7 @@ class _Program:
     buffer, so concurrent calls share nothing.
     """
 
-    def __init__(self, n: int, traced: OpTally):
+    def __init__(self, n: int, traced):
         nodes, outputs = traced.nodes, traced.outputs
         operands = [(a,) if op == "*" else (a, b) for op, a, b in nodes]
         last_use: dict[int, int] = {}
@@ -137,11 +129,3 @@ def _emit(prog: _Program):
     exec(compile("\n".join(lines), f"<mindht length-{prog.n} kernel>", "exec"), scope)
     return scope["kernel"]
 
-
-def program(n: int) -> _Program:
-    """The scheduled program of the length-n kernel's ``counting.trace(n)``.
-
-    It is made once per kernel record, that is again once
-    ``kernels._FLOWS[n]`` or ``LAYER_SPECS[n]`` was replaced.
-    """
-    return _kernel(check_size(n)).prog

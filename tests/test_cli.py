@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from mindht import SUPPORTED_SIZES, dht_matrix, naive_dht
-from mindht import _cgen, cli, kernels
+from mindht import cli, kernels
 from mindht.cli import main
 from mindht.io import SignalParseError, read_signal, write_signal
 from mindht.layers import read_block
@@ -403,7 +403,7 @@ def test_verify_spot_rows_detect_a_corrupted_one_block_kernel(capsys, monkeypatc
 def test_verify_oracle_detects_a_corrupted_batch_route(capsys, monkeypatch, backend):
     # negative control: only the batch route of N = 24 is off, in one output
     # row; the oracle comparison alone must fail it
-    real = _cgen.run
+    real = kernels._route
 
     def corrupted(k, x):
         out = real(k, x)
@@ -412,7 +412,7 @@ def test_verify_oracle_detects_a_corrupted_batch_route(capsys, monkeypatch, back
         return out
 
     with forced(backend):
-        monkeypatch.setattr(_cgen, "run", corrupted)
+        monkeypatch.setattr(kernels, "_route", corrupted)
         code, results = verify_results(capsys)
     assert code == 1
     assert [r["ok"] for r in results] == [n != 24 for n in SUPPORTED_SIZES]

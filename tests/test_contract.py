@@ -30,7 +30,6 @@ from mindht import (
     pre_addition_state,
     walsh_hadamard,
 )
-from mindht import _cgen
 from mindht.kernels import kernel_flow
 from test_kernels import forced, one_block_path
 
@@ -146,7 +145,7 @@ def fallback_warned():
     with warnings.catch_warnings():
         warnings.filterwarnings("ignore", message="mindht: ", category=RuntimeWarning)
         for n in (4, 8, 12, 24):
-            _cgen.backend(n)
+            kernels._backend(n)
 
 
 def takes_batches(column):

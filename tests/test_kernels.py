@@ -1,6 +1,7 @@
 """Fast kernels against the brute-force oracle, the array path against the
 scalar path, plus layer-state checks."""
 
+import ast
 import cmath
 import functools
 import math
@@ -38,7 +39,7 @@ from mindht._cgen import W
 from mindht.derivation import kernel_plan
 from mindht.kernels import kernel_flow
 from mindht.layers import LAYER_SPECS, apply_layer, max_order
-from mindht.replay import CHUNK_COLUMNS, program as replay_program
+from mindht.replay import CHUNK_COLUMNS
 from test_reference import NEAR_OVERFLOW, SAMPLES as SPECTRUM_SAMPLES
 from test_reference import bridge_in_python_floats, spectra
 
@@ -187,7 +188,7 @@ def one_block_path(name):
     with pytest.MonkeyPatch.context() as mp:
         for n in SUPPORTED_SIZES:
             k = kernels._kernel(n)
-            module = _cgen._loaded(k) if name == "c" else None
+            module = kernels._load_c_block(k) if name == "c" else None
             mp.setattr(k, "c", module and module.block)
             mp.setattr(k, "dft", module and module.dft)
             mp.setattr(k, "calls", 0)
@@ -262,7 +263,7 @@ def test_overflowing_batch_gives_the_same_bits_without_a_warning(n):
     x[1::2, 2] = 1.0
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        _cgen.backend(n)  # a failed compile warns once; let that happen here
+        kernels._backend(n)  # a failed compile warns once; let that happen here
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         batch = kernel_flow(n)(x)
@@ -347,7 +348,7 @@ def forced(name):
     with pytest.MonkeyPatch.context() as mp:
         if name == "c":
             for n in SUPPORTED_SIZES:
-                _cgen.backend(n)
+                kernels._backend(n)
         else:
             for n in SUPPORTED_SIZES:
                 mp.setattr(kernels._kernel(n), "module", kernels._UNTRIED)
@@ -364,11 +365,11 @@ def c_works(find_compiler=_cgen.find_compiler):
         for name, value in (("module", kernels._UNTRIED), ("c", None), ("dft", None)):
             mp.setattr(kernels._kernel(4), name, value)  # a load swaps block and dft in
         mp.setattr(_cgen, "find_compiler", find_compiler)
-        return _cgen.backend(4) == "c"
+        return kernels._backend(4) == "c"
 
 
 def expect_backend(name, n):
-    assert _cgen.backend(n) == (name if c_works() else "replay")
+    assert kernels._backend(n) == (name if c_works() else "replay")
 
 
 @pytest.fixture(params=BACKENDS)
@@ -609,7 +610,7 @@ def test_array_path_copies_repeated_and_input_outputs(monkeypatch):
 
 
 def test_replaced_flow_gets_its_own_c_source(monkeypatch):
-    good = _cgen.source(replay_program(8))
+    good = _cgen.source(kernels._kernel(8).prog)
 
     def bad(v):
         out = kernels.dht8_flow(v)
@@ -617,8 +618,8 @@ def test_replaced_flow_gets_its_own_c_source(monkeypatch):
         return out
 
     monkeypatch.setitem(kernels._FLOWS, 8, bad)
-    assert _cgen.source(replay_program(8)) != good
-    assert (0.9999999).hex() in _cgen.source(replay_program(8))
+    assert _cgen.source(kernels._kernel(8).prog) != good
+    assert (0.9999999).hex() in _cgen.source(kernels._kernel(8).prog)
 
 
 def test_one_block_and_array_paths_share_one_schedule(fresh_kernels, monkeypatch):
@@ -634,9 +635,9 @@ def test_one_block_and_array_paths_share_one_schedule(fresh_kernels, monkeypatch
         v = np.random.default_rng(n + 79).uniform(-1.0, 1.0, n)
         if n % 8:  # both orders of first use
             fast_dht(v)
-            prog = replay_program(n)
+            prog = kernels._kernel(n).prog
         else:
-            prog = replay_program(n)
+            prog = kernels._kernel(n).prog
             fast_dht(v)
         assert same_bits(prog(v[:, None])[:, 0], fast_dht(v))
     assert made == list(SUPPORTED_SIZES)
@@ -844,6 +845,32 @@ def test_array_route_errors_match_one_block():
                 fast_dht(x, axis=2)
 
 
+def test_one_block_axes_are_minus_one_and_zero():
+    # one block has the axes -1 and 0 only: on either one-block path another
+    # axis raises NumPy's AxisError, as swapaxes does for an array of blocks,
+    # before the block is read, and axis=0 gives the default's bits
+    axis_error = np.exceptions.AxisError if hasattr(np, "exceptions") else np.AxisError
+    v = np.random.default_rng(239).uniform(-1.0, 1.0, 8)
+    for path in ONE_BLOCK_PATHS:
+        with one_block_path(path), warnings.catch_warnings():
+            warnings.simplefilter("error")
+            expect_block(path, 8)
+            with pytest.raises(axis_error, match="^axis 5 is out of bounds"):
+                fast_dht(np.ones(8), axis=5)
+            with pytest.raises(axis_error, match="^axis -3 is out of bounds"):
+                fast_dht([1.0] * 8, axis=-3)
+            for bad in ([1.0] * 5, ["a"] * 8, np.full(8, np.nan)):  # refused before it is read
+                with pytest.raises(axis_error):
+                    fast_dht(bad, None, 1)
+            for x in (v, v.tolist(), tuple(v.tolist()), v[::-1]):
+                want = fast_dht(x).tobytes()
+                assert fast_dht(x, axis=0).tobytes() == want
+                assert fast_dht(x, 8, 0).tobytes() == fast_dht8(x).tobytes() == want
+                for axis in (1, -2, 5):
+                    with pytest.raises(axis_error):
+                        fast_dht(x, axis=axis)
+
+
 def test_inputs_the_c_kernels_do_not_take_run_the_replay(fresh_kernels, monkeypatch):
     # C batch takes aligned float64 with strides in whole elements: an
     # unaligned or packed float64 batch, which kernel_flow does not copy, still
@@ -874,14 +901,14 @@ def test_inputs_the_c_kernels_do_not_take_run_the_replay(fresh_kernels, monkeypa
         cols, module = ran[-1]
         assert np.shares_memory(cols, y)  # the replay ran on y itself, not a copy
         # ... after the module was loaded, or tried where none builds
-        assert module is (_cgen._loaded(kernels._KERNELS[8]) if c_works() else None)
+        assert module is (kernels._load_c_block(kernels._KERNELS[8]) if c_works() else None)
 
 
 @pytest.mark.parametrize("dtype", [np.float64, np.int64, np.float32, np.float16, ">f8",
                                    np.longdouble])
 def test_each_batch_call_applies_the_kind_rule_once(monkeypatch, dtype):
     # fast_dht(X) reads X once (layers.read_blocks, "signal"), kernel_flow(n)(X)
-    # once, as a batch; _cgen.run only routes and applies no rule of its own.
+    # once, as a batch; kernels._route only routes and applies no rule of its own.
     # float64 is passed through without the rule, as every reader passes it.
     seen = []
     real = layers.check_kind
@@ -920,13 +947,14 @@ def test_one_shot_verify_loads_no_c_module(tmp_path):
     # verify's array calls run the replay and never wait for a compiler; at
     # --trials 1000 each length runs 1002 blocks, below COMPILE_AFTER
     code = (
-        "import threading\n"
+        "import sys, threading\n"
         "from mindht import cli, kernels\n"
         "assert cli.main(['verify', '--trials', '1000']) == 0\n"
         "assert sorted(kernels._KERNELS) == [4, 8, 12, 24]\n"
         "for k in kernels._KERNELS.values():\n"
         "    assert k.module is kernels._UNTRIED and k.c is None and k.calls == 1002\n"
         "assert not [t for t in threading.enumerate() if t.name.startswith('mindht-compile')]\n"
+        "assert 'mindht._cgen' not in sys.modules  # the batch router lives in kernels\n"
     )
     env = {**os.environ, "PYTHONPATH": str(Path(mindht.__file__).parents[1]),
            "TMPDIR": str(tmp_path)}
@@ -934,6 +962,25 @@ def test_one_shot_verify_loads_no_c_module(tmp_path):
                           timeout=120)
     assert done.returncode == 0, done.stderr
     assert list(tmp_path.iterdir()) == []  # no object directory was made
+
+
+def test_replay_and_cgen_import_nothing_of_mindht_but_the_bridge():
+    # the record's C state lives in kernels: replay only schedules and runs a
+    # trace, and _cgen only builds and checks a module, with the NumPy bridge
+    # (mindht.reference) as the oracle of dft
+    def mindht_imports(module):
+        found = set()
+        for node in ast.walk(ast.parse(Path(module.__file__).read_text())):
+            if isinstance(node, ast.ImportFrom):
+                name = "." * node.level + (node.module or "")
+                if node.level or name.split(".")[0] == "mindht":
+                    found.add(name)
+            elif isinstance(node, ast.Import):
+                found.update(a.name for a in node.names if a.name.split(".")[0] == "mindht")
+        return sorted(found)
+
+    assert mindht_imports(replay) == []
+    assert mindht_imports(_cgen) == [".reference"]
 
 
 def test_objects_live_in_a_private_directory_removed_at_exit(tmp_path):
@@ -949,7 +996,7 @@ def test_objects_live_in_a_private_directory_removed_at_exit(tmp_path):
         "from mindht import _cgen, kernels\n"
         "x = np.load(sys.argv[1])\n"
         "np.save(sys.argv[2], kernels.kernel_flow(24)(x))\n"
-        "assert _cgen.backend(24) == 'c'\n"
+        "assert kernels._backend(24) == 'c'\n"
         "assert _cgen._dir.parent == Path(sys.argv[3])\n"
         "assert _cgen._dir.stat().st_mode & 0o777 == 0o700\n"
         "assert [p.suffix for p in _cgen._dir.iterdir()] == ['.so']\n"
@@ -987,7 +1034,7 @@ def falls_back_on_both_paths(seed):
     for n in SUPPORTED_SIZES:
         x = np.random.default_rng(n + seed).uniform(-1.0, 1.0, (n, 50))
         assert same_bits(kernel_flow(n)(x), scalar_columns(n, x))
-        assert _cgen.backend(n) == "replay"
+        assert kernels._backend(n) == "replay"
         kernels._load_c_block(kernels._kernel(n))  # what the background compile runs
         assert not uses_c_block(n)
         assert fast_dht(x[:, 0]).tobytes() == _frozen_fast_dht(x[:, 0], n).tobytes()
@@ -1040,7 +1087,7 @@ def test_load_check_passes_wherever_the_compiler_works(fresh_kernels):
     with warnings.catch_warnings(record=True) as seen:
         warnings.simplefilter("always")
         for n in SUPPORTED_SIZES:
-            _cgen.backend(n)
+            kernels._backend(n)
     assert not [w for w in seen if "disagreed with the replay" in str(w.message)]
 
 
@@ -1067,7 +1114,7 @@ def test_tampered_object_is_rejected_by_the_load_check(fresh_kernels, monkeypatc
         with warnings.catch_warnings(record=True) as seen:
             warnings.simplefilter("always")
             assert same_bits(kernel_flow(8)(x), scalar_columns(8, x))
-            assert _cgen.backend(8) == "replay"
+            assert kernels._backend(8) == "replay"
             kernels._load_c_block(kernels._kernel(8))
             assert not uses_c_block(8) and not uses_c_dft(8)
             assert fast_dht(x[:, 0]).tobytes() == scalar_columns(8, x)[:, 0].tobytes()
@@ -1077,7 +1124,7 @@ def test_tampered_object_is_rejected_by_the_load_check(fresh_kernels, monkeypatc
 def test_source_compiles_only_where_double_arithmetic_rounds_to_double(tmp_path):
     if not c_works():
         pytest.skip("no working C compiler")
-    src = _cgen.source(replay_program(8))
+    src = _cgen.source(kernels._kernel(8).prog)
 
     def compiles(method):
         cmd = [*_cgen.find_compiler(), *_cgen._include_flags(), "-U__FLT_EVAL_METHOD__",
@@ -1094,11 +1141,11 @@ def test_source_compiles_only_where_double_arithmetic_rounds_to_double(tmp_path)
 
 def test_threads_load_each_kernel_once(fresh_kernels, monkeypatch):
     loads = []
-    real_load = _cgen._load
+    real_load = _cgen.load
 
-    def counted(k):
-        loads.append(k.prog.n)
-        return real_load(k)
+    def counted(prog, fn):
+        loads.append(prog.n)
+        return real_load(prog, fn)
 
     def slowed(flow):
         def slow(v):  # widens the window between a cold-cache check and its fill
@@ -1114,7 +1161,7 @@ def test_threads_load_each_kernel_once(fresh_kernels, monkeypatch):
         emitted.append(prog.n)
         return real_emit(prog)
 
-    monkeypatch.setattr(_cgen, "_load", counted)
+    monkeypatch.setattr(_cgen, "load", counted)
     xs = {n: np.random.default_rng(n + 73).uniform(-1.0, 1.0, (n, 600)) for n in SUPPORTED_SIZES}
     want = {n: scalar_columns(n, x) for n, x in xs.items()}
     for n in SUPPORTED_SIZES:
@@ -1229,7 +1276,7 @@ def one_block_inputs():
 def test_c_block_refuses_wrong_buffers():
     if not c_works():
         pytest.skip("no working C compiler")
-    block = _cgen._loaded(kernels._kernel(8)).block
+    block = kernels._load_c_block(kernels._kernel(8)).block
     wrong_args, declined, taken = one_block_inputs()
     # block(v) makes its own result
     for args in wrong_args:
@@ -1529,7 +1576,7 @@ def test_inputs_the_c_dft_does_not_take_get_the_same_result_or_error():
 def test_c_dft_takes_what_c_block_takes():
     if not c_works():
         pytest.skip("no working C compiler")
-    dft = _cgen._loaded(kernels._kernel(8)).dft
+    dft = kernels._load_c_block(kernels._kernel(8)).dft
     wrong_args, declined, taken = one_block_inputs()
     for args in wrong_args:
         with pytest.raises(TypeError, match=r"^dft\(\) takes 1 argument"):
@@ -1596,14 +1643,14 @@ def test_replaced_flow_after_the_swap_runs_its_own_program(monkeypatch):
 def test_compile_starts_in_the_background_at_the_threshold(fresh_kernels, monkeypatch):
     monkeypatch.setattr(kernels, "COMPILE_AFTER", 5)
     loads, release = [], threading.Event()
-    real_load = _cgen._load
+    real_load = _cgen.load
 
-    def held(k):
-        loads.append(k.prog.n)
+    def held(prog, fn):
+        loads.append(prog.n)
         assert release.wait(timeout=60)
-        return real_load(k)
+        return real_load(prog, fn)
 
-    monkeypatch.setattr(_cgen, "_load", held)
+    monkeypatch.setattr(_cgen, "load", held)
     v = np.random.default_rng(97).uniform(-1.0, 1.0, 12)
     want = fast_dht(v).tobytes()  # call 1
     for _ in range(3):
@@ -1643,13 +1690,13 @@ def test_array_blocks_count_toward_the_background_compile(fresh_kernels, monkeyp
     # compile and returns without waiting for it
     monkeypatch.setattr(kernels, "COMPILE_AFTER", 10)
     release = threading.Event()
-    real_load = _cgen._load
+    real_load = _cgen.load
 
-    def held(k):
+    def held(prog, fn):
         assert release.wait(timeout=60)
-        return real_load(k)
+        return real_load(prog, fn)
 
-    monkeypatch.setattr(_cgen, "_load", held)
+    monkeypatch.setattr(_cgen, "load", held)
     rng = np.random.default_rng(233)
     x = rng.uniform(-1.0, 1.0, (4, 8))
     v = rng.uniform(-1.0, 1.0, 8)
