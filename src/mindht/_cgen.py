@@ -426,11 +426,17 @@ _warned = False
 
 
 def _warn(msg: str) -> None:
+    """Warn that msg made the kernels fall back, once per process and not at exit.
+
+    Loads of different lengths run at once, so the latch is tested and set
+    under ``_BUILD_LOCK``."""
     global _warned
-    if not (_warned or _closing):
+    with _BUILD_LOCK:
+        if _warned or _closing:
+            return
         _warned = True
-        warnings.warn(f"mindht: {msg}; kernel_flow runs the NumPy replay and fast_dht "
-                      "the Python kernel", RuntimeWarning)
+    warnings.warn(f"mindht: {msg}; kernel_flow runs the NumPy replay and fast_dht "
+                  "the Python kernel", RuntimeWarning)
 
 
 def load(prog, fn):

@@ -36,8 +36,9 @@ The state of a record's C module is kept here alone: untried, failed
 (None), or loaded with its ``block`` and ``dft`` swapped into the record;
 mindht._cgen only builds a program's module and checks it.  A module is
 compiled at most once per record and process, by ``_load_c_block``, under
-one load lock, so threads and the background compile share one load, and a
-replaced flow or listing, which gets a new record, is compiled again.  A
+the record's load lock, so threads and the background compile share one
+load, the compiles of different lengths overlap, and a replaced flow or
+listing, which gets a new record, is compiled again.  A
 ``kernel_flow`` array call loads the module in the caller's thread if it is
 untried (0.3-0.5 s per N with gcc 12 on a 2.1 GHz Xeon).  ``fast_dht``
 never waits for a compiler: until the module is loaded it runs one block as
@@ -235,7 +236,9 @@ _FLOWS = {4: dht4_flow, 8: dht8_flow, 12: dht12_flow, 24: dht24_flow}
 # never compiles: setup_s runs one block per N and ``mindht verify`` its
 # --trials plus two (default 1000).  A compile takes 0.2-0.4 s of another
 # core; at 1-4 us saved per one-block call it pays off after about 10^5
-# calls, and a loop of calls reaches this count within tens of ms.
+# calls, and a loop of calls reaches this count within tens of ms.  Each
+# length's compile is its own subprocess under its record's load lock, so
+# lengths that cross the count together compile at once.
 COMPILE_AFTER = 4096
 
 
@@ -250,10 +253,13 @@ class _Kernel:
     (both None before that; ``reference.dht_to_dft`` calls ``dft``), the
     blocks ``fast_dht`` has run before ``c`` was swapped in (``calls``,
     counted toward ``COMPILE_AFTER``), and the values of the ``_derived``
-    functions, made under the record's ``lock`` into ``derived``."""
+    functions, made under the record's ``lock`` into ``derived``.  The
+    module is loaded under ``load_lock``, apart from ``lock`` and
+    ``_LOCK``, so a compile blocks neither a first derivation nor the
+    making of a record."""
 
     __slots__ = ("flow", "spec", "trace", "prog", "fn", "module", "c", "dft", "calls",
-                 "derived", "lock")
+                 "derived", "lock", "load_lock")
 
     def __init__(self, n: int, flow, spec):
         from .counting import _trace
@@ -268,6 +274,7 @@ class _Kernel:
         self.calls = 0
         self.derived: dict[tuple, object] = {}
         self.lock = threading.RLock()
+        self.load_lock = threading.Lock()
 
 
 # n -> _Kernel.  Records are made under _LOCK, so racing first calls share one.
@@ -275,9 +282,6 @@ class _Kernel:
 # module, and ``import mindht`` should not pay for replay or _cgen.
 _KERNELS: dict[int, _Kernel] = {}
 _LOCK = threading.Lock()
-# Guards every C module load.  It is neither _LOCK nor a record's lock, so a
-# compile blocks neither the making of a record nor a first derivation.
-_LOAD_LOCK = threading.Lock()
 
 
 def _kernel(n: int) -> _Kernel:
@@ -316,11 +320,13 @@ def _load_c_block(k: _Kernel):
     """k's checked C module, loaded on first use with its ``block`` and ``dft``
     swapped into k (``k.c``, ``k.dft``), or None where none loads.
 
-    It is the background thread's target, so ``import mindht._cgen``
-    (8-14 ms) runs on that thread too, not in the ``COMPILE_AFTER``-th
-    ``fast_dht`` call that starts it."""
+    The load runs under k's own ``load_lock``, so it waits only for a load
+    of the same record, never for another length's compile.  It is the
+    background thread's target, so ``import mindht._cgen`` (8-14 ms) runs on
+    that thread too, not in the ``COMPILE_AFTER``-th ``fast_dht`` call that
+    starts it."""
     if k.module is _UNTRIED:
-        with _LOAD_LOCK:
+        with k.load_lock:
             if k.module is _UNTRIED:
                 from ._cgen import load
 
@@ -492,7 +498,8 @@ def _count(k: _Kernel, blocks: int) -> None:
 
     Unlocked: each call compares the count it read with the one it wrote, so
     racing calls may lose a count or start a second thread, which then finds
-    the module loaded under ``_LOAD_LOCK``, but never skip the threshold.
+    the module loaded under the record's ``load_lock``, but never skip the
+    threshold.
     """
     before = k.calls
     k.calls = before + blocks

@@ -1081,6 +1081,46 @@ def test_missing_compiler_falls_back_with_one_warning(fresh_kernels, monkeypatch
     assert len(seen) == 1 and "no C compiler" in str(seen[0].message)
 
 
+def test_overlapping_failing_loads_warn_once(fresh_kernels, monkeypatch):
+    # each length's load runs under its own record's load lock, so four
+    # failing loads overlap; the one-warning latch must still warn once
+    barrier = threading.Barrier(len(SUPPORTED_SIZES), timeout=30)
+
+    def no_compiler_once_all_load():
+        barrier.wait()
+        return None
+
+    class SlowFalse:  # a falsy _closing that yields between the latch's test and its set
+        def __bool__(self):
+            time.sleep(0.01)
+            return False
+
+    monkeypatch.setattr(_cgen, "find_compiler", no_compiler_once_all_load)
+    monkeypatch.setattr(_cgen, "_closing", SlowFalse())
+    xs = {n: np.random.default_rng(n + 69).uniform(-1.0, 1.0, (n, 20)) for n in SUPPORTED_SIZES}
+    got, errors = {}, []
+
+    def call(n):
+        try:
+            got[n] = kernel_flow(n)(xs[n])
+        except Exception as e:
+            errors.append(e)
+
+    with warnings.catch_warnings(record=True) as seen:
+        warnings.simplefilter("always")
+        threads = [threading.Thread(target=call, args=(n,)) for n in SUPPORTED_SIZES]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    assert not any(t.is_alive() for t in threads) and errors == []
+    assert [w.category for w in seen] == [RuntimeWarning]
+    assert "no C compiler" in str(seen[0].message)
+    for n in SUPPORTED_SIZES:
+        assert same_bits(got[n], scalar_columns(n, xs[n]))
+        assert kernels._KERNELS[n].module is None
+
+
 def test_load_check_passes_wherever_the_compiler_works(fresh_kernels):
     # c_works() is False both without a compiler and when the load check drops
     # a faulty object, so the check's verdict on sound source is pinned here
@@ -1722,11 +1762,73 @@ def test_array_blocks_count_toward_the_background_compile(fresh_kernels, monkeyp
     assert same_bits(fast_dht(x), want)
 
 
-def test_exit_during_a_background_compile_leaves_no_compiler_or_directory(tmp_path):
+def test_loads_of_different_lengths_overlap(fresh_kernels, monkeypatch):
+    # each record has its own load lock: while N = 24's background load is
+    # held, an array call of N = 8 loads in its caller's thread, and the
+    # background compile of N = 4 runs next to N = 24's
+    c_works()
+    monkeypatch.setattr(kernels, "COMPILE_AFTER", 3)
+    release, lock = threading.Event(), threading.Lock()
+    inside, beside = set(), {}  # lengths in _cgen.load now; those each found there
+    real_load = _cgen.load
+
+    def held(prog, fn):
+        with lock:
+            beside[prog.n] = set(inside)
+            inside.add(prog.n)
+        try:
+            if prog.n == 24:
+                assert release.wait(timeout=60)
+            return real_load(prog, fn)
+        finally:
+            with lock:
+                inside.discard(prog.n)
+
+    monkeypatch.setattr(_cgen, "load", held)
+    rng = np.random.default_rng(239)
+    v24, v4, x = rng.uniform(-1.0, 1.0, 24), rng.uniform(-1.0, 1.0, 4), rng.uniform(-1.0, 1.0, (8, 40))
+    want24, want4 = fast_dht(v24).tobytes(), fast_dht(v4).tobytes()
+    try:
+        for _ in range(2):  # call 3 starts N = 24's compile
+            fast_dht(v24)
+        for _ in range(500):
+            if 24 in inside:
+                break
+            time.sleep(0.01)
+        assert 24 in inside
+        got = []
+        caller = threading.Thread(target=lambda: got.append(kernel_flow(8)(x)))
+        caller.start()
+        caller.join(timeout=60)
+        assert not caller.is_alive() and 24 in inside
+        assert same_bits(got[0], scalar_columns(8, x))
+        expect_backend("c", 8)
+        for _ in range(2):  # call 3 starts N = 4's compile
+            assert fast_dht(v4).tobytes() == want4
+        for t in threading.enumerate():
+            if t.name == "mindht-compile-n4":
+                t.join(timeout=60)
+                assert not t.is_alive()
+        assert beside == {24: set(), 8: {24}, 4: {24}} and inside == {24}
+        expect_block("c", 4)
+        assert fast_dht(v4).tobytes() == want4
+    finally:
+        release.set()
+        join_compiles()
+    expect_block("c", 24)
+    assert fast_dht(v24).tobytes() == want24
+
+
+def exit_during_compiles(tmp_path, lengths):
+    """Exit a process whose fast_dht calls have started the background compiles
+    of these lengths, each on a compiler that never finishes, and check that
+    every compiler is gone and the object directory with it."""
     pids = tmp_path / "pids"
+    pids.mkdir()
     fake_cc = tmp_path / "slow-cc"
     # a compiler that never finishes; its pid stays the same through exec
-    fake_cc.write_text(f"#!/bin/sh\necho $$ > {pids}.tmp && mv {pids}.tmp {pids}\nexec sleep 60\n")
+    fake_cc.write_text(f"#!/bin/sh\necho $$ > {pids}/$$.tmp && mv {pids}/$$.tmp {pids}/$$\n"
+                       "exec sleep 60\n")
     fake_cc.chmod(0o755)
     work = tmp_path / "tmp"
     work.mkdir()
@@ -1734,31 +1836,46 @@ def test_exit_during_a_background_compile_leaves_no_compiler_or_directory(tmp_pa
         "import sys, time\n"
         "from pathlib import Path\n"
         "import mindht\n"
-        "v = [1.0, 2.0, 3.0, 4.0]\n"
-        "for _ in range(mindht.kernels.COMPILE_AFTER):\n"
-        "    mindht.fast_dht(v)\n"
+        f"vs = [[1.0] * n for n in {list(lengths)}]\n"
+        "for v in vs:\n"
+        "    for _ in range(mindht.kernels.COMPILE_AFTER):\n"
+        "        mindht.fast_dht(v)\n"
         "deadline = time.monotonic() + 30\n"
-        "while not Path(sys.argv[1]).exists():  # the compiler has started\n"
+        "# every compiler has started\n"
+        "while len([p for p in Path(sys.argv[1]).iterdir() if p.suffix != '.tmp']) < len(vs):\n"
         "    assert time.monotonic() < deadline\n"
         "    time.sleep(0.01)\n"
-        "mindht.fast_dht(v)\n"
+        "for v in vs:\n"
+        "    mindht.fast_dht(v)\n"
     )
     env = {**os.environ, "PYTHONPATH": str(Path(mindht.__file__).parents[1]),
            "TMPDIR": str(work), "CC": str(fake_cc)}
-    done = subprocess.run([sys.executable, "-c", code, str(pids)], env=env,
-                          capture_output=True, text=True, timeout=120)
-    pid = int(pids.read_text())
     try:
+        done = subprocess.run([sys.executable, "-c", code, str(pids)], env=env,
+                              capture_output=True, text=True, timeout=120)
         assert done.returncode == 0, done.stderr
-        assert done.stderr == ""  # no warning about the killed compile
-        with pytest.raises(ProcessLookupError):
-            os.kill(pid, 0)
+        assert done.stderr == ""  # no warning about the killed compiles
+        started = [int(p.name) for p in pids.iterdir() if p.suffix != ".tmp"]
+        assert len(started) == len(lengths)
+        for pid in started:
+            with pytest.raises(ProcessLookupError):
+                os.kill(pid, 0)
         assert list(work.iterdir()) == []
     finally:
-        try:
-            os.kill(pid, 9)
-        except ProcessLookupError:
-            pass
+        for p in pids.iterdir():
+            try:
+                os.kill(int(p.name.removesuffix(".tmp")), 9)
+            except ProcessLookupError:
+                pass
+
+
+def test_exit_during_a_background_compile_leaves_no_compiler_or_directory(tmp_path):
+    exit_during_compiles(tmp_path, [4])
+
+
+def test_exit_during_four_background_compiles_leaves_no_compiler_or_directory(tmp_path):
+    # one load lock per record: the four compilers run at once at exit
+    exit_during_compiles(tmp_path, SUPPORTED_SIZES)
 
 
 # --- pre-addition layer states ---
