@@ -47,29 +47,42 @@ to double, that is unless FLT_EVAL_METHOD is 0, 1, 16, 32 or 64 (C23
 
 Each object is compiled into a private per-process temporary directory that
 is removed at exit, with ``Python.h`` from ``sysconfig.get_paths()["include"]``
-and ``numpy/arrayobject.h`` from ``numpy.get_include()`` (``_include_flags``);
-nothing is cached between processes.  At exit a compiler still running is
-killed before the directory is removed.  After loading, ``batch`` runs once
-on a fixed batch of signed zeros, subnormals and mixed magnitudes and on a
-column-strided view of it, and must equal the replay bit for bit; ``block``
-runs on every column of that batch, once as a list of floats and once as the
-strided column, and must equal fn bit for bit, and so must ``dft`` against
-the NumPy bridge.  ``load`` returns None, with one RuntimeWarning per
+and ``numpy/arrayobject.h`` from ``numpy.get_include()`` (``_include_flags``),
+and loaded from there.  A copy of each object that passed its check is kept
+between processes in ``$XDG_CACHE_HOME/mindht`` (else ``~/.cache/mindht``),
+a directory of mode 0700 that is used only while this user owns it and no
+one else may write to it.  The object's name holds a hash of its source, the
+compiler command and FLAGS, the macros the compiler defines for
+``-march=native`` (its version and the CPU's instruction set) and the
+CPython and NumPy versions, so a later process loads it in about 10 ms
+instead of compiling it in 0.2-0.4 s.  A copy is written to a temporary
+file and renamed into place, so no process sees a partial object.  Compilers
+and that macro probe are killed at exit before the directory is removed.
+After loading, cached or not, ``batch`` runs once on a fixed batch of signed
+zeros, subnormals and mixed magnitudes and on a column-strided view of it,
+and must equal the replay bit for bit; ``block`` runs on every column of
+that batch, once as a list of floats and once as the strided column, and
+must equal fn bit for bit, and so must ``dft`` against the NumPy bridge.  A
+cached object that fails to load or fails this check is deleted and built
+again, silently.  ``load`` returns None, with one RuntimeWarning per
 process, when no compiler is found (``$CC``, else ``cc``), ``Python.h`` or
-``numpy/arrayobject.h`` is missing, compiling or loading fails (a compiler
-that refuses ``-march=native`` is such a failure), or the module fails the
-check.
+``numpy/arrayobject.h`` is missing, compiling or loading a fresh object
+fails (a compiler that refuses ``-march=native`` is such a failure), or the
+module fails the check.
 """
 
 from __future__ import annotations
 
 import atexit
+import contextlib
+import hashlib
 import importlib.machinery
 import importlib.util
 import os
 import shlex
 import shutil
 import subprocess
+import sys
 import sysconfig
 import tempfile
 import threading
@@ -84,6 +97,7 @@ from .reference import _dft_bridge
 # take 11 KiB, and W = 32 took 0.7 s to compile against 0.3 s.
 W = 16
 FLAGS = ("-O3", "-march=native", "-fPIC", "-shared", "-ffp-contract=off")
+_EXT_SUFFIX = importlib.machinery.EXTENSION_SUFFIXES[0]
 
 
 _TEMPLATE = """\
@@ -323,8 +337,8 @@ def _include_flags() -> list[str]:
 
 
 _dir: Path | None = None
-_owner = 0  # the process that made _dir; a forked child leaves both alone
-_compilers: set[subprocess.Popen] = set()  # running now; killed at exit
+_owner = 0  # the process that made _dir; a forked child leaves it alone
+_compilers: set[subprocess.Popen] = set()  # run by this process now; killed at exit
 _closing = False
 _BUILD_LOCK = threading.Lock()
 
@@ -335,15 +349,40 @@ def _close() -> None:
     A background compile runs on a daemon thread, which exit does not wait for.
     """
     global _closing
-    if os.getpid() != _owner:
-        return
     with _BUILD_LOCK:
         _closing = True
         for proc in _compilers:
             proc.kill()
             proc.wait()
-    if _dir is not None:
+    if _dir is not None and os.getpid() == _owner:
         shutil.rmtree(_dir, True)
+
+
+atexit.register(_close)
+os.register_at_fork(after_in_child=_compilers.clear)  # the parent's compilers are its own
+
+
+def _run(cmd: list[str], stdin: str) -> str:
+    """The output of compiler command cmd fed stdin, run as a tracked process:
+    killed at exit or after 300 s.  CalledProcessError if it fails."""
+    with _BUILD_LOCK:
+        if _closing:
+            raise OSError("the interpreter is exiting")
+        proc = subprocess.Popen(cmd, stdin=subprocess.PIPE, stdout=subprocess.PIPE,
+                                stderr=subprocess.PIPE, errors="replace")
+        _compilers.add(proc)
+    try:
+        out, err = proc.communicate(stdin, timeout=300)
+    except subprocess.TimeoutExpired:
+        proc.kill()
+        proc.communicate()
+        raise
+    finally:
+        with _BUILD_LOCK:
+            _compilers.discard(proc)
+    if proc.returncode:
+        raise subprocess.CalledProcessError(proc.returncode, cmd, out, err)
+    return out
 
 
 def _build(src: str, cc: list[str]) -> Path:
@@ -358,25 +397,61 @@ def _build(src: str, cc: list[str]) -> Path:
             raise OSError("the interpreter is exiting")
         if _dir is None:
             _dir, _owner = Path(tempfile.mkdtemp(prefix="mindht-")), os.getpid()
-            atexit.register(_close)
         fd, path = tempfile.mkstemp(suffix=".so", dir=_dir)
         os.close(fd)
-        cmd = [*cc, *FLAGS, "-o", path, "-x", "c", "-"]
-        proc = subprocess.Popen(cmd, stdin=subprocess.PIPE, stdout=subprocess.PIPE,
-                                stderr=subprocess.PIPE, errors="replace")
-        _compilers.add(proc)
-    try:
-        out, err = proc.communicate(src, timeout=300)
-    except subprocess.TimeoutExpired:
-        proc.kill()
-        proc.communicate()
-        raise
-    finally:
-        with _BUILD_LOCK:
-            _compilers.discard(proc)
-    if proc.returncode:
-        raise subprocess.CalledProcessError(proc.returncode, cmd, out, err)
+    _run([*cc, *FLAGS, "-o", path, "-x", "c", "-"], src)
     return Path(path)
+
+
+def _cache_dir() -> Path | None:
+    """``$XDG_CACHE_HOME/mindht``, else ``~/.cache/mindht``, made with mode 0700,
+    if it is a directory of this user that no other may write to; else None."""
+    base = os.environ.get("XDG_CACHE_HOME", "")
+    if not os.path.isabs(base):  # a relative one is invalid (XDG Base Directory)
+        base = os.path.expanduser("~/.cache")
+    path = Path(base, "mindht")
+    if not path.is_absolute():  # no home directory
+        return None
+    try:  # mkdir raises unless path is then a directory
+        path.mkdir(mode=0o700, parents=True, exist_ok=True)
+        st = path.stat()
+    except OSError:
+        return None
+    return path if st.st_uid == os.getuid() and not st.st_mode & 0o022 else None
+
+
+def _cache_path(n: int, src: str, cc: list[str]) -> Path | None:
+    """Where the object of src built by cc is kept between processes, or None
+    without a usable cache directory or when cc fails the ISA probe.
+
+    The key holds everything the object depends on: the source, the compiler
+    command and FLAGS, the macros ``-march=native`` defines (the instruction
+    set and the compiler version: an object built on another CPU could die of
+    SIGILL in the load check) and the C APIs it links against.
+    """
+    path = _cache_dir()
+    if path is None:
+        return None
+    try:
+        probe = _run([*cc, "-march=native", "-E", "-dM", "-x", "c", os.devnull], "")
+    except (OSError, subprocess.SubprocessError):
+        return None
+    key = repr((src, cc, FLAGS, sorted(probe.splitlines()), sys.implementation.cache_tag,
+                _EXT_SUFFIX, np.__version__))
+    return path / f"{_name(n)}-{hashlib.sha256(key.encode()).hexdigest()[:32]}{_EXT_SUFFIX}"
+
+
+def _publish(built: Path, path: Path) -> None:
+    """Copy the checked object at built to path through a temporary file in
+    its directory, so no process sees a partial object."""
+    with contextlib.suppress(OSError):
+        fd, tmp = tempfile.mkstemp(suffix=".tmp", dir=path.parent)
+        try:
+            with os.fdopen(fd, "wb") as f:
+                f.write(built.read_bytes())
+            os.replace(tmp, path)
+        except OSError:
+            os.unlink(tmp)
 
 
 def _import(path: Path, n: int):
@@ -441,18 +516,28 @@ def _warn(msg: str) -> None:
 
 def load(prog, fn):
     """The checked extension module of a scheduled program (a ``replay._Program``)
-    whose Python function is fn, compiled now, or None."""
+    whose Python function is fn, from the cache or compiled now, or None."""
     cc = find_compiler()
     if cc is None:
         _warn("no C compiler found ($CC or cc)")
         return None
     try:
-        includes = _include_flags()
+        cc += _include_flags()
     except FileNotFoundError as e:
         _warn(str(e))
         return None
+    src = source(prog)
+    cached = _cache_path(prog.n, src, cc)
+    if cached is not None and cached.is_file():
+        with contextlib.suppress(Exception):  # any fault of a cached object: build afresh
+            module = _import(cached, prog.n)
+            if _agrees(prog, fn, module):
+                return module
+        with contextlib.suppress(OSError):
+            cached.unlink()
     try:
-        module = _import(_build(source(prog), [*cc, *includes]), prog.n)
+        built = _build(src, cc)
+        module = _import(built, prog.n)
     except subprocess.CalledProcessError as e:
         detail = e.stderr.strip()[-300:] or f"exit status {e.returncode}"
         _warn(f"compiling the length-{prog.n} kernel failed ({detail})")
@@ -463,4 +548,6 @@ def load(prog, fn):
     if not _agrees(prog, fn, module):
         _warn(f"the compiled length-{prog.n} kernel disagreed with the replay")
         return None
+    if cached is not None:
+        _publish(built, cached)
     return module

@@ -35,12 +35,14 @@ lazily from them by a ``_derived`` function: the operation counts
 The state of a record's C module is kept here alone: untried, failed
 (None), or loaded with its ``block`` and ``dft`` swapped into the record;
 mindht._cgen only builds a program's module and checks it.  A module is
-compiled at most once per record and process, by ``_load_c_block``, under
+loaded at most once per record and process, by ``_load_c_block``, under
 the record's load lock, so threads and the background compile share one
-load, the compiles of different lengths overlap, and a replaced flow or
-listing, which gets a new record, is compiled again.  A
+load, the loads of different lengths overlap, and a replaced flow or
+listing, which gets a new record, is loaded again.  A load takes the
+checked object mindht._cgen keeps between processes (about 10 ms per N),
+else compiles it (0.3-0.5 s per N with gcc 12 on a 2.1 GHz Xeon).  A
 ``kernel_flow`` array call loads the module in the caller's thread if it is
-untried (0.3-0.5 s per N with gcc 12 on a 2.1 GHz Xeon).  ``fast_dht``
+untried.  ``fast_dht``
 never waits for a compiler: until the module is loaded it runs one block as
 the Python function and an array of blocks as the replay, and the call that
 takes the length's count of blocks to ``COMPILE_AFTER`` or past it starts
@@ -230,15 +232,16 @@ def dht24_flow(v):
 _FLOWS = {4: dht4_flow, 8: dht8_flow, 12: dht12_flow, 24: dht24_flow}
 
 # Blocks of one length that fast_dht runs, by either route, before a
-# background thread compiles its C module: one per one-block call, one per
+# background thread loads its C module: one per one-block call, one per
 # block of an array call.  Until then a one-block call runs the emitted
 # Python function and an array call the replay.  A process that runs fewer
-# never compiles: setup_s runs one block per N and ``mindht verify`` its
-# --trials plus two (default 1000).  A compile takes 0.2-0.4 s of another
-# core; at 1-4 us saved per one-block call it pays off after about 10^5
-# calls, and a loop of calls reaches this count within tens of ms.  Each
-# length's compile is its own subprocess under its record's load lock, so
-# lengths that cross the count together compile at once.
+# never loads one: setup_s runs one block per N and ``mindht verify`` its
+# --trials plus two (default 1000).  A load from mindht._cgen's cache takes
+# about 10 ms of another core and pays off after a few thousand calls at
+# 1-4 us saved each; a compile, on a cold cache, takes 0.2-0.4 s and pays
+# off after about 10^5 calls, once per machine.  A loop of calls reaches
+# this count within tens of ms.  Each length's load runs under its record's
+# own load lock, so lengths that cross the count together load at once.
 COMPILE_AFTER = 4096
 
 
@@ -440,8 +443,8 @@ def fast_dht(v, n: int | None = None, axis: int = -1) -> np.ndarray:
     floats it returns: as that ``block``, or before the module is loaded as
     a Python function.  No call waits for a
     compiler: once either route has run ``COMPILE_AFTER`` blocks of a
-    length, the call that crosses that count starts the module's compile
-    on a background thread, and ``block`` is swapped in when the module,
+    length, the call that crosses that count starts the module's load
+    (from the cache, else a compile) on a background thread, and ``block`` is swapped in when the module,
     loaded by it or by a ``kernel_flow`` array call, has passed its load
     check.  Every route gives the same bits, and the same error for the
     same block.
@@ -494,7 +497,7 @@ def fast_dht(v, n: int | None = None, axis: int = -1) -> np.ndarray:
 
 def _count(k: _Kernel, blocks: int) -> None:
     """Count blocks run by fast_dht toward ``COMPILE_AFTER``; the call that
-    crosses it starts the compile of k's module on a background thread.
+    crosses it starts the load of k's module on a background thread.
 
     Unlocked: each call compares the count it read with the one it wrote, so
     racing calls may lose a count or start a second thread, which then finds

@@ -6,7 +6,9 @@ import cmath
 import functools
 import math
 import os
+import platform
 import re
+import shlex
 import subprocess
 import sys
 import sysconfig
@@ -360,11 +362,13 @@ def forced(name):
 
 @functools.cache
 def c_works(find_compiler=_cgen.find_compiler):
-    """Whether this machine compiles and loads the C kernels (not under CC=/bin/false)."""
+    """Whether this machine compiles and loads the C kernels (not under CC=/bin/false).
+    The build skips the module cache, so it leaves nothing in the caller's."""
     with pytest.MonkeyPatch.context() as mp:
         for name, value in (("module", kernels._UNTRIED), ("c", None), ("dft", None)):
             mp.setattr(kernels._kernel(4), name, value)  # a load swaps block and dft in
         mp.setattr(_cgen, "find_compiler", find_compiler)
+        mp.setattr(_cgen, "_cache_dir", lambda: None)
         return kernels._backend(4) == "c"
 
 
@@ -1008,6 +1012,7 @@ def test_objects_live_in_a_private_directory_removed_at_exit(tmp_path):
                     str(work)], check=True, env=env)
     assert same_bits(np.load(out), scalar_columns(24, x))
     assert list(work.iterdir()) == []
+    assert cached_object(24).is_file()  # a checked copy stays in the cache
 
 
 def test_forked_child_leaves_the_object_directory_alone(tmp_path):
@@ -1029,6 +1034,208 @@ def test_forked_child_leaves_the_object_directory_alone(tmp_path):
     assert list(tmp_path.iterdir()) == []
 
 
+def cached_files():
+    """The files in the module cache the environment names (conftest.py gives
+    each test an empty one of its own)."""
+    path = Path(os.environ["XDG_CACHE_HOME"], "mindht")
+    return sorted(path.iterdir()) if path.is_dir() else []
+
+
+def cached_object(n):
+    """The one cached object of length n."""
+    found = [p for p in cached_files() if p.name.startswith(f"mindht_dht{n}-")]
+    assert len(found) == 1
+    return found[0]
+
+
+def write_cc(path, body):
+    """An executable shell script at path that ends in ``body`` (a compiler)."""
+    path.write_text(f"#!/bin/sh\n{body}\n")
+    path.chmod(0o755)
+    return path
+
+
+def count_checks(monkeypatch):
+    """The lengths whose modules ``_cgen._agrees`` checks from now on, in order."""
+    checked = []
+    real_agrees = _cgen._agrees
+
+    def counted(prog, fn, module):
+        checked.append(prog.n)
+        return real_agrees(prog, fn, module)
+
+    monkeypatch.setattr(_cgen, "_agrees", counted)
+    return checked
+
+
+def test_second_process_on_a_warm_cache_starts_no_compile(tmp_path):
+    if not c_works():
+        pytest.skip("no working C compiler")
+    x = np.random.default_rng(83).uniform(-1.0, 1.0, (24, 40))
+    np.save(tmp_path / "x.npy", x)
+    # a compiler that logs each command it runs
+    cc = write_cc(tmp_path / "logging-cc",
+                  f'echo "$*" >> "$CC_LOG"\nexec {shlex.join(_cgen.find_compiler())} "$@"')
+    code = (
+        "import sys, numpy as np\n"
+        "from mindht import kernels\n"
+        "x = np.load(sys.argv[1])\n"
+        "ys = [kernels.kernel_flow(n)(x[:n]) for n in (4, 8, 12, 24)]\n"
+        "assert all(kernels._backend(n) == 'c' for n in (4, 8, 12, 24))\n"
+        "np.save(sys.argv[2], np.concatenate(ys))\n"
+    )
+    outs, logs = [], []
+    for run in range(2):
+        logs.append(tmp_path / f"cc{run}.log")
+        outs.append(tmp_path / f"y{run}.npy")
+        env = {**os.environ, "PYTHONPATH": str(Path(mindht.__file__).parents[1]),
+               "CC": str(cc), "CC_LOG": str(logs[run])}
+        subprocess.run([sys.executable, "-W", "error", "-c", code, str(tmp_path / "x.npy"),
+                        str(outs[run])], check=True, env=env, timeout=300)
+    first, second = (log.read_text().splitlines() for log in logs)
+    assert len(first) == 8 and sum(" -o " in line for line in first) == 4
+    assert len(second) == 4 and all(line.endswith(f"-E -dM -x c {os.devnull}") for line in second)
+    assert len(cached_files()) == 4
+    want = np.concatenate([scalar_columns(n, x[:n]) for n in SUPPORTED_SIZES])
+    assert same_bits(np.load(outs[0]), want) and same_bits(np.load(outs[1]), want)
+
+
+def test_cached_load_is_checked_and_builds_nothing(fresh_kernels, monkeypatch):
+    if not c_works():
+        pytest.skip("no working C compiler")
+    x = np.random.default_rng(89).uniform(-1.0, 1.0, (8, 30))
+    kernels._backend(8)  # builds and keeps the object
+
+    def no_build(src, cc):
+        raise AssertionError("a warm cache built a module")
+
+    checked = count_checks(monkeypatch)
+    monkeypatch.setattr(_cgen, "_build", no_build)
+    monkeypatch.setattr(kernels, "_KERNELS", {})
+    assert same_bits(kernel_flow(8)(x), scalar_columns(8, x))
+    expect_backend("c", 8)
+    assert checked == [8]
+
+
+def test_bad_cached_objects_are_replaced_without_a_warning(fresh_kernels, monkeypatch):
+    if not c_works():
+        pytest.skip("no working C compiler")
+    x = np.random.default_rng(97).uniform(-1.0, 1.0, (8, 30))
+    real = _cgen.find_compiler()
+    kernels._backend(4)
+    other = cached_object(4).read_bytes()
+    # an object of the length-8 name whose add is a subtraction, which only the
+    # load check can tell from the real one
+    src = _cgen.source(kernels._kernel(8).prog)
+    cut = src.index(" + ", src.index("vd y0"))
+    tampered = _cgen._build(src[:cut] + " - " + src[cut + 3:],
+                            [*real, *_cgen._include_flags()]).read_bytes()
+    checked = count_checks(monkeypatch)
+    # each case has a compiler command, and so a key, of its own: the dynamic
+    # loader hands back a library already loaded from the same path
+    for case, (bad, checks) in enumerate(((b"not an object", 1), (other, 1), (tampered, 2))):
+        monkeypatch.setenv("CC", shlex.join([*real, f"-DCASE={case}"]))
+        monkeypatch.setattr(kernels, "_KERNELS", {})
+        kernels._backend(8)  # builds the object and keeps a copy
+        path = cached_object(8)
+        path.write_bytes(bad)
+        monkeypatch.setattr(kernels, "_KERNELS", {})
+        checked.clear()
+        with warnings.catch_warnings(record=True) as seen:
+            warnings.simplefilter("always")
+            assert same_bits(kernel_flow(8)(x), scalar_columns(8, x))
+            expect_backend("c", 8)
+        assert seen == []
+        assert checked == [8] * checks  # a bad import is not checked; a cached object is
+        assert cached_object(8) == path and path.read_bytes() != bad
+        path.unlink()
+    assert [p.name.split("-")[0] for p in cached_files()] == ["mindht_dht4"]  # no temporary file
+
+
+def test_a_bad_cached_object_goes_even_when_the_fresh_build_fails(fresh_kernels, monkeypatch):
+    if not c_works():
+        pytest.skip("no working C compiler")
+    kernels._backend(8)
+    path = cached_object(8)
+    path.write_bytes(b"not an object")
+
+    def failing_build(src, cc):
+        raise subprocess.CalledProcessError(1, cc, "", "")
+
+    monkeypatch.setattr(_cgen, "_build", failing_build)
+    monkeypatch.setattr(kernels, "_KERNELS", {})
+    with warnings.catch_warnings(record=True) as seen:
+        warnings.simplefilter("always")
+        falls_back_on_both_paths(103)
+    assert len(seen) == 1 and "compiling the length-4 kernel failed" in str(seen[0].message)
+    assert cached_files() == []
+
+
+def test_a_cache_directory_others_may_write_is_not_used(fresh_kernels):
+    if not c_works():
+        pytest.skip("no working C compiler")
+    path = Path(os.environ["XDG_CACHE_HOME"], "mindht")
+    path.mkdir()
+    path.chmod(0o777)
+    expect_backend("c", 4)
+    assert cached_files() == []
+
+
+def test_lowering_the_instruction_set_gets_another_object(fresh_kernels, monkeypatch):
+    if not c_works() or platform.machine() not in ("x86_64", "AMD64"):
+        pytest.skip("no working C compiler for x86-64")
+    for cc in (_cgen.find_compiler(), [*_cgen.find_compiler(), "-mno-avx"]):
+        monkeypatch.setenv("CC", shlex.join(cc))
+        monkeypatch.setattr(kernels, "_KERNELS", {})
+        expect_backend("c", 4)
+    assert len(cached_files()) == 2
+
+
+def test_the_key_holds_the_instruction_set_the_compiler_targets(fresh_kernels, monkeypatch,
+                                                                tmp_path):
+    # one compiler command whose target changes: only the macros of its ISA
+    # probe tell the two objects apart
+    if not c_works():
+        pytest.skip("no working C compiler")
+    real = shlex.join(_cgen.find_compiler())
+    probe = subprocess.run(f"{real} -march=native -E -dM -x c {os.devnull}", shell=True,
+                           capture_output=True, text=True)
+    if "__AVX__" not in probe.stdout:
+        pytest.skip("the compiler does not target AVX here")
+    cc = tmp_path / "cc"
+    monkeypatch.setenv("CC", str(cc))
+    for lowering in ("", " -mno-avx"):
+        write_cc(cc, f'exec {real}{lowering} "$@"')
+        monkeypatch.setattr(kernels, "_KERNELS", {})
+        expect_backend("c", 4)
+    assert len(cached_files()) == 2
+
+
+def test_racing_processes_fill_one_cache(tmp_path):
+    x = np.random.default_rng(101).uniform(-1.0, 1.0, (24, 40))
+    np.save(tmp_path / "x.npy", x)
+    code = (
+        "import sys, numpy as np\n"
+        "from mindht import kernels\n"
+        "x = np.load(sys.argv[1])\n"
+        "np.save(sys.argv[2], np.concatenate([kernels.kernel_flow(n)(x[:n]) "
+        "for n in (4, 8, 12, 24)]))\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(mindht.__file__).parents[1])}
+    outs = [tmp_path / f"y{i}.npy" for i in range(2)]
+    procs = [subprocess.Popen([sys.executable, "-c", code, str(tmp_path / "x.npy"), str(out)],
+                              env=env, stderr=subprocess.PIPE, text=True) for out in outs]
+    for proc in procs:
+        proc.communicate(timeout=300)
+        assert proc.returncode == 0
+    want = np.concatenate([scalar_columns(n, x[:n]) for n in SUPPORTED_SIZES])
+    assert all(same_bits(np.load(out), want) for out in outs)
+    names = [p.name for p in cached_files()]  # four objects and no temporary file
+    suffix = re.escape(_cgen._EXT_SUFFIX)
+    assert all(re.fullmatch(rf"mindht_dht(4|8|12|24)-[0-9a-f]{{32}}{suffix}", n) for n in names)
+    assert len(names) == (4 if c_works() else 0)
+
+
 def falls_back_on_both_paths(seed):
     """Every N runs the replay for arrays and the Python function for one block."""
     for n in SUPPORTED_SIZES:
@@ -1048,6 +1255,22 @@ def test_failing_compiler_falls_back_with_one_warning(fresh_kernels, monkeypatch
     assert [w.category for w in seen] == [RuntimeWarning]
     assert "kernel_flow runs the NumPy replay" in str(seen[0].message)
     assert "fast_dht the Python kernel" in str(seen[0].message)
+    assert cached_files() == []
+
+
+def test_compiler_refusing_march_native_gets_no_cache_and_one_warning(fresh_kernels, monkeypatch,
+                                                                      tmp_path):
+    if _cgen.find_compiler() is None:
+        pytest.skip("no C compiler")
+    real = shlex.join(_cgen.find_compiler())
+    cc = write_cc(tmp_path / "cc", f'case "$*" in *-march=native*) exit 1;; esac\nexec {real} "$@"')
+    monkeypatch.setenv("CC", str(cc))
+    with warnings.catch_warnings(record=True) as seen:
+        warnings.simplefilter("always")
+        falls_back_on_both_paths(62)
+    assert [w.category for w in seen] == [RuntimeWarning]
+    assert "compiling the length-4 kernel failed (exit status 1)" in str(seen[0].message)
+    assert cached_files() == []
 
 
 def test_missing_python_header_falls_back_with_one_warning(fresh_kernels, monkeypatch, tmp_path):
@@ -1861,6 +2084,7 @@ def exit_during_compiles(tmp_path, lengths):
             with pytest.raises(ProcessLookupError):
                 os.kill(pid, 0)
         assert list(work.iterdir()) == []
+        assert not [p for p in cached_files() if p.name.startswith("mindht_dht")]
     finally:
         for p in pids.iterdir():
             try:
