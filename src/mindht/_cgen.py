@@ -56,7 +56,8 @@ compiler command and FLAGS, the macros the compiler defines for
 ``-march=native`` (its version and the CPU's instruction set) and the
 CPython and NumPy versions, so a later process loads it in about 10 ms
 instead of compiling it in 0.2-0.4 s.  A copy is written to a temporary
-file and renamed into place, so no process sees a partial object.  Compilers
+file and renamed into place, so no process sees a partial object, and only
+the ``_KEEP`` newest objects of each length stay.  Compilers
 and that macro probe are killed at exit before the directory is removed.
 After loading, cached or not, ``batch`` runs once on a fixed batch of signed
 zeros, subnormals and mixed magnitudes and on a column-strided view of it,
@@ -98,6 +99,9 @@ from .reference import _dft_bridge
 W = 16
 FLAGS = ("-O3", "-march=native", "-fPIC", "-shared", "-ffp-contract=off")
 _EXT_SUFFIX = importlib.machinery.EXTENSION_SUFFIXES[0]
+# Cached objects kept per length.  Each new compiler, ISA, NumPy or mindht
+# version adds one; older ones are deleted as newer ones are published.
+_KEEP = 4
 
 
 _TEMPLATE = """\
@@ -358,8 +362,16 @@ def _close() -> None:
         shutil.rmtree(_dir, True)
 
 
+def _after_fork_in_child() -> None:
+    """Forget the parent's compilers, and its lock, which a thread of the parent
+    may have held at the fork and which no thread of the child would release."""
+    global _BUILD_LOCK
+    _compilers.clear()
+    _BUILD_LOCK = threading.Lock()
+
+
 atexit.register(_close)
-os.register_at_fork(after_in_child=_compilers.clear)  # the parent's compilers are its own
+os.register_at_fork(after_in_child=_after_fork_in_child)
 
 
 def _run(cmd: list[str], stdin: str) -> str:
@@ -441,9 +453,10 @@ def _cache_path(n: int, src: str, cc: list[str]) -> Path | None:
     return path / f"{_name(n)}-{hashlib.sha256(key.encode()).hexdigest()[:32]}{_EXT_SUFFIX}"
 
 
-def _publish(built: Path, path: Path) -> None:
+def _publish(built: Path, path: Path, n: int) -> None:
     """Copy the checked object at built to path through a temporary file in
-    its directory, so no process sees a partial object."""
+    its directory, so no process sees a partial object, and delete all but the
+    ``_KEEP`` newest objects of length n there."""
     with contextlib.suppress(OSError):
         fd, tmp = tempfile.mkstemp(suffix=".tmp", dir=path.parent)
         try:
@@ -452,6 +465,11 @@ def _publish(built: Path, path: Path) -> None:
             os.replace(tmp, path)
         except OSError:
             os.unlink(tmp)
+            raise
+        kept = sorted(path.parent.glob(f"{_name(n)}-*{_EXT_SUFFIX}"),
+                      key=lambda p: p.stat().st_mtime, reverse=True)
+        for old in kept[_KEEP:]:
+            old.unlink()
 
 
 def _import(path: Path, n: int):
@@ -549,5 +567,5 @@ def load(prog, fn):
         _warn(f"the compiled length-{prog.n} kernel disagreed with the replay")
         return None
     if cached is not None:
-        _publish(built, cached)
+        _publish(built, cached, prog.n)
     return module

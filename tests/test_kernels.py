@@ -1034,6 +1034,40 @@ def test_forked_child_leaves_the_object_directory_alone(tmp_path):
     assert list(tmp_path.iterdir()) == []
 
 
+def test_forked_child_exits_while_a_thread_holds_the_build_lock(tmp_path):
+    # _run holds _cgen._BUILD_LOCK across Popen; a fork in that window must not
+    # leave the child's exit handler waiting for a lock no thread of it holds
+    code = (
+        "import os, sys, threading, time\n"
+        "from mindht import _cgen\n"
+        "held, release = threading.Event(), threading.Event()\n"
+        "def hold():\n"
+        "    with _cgen._BUILD_LOCK:\n"
+        "        held.set()\n"
+        "        release.wait()\n"
+        "t = threading.Thread(target=hold)\n"
+        "t.start()\n"
+        "held.wait()\n"
+        "pid = os.fork()\n"
+        "if pid == 0:\n"
+        "    sys.exit(0)  # runs the child's exit handlers\n"
+        "deadline = time.monotonic() + 30\n"
+        "while (done := os.waitpid(pid, os.WNOHANG))[0] == 0 and time.monotonic() < deadline:\n"
+        "    time.sleep(0.01)\n"
+        "release.set()\n"
+        "t.join()\n"
+        "if done[0] == 0:\n"
+        "    os.kill(pid, 9)\n"
+        "    sys.exit('the forked child hung at exit')\n"
+        "assert done[1] == 0\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(mindht.__file__).parents[1]),
+           "TMPDIR": str(tmp_path)}
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                          timeout=120)
+    assert done.returncode == 0, done.stderr
+
+
 def cached_files():
     """The files in the module cache the environment names (conftest.py gives
     each test an empty one of its own)."""
@@ -1189,6 +1223,23 @@ def test_lowering_the_instruction_set_gets_another_object(fresh_kernels, monkeyp
         monkeypatch.setattr(kernels, "_KERNELS", {})
         expect_backend("c", 4)
     assert len(cached_files()) == 2
+
+
+def test_publishing_keeps_the_newest_objects_of_each_length(fresh_kernels):
+    if not c_works():
+        pytest.skip("no working C compiler")
+    path = Path(os.environ["XDG_CACHE_HOME"], "mindht")
+    path.mkdir(mode=0o700)
+    # objects of other keys, as other compilers or versions leave them
+    old = [path / f"mindht_dht4-{i:032x}{_cgen._EXT_SUFFIX}" for i in range(_cgen._KEEP)]
+    other = path / f"mindht_dht24-{0:032x}{_cgen._EXT_SUFFIX}"
+    for age, p in enumerate([*old, other]):
+        p.write_bytes(b"an older object")
+        os.utime(p, (1e9 + age, 1e9 + age))
+    expect_backend("c", 4)
+    new = sorted(set(cached_files()) - {*old, other})
+    assert len(new) == 1
+    assert cached_files() == sorted([*old[1:], *new, other])  # the oldest of length 4 went
 
 
 def test_the_key_holds_the_instruction_set_the_compiler_targets(fresh_kernels, monkeypatch,
@@ -2042,15 +2093,19 @@ def test_loads_of_different_lengths_overlap(fresh_kernels, monkeypatch):
     assert fast_dht(v24).tobytes() == want24
 
 
-def exit_during_compiles(tmp_path, lengths):
-    """Exit a process whose fast_dht calls have started the background compiles
-    of these lengths, each on a compiler that never finishes, and check that
-    every compiler is gone and the object directory with it."""
+def exit_during_compiles(tmp_path, lengths, hang="compile"):
+    """Exit a process whose fast_dht calls have started the background loads of
+    these lengths, each on a compiler that answers the ISA probe at once and
+    never finishes the compile (or, with hang="probe", never finishes the
+    probe), and check that every compiler is gone and the object directory
+    with it."""
     pids = tmp_path / "pids"
     pids.mkdir()
     fake_cc = tmp_path / "slow-cc"
+    answer_probe = 'case "$*" in *-dM*) exit 0;; esac\n' if hang == "compile" else ""
     # a compiler that never finishes; its pid stays the same through exec
-    fake_cc.write_text(f"#!/bin/sh\necho $$ > {pids}/$$.tmp && mv {pids}/$$.tmp {pids}/$$\n"
+    fake_cc.write_text(f"#!/bin/sh\n{answer_probe}"
+                       f"echo $$ > {pids}/$$.tmp && mv {pids}/$$.tmp {pids}/$$\n"
                        "exec sleep 60\n")
     fake_cc.chmod(0o755)
     work = tmp_path / "tmp"
@@ -2059,6 +2114,7 @@ def exit_during_compiles(tmp_path, lengths):
         "import sys, time\n"
         "from pathlib import Path\n"
         "import mindht\n"
+        "from mindht import _cgen\n"
         f"vs = [[1.0] * n for n in {list(lengths)}]\n"
         "for v in vs:\n"
         "    for _ in range(mindht.kernels.COMPILE_AFTER):\n"
@@ -2068,16 +2124,20 @@ def exit_during_compiles(tmp_path, lengths):
         "while len([p for p in Path(sys.argv[1]).iterdir() if p.suffix != '.tmp']) < len(vs):\n"
         "    assert time.monotonic() < deadline\n"
         "    time.sleep(0.01)\n"
+        "if sys.argv[2] == 'compile':  # each compile has its object in the directory\n"
+        "    assert len(list(_cgen._dir.iterdir())) == len(vs)\n"
+        "else:  # no compile has started\n"
+        "    assert _cgen._dir is None\n"
         "for v in vs:\n"
         "    mindht.fast_dht(v)\n"
     )
     env = {**os.environ, "PYTHONPATH": str(Path(mindht.__file__).parents[1]),
            "TMPDIR": str(work), "CC": str(fake_cc)}
     try:
-        done = subprocess.run([sys.executable, "-c", code, str(pids)], env=env,
+        done = subprocess.run([sys.executable, "-c", code, str(pids), hang], env=env,
                               capture_output=True, text=True, timeout=120)
         assert done.returncode == 0, done.stderr
-        assert done.stderr == ""  # no warning about the killed compiles
+        assert done.stderr == ""  # no warning about the killed compilers
         started = [int(p.name) for p in pids.iterdir() if p.suffix != ".tmp"]
         assert len(started) == len(lengths)
         for pid in started:
@@ -2100,6 +2160,10 @@ def test_exit_during_a_background_compile_leaves_no_compiler_or_directory(tmp_pa
 def test_exit_during_four_background_compiles_leaves_no_compiler_or_directory(tmp_path):
     # one load lock per record: the four compilers run at once at exit
     exit_during_compiles(tmp_path, SUPPORTED_SIZES)
+
+
+def test_exit_during_a_background_isa_probe_leaves_no_probe_or_directory(tmp_path):
+    exit_during_compiles(tmp_path, [4], hang="probe")
 
 
 # --- pre-addition layer states ---
