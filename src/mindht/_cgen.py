@@ -466,9 +466,8 @@ def _publish(built: Path, path: Path, n: int) -> None:
         except OSError:
             os.unlink(tmp)
             raise
-        kept = sorted(path.parent.glob(f"{_name(n)}-*{_EXT_SUFFIX}"),
-                      key=lambda p: p.stat().st_mtime, reverse=True)
-        for old in kept[_KEEP:]:
+        objects = sorted(path.parent.glob(f"{_name(n)}-*{_EXT_SUFFIX}"), key=os.path.getmtime)
+        for old in objects[:-_KEEP]:
             old.unlink()
 
 
