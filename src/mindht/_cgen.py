@@ -4,7 +4,7 @@
 scheduled program (a ``replay._Program``) and its Python function fn, which
 mindht.kernels keeps in the kernel's record.  The module emits the kernel's
 one trace, ``counting.trace(n)``, as mindht.replay schedules it (its
-``ops``, ``consts`` and ``n_regs``, as ``_Program.statements``), so the
+``ops`` and ``n_regs``, through ``_Program.statements``), so the
 kernel is still described only once, by its ``*_flow`` and its layer
 listing.  It has three ``METH_FASTCALL`` entry points.  The first two take
 one argument, an exact list or tuple of n exact Python floats, whose values
@@ -38,9 +38,9 @@ nesting, another length or shape):
     without the interpreter lock.
 
 Bit identity: every node is one IEEE double operation (per lane) on the same
-operands in the same order as in the replay and the emitted Python function,
-constants are ``float.hex()`` literals, and the compiler flags (FLAGS) allow
-no contraction or reassociation.  ``-march=native`` only picks the vector
+operands in the same order as in the emitted Python function, constants
+are ``float.hex()`` literals, and the compiler flags (FLAGS) allow no
+contraction or reassociation.  ``-march=native`` only picks the vector
 instructions.  The source refuses to compile unless double arithmetic rounds
 to double, that is unless FLT_EVAL_METHOD is 0, 1, 16, 32 or 64 (C23
 5.2.4.2.2; gcc reports 16 on x86-64 with AVX512-FP16).
@@ -57,19 +57,22 @@ compiler command and FLAGS, the macros the compiler defines for
 CPython and NumPy versions, so a later process loads it in about 10 ms
 instead of compiling it in 0.2-0.4 s.  A copy is written to a temporary
 file and renamed into place, so no process sees a partial object, and only
-the ``_KEEP`` newest objects of each length stay.  Compilers
-and that macro probe are killed at exit before the directory is removed.
+the ``_KEEP`` newest objects of each length stay.  The macro probe runs
+once per compiler command and process, and its result is kept.  Compilers
+and that probe are killed at exit before the directory is removed; a forked
+child forgets the parent's directory and makes its own.
+
 After loading, cached or not, ``batch`` runs once on a fixed batch of signed
 zeros, subnormals and mixed magnitudes and on a column-strided view of it,
-and must equal the replay bit for bit; ``block`` runs on every column of
-that batch, once as a list of floats and once as the strided column, and
-must equal fn bit for bit, and so must ``dft`` against the NumPy bridge.  A
-cached object that fails to load or fails this check is deleted and built
-again, silently.  ``load`` returns None, with one RuntimeWarning per
-process, when no compiler is found (``$CC``, else ``cc``), ``Python.h`` or
-``numpy/arrayobject.h`` is missing, compiling or loading a fresh object
-fails (a compiler that refuses ``-march=native`` is such a failure), or the
-module fails the check.
+and must equal ``prog`` on it (fn run once per column chunk) bit for bit;
+``block`` runs on every column of that batch, once as a list of floats and
+once as the strided column, and must equal fn bit for bit, and so must
+``dft`` against the NumPy bridge.  A cached object that fails to load or
+fails this check is deleted and built again, silently.  ``load`` returns
+None, with one RuntimeWarning per process, when no compiler is found
+(``$CC``, else ``cc``), ``Python.h`` or ``numpy/arrayobject.h`` is missing,
+compiling or loading a fresh object fails (a compiler that refuses
+``-march=native`` is such a failure), or the module fails the check.
 """
 
 from __future__ import annotations
@@ -340,11 +343,13 @@ def _include_flags() -> list[str]:
     return flags
 
 
-_dir: Path | None = None
-_owner = 0  # the process that made _dir; a forked child leaves it alone
+_dir: Path | None = None  # made by this process; a forked child makes its own
 _compilers: set[subprocess.Popen] = set()  # run by this process now; killed at exit
 _closing = False
 _BUILD_LOCK = threading.Lock()
+# compiler command -> the macros of its ISA probe, or None if the probe failed
+_probes: dict[tuple, str | None] = {}
+_PROBE_LOCK = threading.Lock()
 
 
 def _close() -> None:
@@ -358,16 +363,18 @@ def _close() -> None:
         for proc in _compilers:
             proc.kill()
             proc.wait()
-    if _dir is not None and os.getpid() == _owner:
+    if _dir is not None:
         shutil.rmtree(_dir, True)
 
 
 def _after_fork_in_child() -> None:
-    """Forget the parent's compilers, and its lock, which a thread of the parent
-    may have held at the fork and which no thread of the child would release."""
-    global _BUILD_LOCK
+    """Forget the parent's compilers, its object directory, which the parent
+    removes at its exit, and its locks, which a thread of the parent may have
+    held at the fork and which no thread of the child would release."""
+    global _dir, _BUILD_LOCK, _PROBE_LOCK
     _compilers.clear()
-    _BUILD_LOCK = threading.Lock()
+    _dir = None
+    _BUILD_LOCK, _PROBE_LOCK = threading.Lock(), threading.Lock()
 
 
 atexit.register(_close)
@@ -403,12 +410,12 @@ def _build(src: str, cc: list[str]) -> Path:
     Objects stay until exit, so no path or inode of a loaded object is reused for
     another: the dynamic loader would hand back the library already loaded.
     """
-    global _dir, _owner
+    global _dir
     with _BUILD_LOCK:
         if _closing:
             raise OSError("the interpreter is exiting")
         if _dir is None:
-            _dir, _owner = Path(tempfile.mkdtemp(prefix="mindht-")), os.getpid()
+            _dir = Path(tempfile.mkdtemp(prefix="mindht-"))
         fd, path = tempfile.mkstemp(suffix=".so", dir=_dir)
         os.close(fd)
     _run([*cc, *FLAGS, "-o", path, "-x", "c", "-"], src)
@@ -442,15 +449,27 @@ def _cache_path(n: int, src: str, cc: list[str]) -> Path | None:
     SIGILL in the load check) and the C APIs it links against.
     """
     path = _cache_dir()
-    if path is None:
-        return None
-    try:
-        probe = _run([*cc, "-march=native", "-E", "-dM", "-x", "c", os.devnull], "")
-    except (OSError, subprocess.SubprocessError):
+    probe = None if path is None else _probe(cc)
+    if probe is None:
         return None
     key = repr((src, cc, FLAGS, sorted(probe.splitlines()), sys.implementation.cache_tag,
                 _EXT_SUFFIX, np.__version__))
     return path / f"{_name(n)}-{hashlib.sha256(key.encode()).hexdigest()[:32]}{_EXT_SUFFIX}"
+
+
+def _probe(cc: list[str]) -> str | None:
+    """The macros cc defines for ``-march=native``, or None if cc fails to say.
+
+    The probe runs once per compiler command and process, under a lock, so
+    loads that start together wait for one probe."""
+    key = tuple(cc)
+    with _PROBE_LOCK:
+        if key not in _probes:
+            try:
+                _probes[key] = _run([*cc, "-march=native", "-E", "-dM", "-x", "c", os.devnull], "")
+            except (OSError, subprocess.SubprocessError):
+                _probes[key] = None
+        return _probes[key]
 
 
 def _publish(built: Path, path: Path, n: int) -> None:
@@ -494,10 +513,11 @@ def _check_batch(n: int) -> np.ndarray:
 
 
 def _agrees(prog, fn, module) -> bool:
-    """Whether ``batch`` equals the replay of prog on the check batch and on a
-    column-strided view of it, which runs the local-block gather, and, on each
-    column of it, given both as a list of floats and as the strided column,
-    ``block`` equals fn and ``dft`` the NumPy bridge (``reference._dft_bridge``)."""
+    """Whether ``batch`` equals prog (fn over column chunks) on the check batch
+    and on a column-strided view of it, which runs the local-block gather,
+    and, on each column of it, given both as a list of floats and as the
+    strided column, ``block`` equals fn and ``dft`` the NumPy bridge
+    (``reference._dft_bridge``)."""
     x = _check_batch(prog.n)
     for v in (x, x[:, ::-2]):
         out = np.empty((prog.n_outputs, v.shape[1]))

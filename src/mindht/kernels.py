@@ -24,7 +24,7 @@ Everything made from a length's flow and listing lives in one record per
 length, ``_KERNELS[n]``, made under one lock on first use and again once
 ``_FLOWS[n]`` or ``LAYER_SPECS[n]`` is not the object it was made from:
 the pruned trace (``counting.trace(n)``, which every kernel call runs), its
-schedule and emitted Python function (mindht.replay), the C extension
+schedule and the Python function it emits (mindht.replay), the C extension
 module (mindht._cgen, with a ``block(v)`` entry point for ``fast_dht``, a
 ``dft(V)`` one for ``reference.dht_to_dft`` and a ``batch`` one for float64
 arrays), the count of blocks ``fast_dht`` has run, and whatever is made
@@ -42,20 +42,21 @@ listing, which gets a new record, is loaded again.  A load takes the
 checked object mindht._cgen keeps between processes (about 10 ms per N),
 else compiles it (0.3-0.5 s per N with gcc 12 on a 2.1 GHz Xeon).  A
 ``kernel_flow`` array call loads the module in the caller's thread if it is
-untried.  ``fast_dht``
-never waits for a compiler: until the module is loaded it runs one block as
-the Python function and an array of blocks as the replay, and the call that
-takes the length's count of blocks to ``COMPILE_AFTER`` or past it starts
-the same load on a background thread; ``dht_to_dft`` never compiles.  From
-then on ``fast_dht`` hands ``block`` the raw input first: a list of floats
-or a 1-D float64 array goes straight to C, and only what ``block`` declines
-is read by ``layers.read_block``, the Python side of the same one-block
-contract, or by ``layers.read_blocks`` for an array of blocks.  Both array
+untried.  ``fast_dht`` never waits for a compiler: until the module is
+loaded it runs the Python function on one block and on each column chunk of
+an array, and the call that takes the length's count of blocks to
+``COMPILE_AFTER`` or past it starts the same load on a background thread;
+``dht_to_dft`` never compiles.  From then on ``fast_dht`` hands ``block``
+the raw input first: a list of floats or a 1-D float64 array goes straight
+to C, and only what ``block`` declines is read by ``layers.read_block``,
+the Python side of the same one-block contract, or by ``layers.read_blocks``
+for an array of blocks.  Both array
 entry points read and convert their input (``layers.to_float64``) before
 ``_route`` runs it: as C ``batch`` once the module is loaded and the batch
-is aligned with strides in whole elements, else as the replay, which also
-runs wherever no module loads.  mindht._cgen is imported only by a load, not
-with mindht or by an array call.
+is aligned with strides in whole elements, else as the Python function over
+column chunks (``_Program.__call__``, "the replay" in ``_backend`` and the
+fallback warning), which also runs wherever no module loads.  mindht._cgen
+is imported only by a load, not with mindht or by an array call.
 """
 
 from __future__ import annotations
@@ -233,9 +234,9 @@ _FLOWS = {4: dht4_flow, 8: dht8_flow, 12: dht12_flow, 24: dht24_flow}
 
 # Blocks of one length that fast_dht runs, by either route, before a
 # background thread loads its C module: one per one-block call, one per
-# block of an array call.  Until then a one-block call runs the emitted
-# Python function and an array call the replay.  A process that runs fewer
-# never loads one: setup_s runs one block per N and ``mindht verify`` its
+# block of an array call.  Until then both run the emitted Python function,
+# an array call once per column chunk.  A process that runs fewer never
+# loads one: setup_s runs one block per N and ``mindht verify`` its
 # --trials plus two (default 1000).  A load from mindht._cgen's cache takes
 # about 10 ms of another core and pays off after a few thousand calls at
 # 1-4 us saved each; a compile, on a cold cache, takes 0.2-0.4 s and pays
@@ -251,8 +252,8 @@ _UNTRIED = object()
 
 class _Kernel:
     """Everything made from one length's ``flow`` and listing ``spec``: the
-    pruned ``trace``, its schedule ``prog`` and emitted Python function
-    ``fn``, the C ``module``, its swapped-in ``block`` ``c`` and ``dft``
+    pruned ``trace``, its schedule ``prog`` and the Python function ``fn``
+    it emits, the C ``module``, its swapped-in ``block`` ``c`` and ``dft``
     (both None before that; ``reference.dht_to_dft`` calls ``dft``), the
     blocks ``fast_dht`` has run before ``c`` was swapped in (``calls``,
     counted toward ``COMPILE_AFTER``), and the values of the ``_derived``
@@ -266,12 +267,12 @@ class _Kernel:
 
     def __init__(self, n: int, flow, spec):
         from .counting import _trace
-        from .replay import _Program, _emit
+        from .replay import _Program
 
         self.flow, self.spec = flow, spec
         self.trace = _trace(n, flow)
         self.prog = _Program(n, self.trace)
-        self.fn = _emit(self.prog)
+        self.fn = self.prog.fn
         self.module = _UNTRIED
         self.c = self.dft = None
         self.calls = 0
@@ -352,8 +353,9 @@ def _route(k: _Kernel, x: np.ndarray) -> np.ndarray:
 
     x is viewed as (n, B) columns and run by C ``batch`` if k's module is
     loaded and the columns are aligned with strides in whole elements, else
-    by the replay.  It loads nothing: ``kernel_flow`` loads the module
-    before it calls, and ``fast_dht`` never waits for it.
+    by the Python function, chunk by chunk (``prog(cols)``).  It loads
+    nothing: ``kernel_flow`` loads the module before it calls, and
+    ``fast_dht`` never waits for it.
     """
     prog, module = k.prog, k.module
     cols = x.reshape(prog.n, -1)
@@ -377,9 +379,9 @@ def kernel_flow(n: int):
     dtype but float64 is copied once, a long double beyond float64's range
     to inf, silently), checks that axis 0 is n, loads the length's C module
     in the caller's thread if it is untried (``_load_c_block``), and has
-    ``_route`` run it: as generated C (mindht._cgen), else replayed over
-    column chunks (mindht.replay).  It returns one float64 ndarray of shape
-    (n, ...); the input is never written to.
+    ``_route`` run it: as generated C (mindht._cgen), else as the Python
+    function over column chunks (mindht.replay).  It returns one float64
+    ndarray of shape (n, ...); the input is never written to.
     Any other input (a list, scalars, counting scalars, a 1-D array) runs the
     program as a Python function and gets its list back.  Both paths do the
     same IEEE operations in the same order, so each column equals the
@@ -435,7 +437,8 @@ def fast_dht(v, n: int | None = None, axis: int = -1) -> np.ndarray:
     is read as blocks along ``axis`` by ``layers.read_blocks``, with the
     one-block contract for each block, and ``_route`` runs them with the
     length's record, checking nothing again: as C ``batch`` if the module
-    is already loaded, else as the replay; the float64 result has v's shape.
+    is already loaded, else as the Python function over column chunks; the
+    float64 result has v's shape.
     Any other input, or any input before the module is loaded, is read by
     ``layers.read_block``, which reads real numbers (ints, float32 and the
     other real dtypes) as float64 and refuses bools, strings, object arrays

@@ -53,6 +53,7 @@ SUPPORTED_SIZES = (4, 8, 12, 24)
 _LENGTHS = ", ".join(map(str, SUPPORTED_SIZES))
 
 _F64 = np.dtype(np.float64)
+_BOOLS = frozenset((bool, np.bool_))
 
 
 class UnsupportedLengthError(ValueError):
@@ -122,9 +123,10 @@ def read_samples(v, n: int | None = None, what: str = "signal",
     oracles and the NumPy DFT bridge of mindht.reference, and ``dft_to_dht``
     with complex_ok.  In order:
 
+    * bools in a list: a list or tuple with a ``bool`` or ``np.bool_`` item
+      raises the kind rule's TypeError for dtype bool, before conversion;
     * conversion: v is converted once, ``np.asarray(v)``, and NumPy's dtype
-      for it decides its kind (a list mixing bools or ints with floats is
-      floats);
+      for it decides its kind (a list mixing ints with floats is floats);
     * kind and conversion: ``to_float64``, so bools, strings, object arrays
       (such as a list of ints beyond 64 bits) and complex values where
       complex_ok is false raise TypeError.  The samples are read as float64:
@@ -139,6 +141,8 @@ def read_samples(v, n: int | None = None, what: str = "signal",
     Returns the float64 (or complex128) array, which is v itself when v is
     one, and its ``tolist()``.
     """
+    if isinstance(v, (list, tuple)) and not _BOOLS.isdisjoint(map(type, v)):
+        check_kind(np.dtype(bool), what, complex_ok)
     a = to_float64(np.asarray(v), what, complex_ok)
     _check_shape(a.shape, n, what)
     vals = a.tolist()

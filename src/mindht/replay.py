@@ -1,18 +1,17 @@
-"""The executors of a kernel's one program, ``counting.trace(n)``.
+"""The Python executor of a kernel's one program, ``counting.trace(n)``.
 
-``_Program`` schedules a traced program onto reused register rows: every
-node becomes one in-place ufunc call, run chunk by chunk over CHUNK_COLUMNS
-columns so the intermediates of a chunk stay in cache, where running a flow
-over whole rows would allocate and stream one temporary row per operation.
-The schedule (``ops``, ``consts``, ``n_regs``) is what the replay runs on
-the float64 batches mindht.kernels does not hand to C ``batch``, what
-mindht._cgen turns into one C extension module per length, and what
-``_emit`` turns into a straight-line Python function for one block.  All of
-them do the same IEEE operations on the same operands in the same order, so
-they agree bit for bit.  The schedule and the function are made once per
-kernel record (``kernels._KERNELS``), with its trace; which of them runs a
-call is decided in mindht.kernels.  This module imports nothing from mindht,
-and is imported on the first kernel call or trace, not with mindht.
+``_Program`` schedules a traced program onto reused registers (``ops`` and
+``n_regs``), and ``_emit`` turns the schedule into a straight-line Python
+function of one block, ``fn``.  That function is the one Python executor:
+it runs one block of Python floats, and an array call runs it on each chunk
+of CHUNK_COLUMNS columns, where every statement is one whole-row NumPy
+operation, so the intermediates of a chunk stay in cache.  mindht._cgen
+turns the same schedule into one C extension module per length.  Both do
+the same IEEE operations on the same operands in the same order, so they
+agree bit for bit.  The schedule and the function are made once per kernel
+record (``kernels._KERNELS``), with its trace; which of them runs a call is
+decided in mindht.kernels.  This module imports nothing from mindht, and is
+imported on the first kernel call or trace, not with mindht.
 """
 
 from __future__ import annotations
@@ -21,26 +20,21 @@ import math
 
 import numpy as np
 
-# Columns per chunk of the array path.  At N = 24 one chunk's 38 register
-# rows take 2.4 MiB, inside a 4 MiB L2; the chunk-size sweep that picked the
-# value is recorded in BENCH_bulk_executor.json.
+# Columns per chunk of the array path.  At N = 24 a chunk's at most 38 live
+# register rows take 2.4 MiB, inside a 4 MiB L2; the chunk-size sweeps that
+# picked the value are in BENCH_bulk_executor.json and BENCH_one_executor.json.
 CHUNK_COLUMNS = 8192
-
-_UFUNCS = {"+": np.add, "-": np.subtract, "*": np.multiply}
-_SYMBOLS = {f: op for op, f in _UFUNCS.items()}
 
 
 class _Program:
     """A flow's traced straight-line program (a ``counting.OpTally``),
-    scheduled onto reusable rows.
+    scheduled onto reusable registers, with its emitted function ``fn``.
 
-    Each node of the trace becomes one ``ufunc(a, b, o)`` call writing
-    into o, in trace order.  ``a``, ``b`` and ``o`` index one list per
-    chunk: the input row views, the output row views, the constants, then
-    the register row views.  A register row is released at its value's last
-    use, so a node may overwrite its own operand; an output node is written
-    straight into its row of the result.  A call allocates its own register
-    buffer, so concurrent calls share nothing.
+    Each node of the trace becomes one op ``(symbol, a, b, o)`` in trace
+    order, o = a symbol b, where each operand is an input ("x", i), an
+    output ("y", i), a register ("r", i) or a constant ("c", value).  A
+    register is released at its value's last use, so a node may overwrite
+    its own operand; an output node is written straight into its output.
     """
 
     def __init__(self, n: int, traced):
@@ -54,17 +48,13 @@ class _Program:
         out_row: dict[int, int] = {}
         for row, node in enumerate(outputs):
             out_row.setdefault(node, row)
-        consts: dict[float, int] = {}
         loc = {i: ("x", i) for i in range(n)}
         free: list[int] = []
         n_regs = 0
         ops = []
         for k in range(n, len(nodes)):
             op, a, b = nodes[k]
-            if op == "*":
-                args = [("c", consts.setdefault(b, len(consts))), loc[a]]
-            else:
-                args = [loc[a], loc[b]]
+            args = [("c", b), loc[a]] if op == "*" else [loc[a], loc[b]]
             for p in set(operands[k]):
                 if last_use[p] == k and loc[p][0] == "r":
                     free.append(loc[p][1])
@@ -75,47 +65,43 @@ class _Program:
             else:
                 loc[k] = ("r", n_regs)
                 n_regs += 1
-            ops.append((_UFUNCS[op], *args, loc[k]))
+            ops.append((op, *args, loc[k]))
         # an output that is an input, or repeats an earlier output, is a copy
         for row, node in enumerate(outputs):
             if loc[node] != ("y", row):
-                ops.append((np.multiply, ("c", consts.setdefault(1.0, len(consts))), loc[node],
-                            ("y", row)))
+                ops.append(("*", ("c", 1.0), loc[node], ("y", row)))
 
-        base = {"x": 0, "y": n, "c": n + len(outputs), "r": n + len(outputs) + len(consts)}
         self.n = n
         self.n_outputs = len(outputs)
         self.n_regs = n_regs
-        self.consts = list(consts)
-        self.ops = [(f, *(base[kind] + i for kind, i in args)) for f, *args in ops]
+        self.ops = ops
+        self.fn = _emit(self)
 
     def statements(self, const) -> list[str]:
-        """Each op as ``o = a + b`` over rows x0.., y0.., r0.., constant c as const(c)."""
-        names = [f"x{i}" for i in range(self.n)] + [f"y{i}" for i in range(self.n_outputs)]
-        names += [const(c) for c in self.consts] + [f"r{i}" for i in range(self.n_regs)]
-        return [f"{names[o]} = {names[a]} {_SYMBOLS[f]} {names[b]}" for f, a, b, o in self.ops]
+        """Each op as ``o = a + b`` over x0.., y0.., r0.., constant c as const(c)."""
+        def name(kind, i):
+            return const(i) if kind == "c" else f"{kind}{i}"
+
+        return [f"{name(*o)} = {name(*a)} {op} {name(*b)}" for op, a, b, o in self.ops]
 
     def __call__(self, cols: np.ndarray) -> np.ndarray:
         """The (n_outputs, B) float64 result of (n, B) float64 columns, the twin
         of C ``batch``; its callers have converted them (``layers.to_float64``).
 
-        The ops run without warnings: a chunk whose result overflows gives
-        inf or nan silently, as C ``batch`` and the one-block kernels do.
+        ``fn`` runs once per chunk of CHUNK_COLUMNS columns, on the chunk's
+        rows, without warnings: a chunk whose result overflows gives inf or
+        nan silently, as C ``batch`` and the one-block kernels do.
         """
-        width = cols.shape[1]
-        out = np.empty((self.n_outputs, width))
-        regs = np.empty((self.n_regs, min(width, CHUNK_COLUMNS)))
-        for c0 in range(0, width, CHUNK_COLUMNS):
-            c1 = min(c0 + CHUNK_COLUMNS, width)
-            v = [*cols[:, c0:c1], *out[:, c0:c1], *self.consts, *regs[:, : c1 - c0]]
-            with np.errstate(over="ignore", invalid="ignore"):
-                for f, a, b, o in self.ops:
-                    f(v[a], v[b], v[o])
+        out = np.empty((self.n_outputs, cols.shape[1]))
+        with np.errstate(over="ignore", invalid="ignore"):
+            for c0 in range(0, cols.shape[1], CHUNK_COLUMNS):
+                out[:, c0:c0 + CHUNK_COLUMNS] = self.fn(cols[:, c0:c0 + CHUNK_COLUMNS])
         return out
 
 
 def _emit(prog: _Program):
-    """A scheduled program as a Python function of one block, one local per row.
+    """A scheduled program as a Python function of one block, or of the rows of
+    a chunk, one local per register.
 
     Reusing the register names frees each float at its value's last use: one
     local per node kept all of them alive, a quarter more traced memory per

@@ -3,11 +3,11 @@ entry point that reads a 1-D input or a batch.
 
 Every cell asserts the result's bits or the exception's class and message, and
 that the call raised no warning.  The rule behind the table: real numbers (NumPy
-kinds f, i and u) are read as float64; bools, strings, object arrays and complex
-values (except in ``dft_to_dht``) raise TypeError (``layers.check_kind``); a
-sample that is inf or nan, or a long double beyond float64's range (read as
-inf), raises ValueError, except in a ``kernel_flow`` batch, where it runs
-through; a wrong shape raises UnsupportedLengthError.  ``fast_dht`` reads an
+kinds f, i and u) are read as float64; bools (also one bool in a list of
+numbers), strings, object arrays and complex values (except in ``dft_to_dht``)
+raise TypeError (``layers.check_kind``); a sample that is inf or nan, or a long
+double beyond float64's range (read as inf), raises ValueError, except in a
+``kernel_flow`` batch, where it runs through; a wrong shape raises UnsupportedLengthError.  ``fast_dht`` reads an
 ndarray with ndim >= 2 as blocks along an axis, each by the one-block rule.
 """
 
@@ -58,6 +58,10 @@ ROWS = {
     "longdouble": (lambda x: x[:, 0].astype(np.longdouble) / 3,
                    lambda x: x.astype(np.longdouble) / 3),
     "bools": (lambda x: (x[:, 0] > 0).tolist(), lambda x: x > 0),
+    # one bool among numbers, which np.asarray alone would read as numbers
+    "floats and a bool": (lambda x: [*x[:-1, 0].tolist(), True], None),
+    "ints and a np.bool_": (lambda x: (*np.round(x[:-1, 0] * 1000).astype(int).tolist(),
+                                       np.True_), None),
     "numeric strings": (lambda x: _strings(x)[:, 0].tolist(), _strings),
     "object array": (lambda x: x[:, 0].astype(object), lambda x: x.astype(object)),
     "complex": (lambda x: x[:, 0] + 1j * x[::-1, 0], lambda x: x + 1j * x[::-1]),
@@ -68,8 +72,8 @@ ROWS = {
     "wrong shape": (lambda x: x.T, lambda x: x.T),
 }
 REAL = ("float list", "float64 array", "ints", "float32", ">f8", "longdouble")
-NOT_NUMBERS = {"bools": "bool", "numeric strings": "<U3", "object array": "object",
-               "complex": "complex128"}
+NOT_NUMBERS = {"bools": "bool", "floats and a bool": "bool", "ints and a np.bool_": "bool",
+               "numeric strings": "<U3", "object array": "object", "complex": "complex128"}
 
 # name -> (call, length, what its errors name, how it reads: "any" length,
 # one "block" of n, "blocks" of a fast length, one or an ndarray of them, or

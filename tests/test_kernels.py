@@ -421,6 +421,33 @@ def test_array_path_matches_scalar_path_bit_for_bit(n, blocks):
 
 
 @pytest.mark.parametrize("n", SUPPORTED_SIZES)
+def test_array_call_runs_the_function_once_per_chunk(n, monkeypatch):
+    if not c_works():
+        pytest.skip("no working C compiler")
+    x = np.random.default_rng(n + 211).uniform(-1.0, 1.0, (n, 2 * CHUNK_COLUMNS + 3))
+    overflowing = [CHUNK_COLUMNS - 1, CHUNK_COLUMNS, 2 * CHUNK_COLUMNS - 1, 2 * CHUNK_COLUMNS]
+    x[:, overflowing] = 1e308  # each side of both chunk boundaries
+    k = kernels._kernel(n)
+    module = kernels._load_c_block(k)
+    chunks = []
+
+    def counted(v):
+        chunks.append(v.shape)
+        return k.fn(v)
+
+    monkeypatch.setattr(k.prog, "fn", counted)
+    with warnings.catch_warnings(record=True) as seen:
+        warnings.simplefilter("always")
+        out = k.prog(x)
+    assert seen == []
+    assert chunks == [(n, CHUNK_COLUMNS), (n, CHUNK_COLUMNS), (n, 3)]
+    want = np.empty((k.prog.n_outputs, x.shape[1]))
+    module.batch(x, want)
+    assert same_bits(out, want)
+    assert np.isnan(out[:, overflowing]).any(axis=0).all()  # inf - inf in every one
+
+
+@pytest.mark.parametrize("n", SUPPORTED_SIZES)
 def test_array_path_layouts(n):
     rng = np.random.default_rng(n + 31)
     blocks = CHUNK_COLUMNS + 3
@@ -1034,6 +1061,35 @@ def test_forked_child_leaves_the_object_directory_alone(tmp_path):
     assert list(tmp_path.iterdir()) == []
 
 
+def test_forked_child_builds_in_a_directory_of_its_own(tmp_path):
+    # the parent removes its object directory at exit, while the child still runs
+    if not c_works():
+        pytest.skip("no working C compiler")
+    work = tmp_path / "tmp"
+    work.mkdir()
+    code = (
+        "import os, sys, numpy as np\n"
+        "from pathlib import Path\n"
+        "from mindht import kernels\n"
+        "kernels.kernel_flow(8)(np.ones((8, 3)))\n"
+        "r, w = os.pipe()\n"
+        "if os.fork():\n"
+        "    sys.exit(0)\n"
+        "os.close(w)\n"
+        "os.read(r, 1)  # end of file once the parent has exited\n"
+        "kernels.kernel_flow(24)(np.ones((24, 3)))  # not in the cache: a build\n"
+        "Path(sys.argv[1]).write_text(kernels._backend(24))\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(mindht.__file__).parents[1]),
+           "TMPDIR": str(work)}
+    # the child inherits the pipes, so this returns once the child has exited too
+    done = subprocess.run([sys.executable, "-W", "error", "-c", code, str(tmp_path / "backend")],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0 and done.stderr == ""
+    assert (tmp_path / "backend").read_text() == "c"
+    assert list(work.iterdir()) == []
+
+
 def test_forked_child_exits_while_a_thread_holds_the_build_lock(tmp_path):
     # _run holds _cgen._BUILD_LOCK across Popen; a fork in that window must not
     # leave the child's exit handler waiting for a lock no thread of it holds
@@ -1127,8 +1183,9 @@ def test_second_process_on_a_warm_cache_starts_no_compile(tmp_path):
         subprocess.run([sys.executable, "-W", "error", "-c", code, str(tmp_path / "x.npy"),
                         str(outs[run])], check=True, env=env, timeout=300)
     first, second = (log.read_text().splitlines() for log in logs)
-    assert len(first) == 8 and sum(" -o " in line for line in first) == 4
-    assert len(second) == 4 and all(line.endswith(f"-E -dM -x c {os.devnull}") for line in second)
+    # one ISA probe per process, kept for every length's load
+    assert len(first) == 5 and sum(" -o " in line for line in first) == 4
+    assert len(second) == 1 and second[0].endswith(f"-E -dM -x c {os.devnull}")
     assert len(cached_files()) == 4
     want = np.concatenate([scalar_columns(n, x[:n]) for n in SUPPORTED_SIZES])
     assert same_bits(np.load(outs[0]), want) and same_bits(np.load(outs[1]), want)
@@ -1258,8 +1315,38 @@ def test_the_key_holds_the_instruction_set_the_compiler_targets(fresh_kernels, m
     for lowering in ("", " -mno-avx"):
         write_cc(cc, f'exec {real}{lowering} "$@"')
         monkeypatch.setattr(kernels, "_KERNELS", {})
+        monkeypatch.setattr(_cgen, "_probes", {})  # each rewrite stands for a new process
         expect_backend("c", 4)
     assert len(cached_files()) == 2
+
+
+def test_loads_that_start_together_run_one_isa_probe(fresh_kernels, monkeypatch, tmp_path):
+    if not c_works():
+        pytest.skip("no working C compiler")
+    log = tmp_path / "cc.log"
+    cc = write_cc(tmp_path / "logging-cc",
+                  f'echo "$*" >> "{log}"\nexec {shlex.join(_cgen.find_compiler())} "$@"')
+    monkeypatch.setenv("CC", str(cc))
+    for n in SUPPORTED_SIZES:  # a warm cache
+        expect_backend("c", n)
+    log.unlink()
+    monkeypatch.setattr(kernels, "_KERNELS", {})
+    monkeypatch.setattr(_cgen, "_probes", {}, raising=False)  # as in a new process
+    start = threading.Barrier(len(SUPPORTED_SIZES))
+    backends = {}
+
+    def load(n):
+        start.wait()
+        backends[n] = kernels._backend(n)
+
+    threads = [threading.Thread(target=load, args=(n,)) for n in SUPPORTED_SIZES]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join()
+    assert backends == {n: "c" for n in SUPPORTED_SIZES}
+    probes = log.read_text().splitlines()
+    assert len(probes) == 1 and probes[0].endswith(f"-E -dM -x c {os.devnull}")
 
 
 def test_racing_processes_fill_one_cache(tmp_path):
