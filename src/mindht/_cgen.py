@@ -8,10 +8,12 @@ one trace, ``counting.trace(n)``, as mindht.replay schedules it (its
 kernel is still described only once, by its ``*_flow`` and its layer
 listing.  It has three ``METH_FASTCALL`` entry points.  The first two take
 one argument, an exact list or tuple of n exact Python floats, whose values
-they read in place, or any 1-D float64 buffer (PEP 3118) of n samples, any
-stride; that contract is written once, in the module's ``read_block``.  They
-raise ``ValueError`` before computing anything if a sample is inf or nan,
-and return ``NotImplemented`` for any other argument (ints, bools, strings,
+they read in place, or any 1-D native float64 array or buffer of n samples,
+any stride: an exact ndarray through NumPy's C API, which keeps nothing on
+it, any other buffer (an ndarray subclass, a memoryview) through PEP 3118;
+that contract is written once, in the module's ``read_block``.  They raise
+``ValueError`` before computing anything if a sample is inf or nan, and
+return ``NotImplemented`` for any other argument (ints, bools, strings,
 float subclasses such as ``np.float64`` items, complex or other dtypes,
 nesting, another length or shape):
 
@@ -65,8 +67,9 @@ child forgets the parent's directory and makes its own.
 After loading, cached or not, ``batch`` runs once on a fixed batch of signed
 zeros, subnormals and mixed magnitudes and on a column-strided view of it,
 and must equal ``prog`` on it (fn run once per column chunk) bit for bit;
-``block`` runs on every column of that batch, once as a list of floats and
-once as the strided column, and must equal fn bit for bit, and so must
+``block`` runs on every column of that batch, as a list of floats, as the
+strided column and as a memoryview of it, so both array branches of
+``read_block`` are checked, and must equal fn bit for bit, and so must
 ``dft`` against the NumPy bridge.  A cached object that fails to load or
 fails this check is deleted and built again, silently.  ``load`` returns
 None, with one RuntimeWarning per process, when no compiler is found
@@ -169,9 +172,11 @@ static int is_f64(const Py_buffer *b)
 
 /* The one-block input contract of block and dft, read into xs: an exact list
    or tuple of N exact floats, read in place, or any 1-D float64 buffer of N
-   samples at any stride.  1 if read; -1 with ValueError("<what> contains
-   non-finite samples") if a sample is inf or nan; 0 for any other v, which the
-   entry points hand back as NotImplemented. */
+   samples at any stride.  An exact ndarray is read through NumPy's C API,
+   which keeps no buffer information on it; any other buffer (an ndarray
+   subclass, a memoryview, an array.array) through PEP 3118.  1 if read; -1
+   with ValueError("<what> contains non-finite samples") if a sample is inf or
+   nan; 0 for any other v, which the entry points hand back as NotImplemented. */
 static int read_block(PyObject *v, double xs[N], const char *what)
 {{
     if (PyList_CheckExact(v) || PyTuple_CheckExact(v)) {{
@@ -183,6 +188,16 @@ static int read_block(PyObject *v, double xs[N], const char *what)
                 return 0;
             xs[i] = PyFloat_AS_DOUBLE(items[i]);
         }}
+    }}
+    else if (PyArray_CheckExact(v)) {{
+        PyArrayObject *a = (PyArrayObject *)v;
+        if (PyArray_TYPE(a) != NPY_DOUBLE || !PyArray_ISNOTSWAPPED(a) || PyArray_NDIM(a) != 1
+            || PyArray_DIM(a, 0) != N)
+            return 0;
+        const char *p = PyArray_BYTES(a);
+        npy_intp s = PyArray_STRIDE(a, 0);
+        for (Py_ssize_t i = 0; i < N; i++)
+            memcpy(&xs[i], p + i * s, sizeof(double));
     }}
     else {{
         Py_buffer b;
@@ -515,9 +530,10 @@ def _check_batch(n: int) -> np.ndarray:
 def _agrees(prog, fn, module) -> bool:
     """Whether ``batch`` equals prog (fn over column chunks) on the check batch
     and on a column-strided view of it, which runs the local-block gather,
-    and, on each column of it, given both as a list of floats and as the
-    strided column, ``block`` equals fn and ``dft`` the NumPy bridge
-    (``reference._dft_bridge``)."""
+    and, on each column of it, given as a list of floats, as the strided
+    column and as a memoryview of that column (the NumPy C API and the PEP
+    3118 branch of ``read_block``), ``block`` equals fn and ``dft`` the NumPy
+    bridge (``reference._dft_bridge``)."""
     x = _check_batch(prog.n)
     for v in (x, x[:, ::-2]):
         out = np.empty((prog.n_outputs, v.shape[1]))
@@ -527,7 +543,7 @@ def _agrees(prog, fn, module) -> bool:
     for v in x.T:
         vals = v.tolist()
         for entry, want in ((module.block, np.array(fn(vals))), (module.dft, _dft_bridge(v))):
-            for out in (entry(vals), entry(v)):
+            for out in (entry(vals), entry(v), entry(memoryview(v))):
                 if not (type(out) is np.ndarray and out.dtype == want.dtype
                         and out.tobytes() == want.tobytes()):
                     return False

@@ -48,11 +48,12 @@ an array, and the call that takes the length's count of blocks to
 ``COMPILE_AFTER`` or past it starts the same load on a background thread;
 ``dht_to_dft`` never compiles.  From then on ``fast_dht`` hands ``block``
 the raw input first: a list of floats or a 1-D float64 array goes straight
-to C, and only what ``block`` declines is read by ``layers.read_block``,
-the Python side of the same one-block contract, or by ``layers.read_blocks``
-for an array of blocks.  Both array
-entry points read and convert their input (``layers.to_float64``) before
-``_route`` runs it: as C ``batch`` once the module is loaded and the batch
+to C (an exact ndarray is read through NumPy's C API, which leaves no
+buffer information on it), and only what ``block`` declines is read by
+``layers.read_block``, the Python side of the same one-block contract, or by
+``layers.read_blocks`` for an array of blocks.  Both array entry points
+read and convert their input (``layers.to_float64``) before ``_route`` runs
+it: as C ``batch`` once the module is loaded and the batch
 is aligned with strides in whole elements, else as the Python function over
 column chunks (``_Program.__call__``, "the replay" in ``_backend`` and the
 fallback warning), which also runs wherever no module loads.  mindht._cgen
@@ -237,13 +238,15 @@ _FLOWS = {4: dht4_flow, 8: dht8_flow, 12: dht12_flow, 24: dht24_flow}
 # block of an array call.  Until then both run the emitted Python function,
 # an array call once per column chunk.  A process that runs fewer never
 # loads one: setup_s runs one block per N and ``mindht verify`` its
-# --trials plus two (default 1000).  A load from mindht._cgen's cache takes
-# about 10 ms of another core and pays off after a few thousand calls at
-# 1-4 us saved each; a compile, on a cold cache, takes 0.2-0.4 s and pays
-# off after about 10^5 calls, once per machine.  A loop of calls reaches
-# this count within tens of ms.  Each length's load runs under its record's
-# own load lock, so lengths that cross the count together load at once.
-COMPILE_AFTER = 4096
+# --trials plus two, 1002 at the default 1000 trials, below this count.
+# In a loop of one-block calls the Python function costs about 5-11 us more
+# per block than C on fast_dht(v) and 13-25 us more on
+# dht_to_dft(fast_dht(v)) (against 0.8 and 1.3 us in C), so these blocks
+# already cost more than a load from mindht._cgen's cache, 10-30 ms of
+# another core.  On a cold cache the count starts a compile, 0.2-0.4 s,
+# once per machine.  Each length's load runs under its record's own load
+# lock, so lengths that cross the count together load at once.
+COMPILE_AFTER = 1024
 
 
 # _Kernel.module until _load_c_block has tried to load it (None if that failed).
@@ -432,9 +435,10 @@ def fast_dht(v, n: int | None = None, axis: int = -1) -> np.ndarray:
     Once the length's C module is loaded, n is omitted or an ``int`` equal
     to ``len(v)`` and axis is -1, the raw input goes to its ``block(v)``
     (mindht._cgen) first, which reads a list or tuple of Python floats in
-    place, or a 1-D float64 array of any stride, checks for inf and nan in C
-    and returns the result it makes.  An ndarray with ndim >= 2, which ``block`` declines,
-    is read as blocks along ``axis`` by ``layers.read_blocks``, with the
+    place, or a 1-D float64 array of any stride (an exact ndarray through
+    NumPy's C API, any other buffer through PEP 3118), checks for inf and
+    nan in C and returns the result it makes.  An ndarray with ndim >= 2,
+    which ``block`` declines, is read as blocks along ``axis`` by ``layers.read_blocks``, with the
     one-block contract for each block, and ``_route`` runs them with the
     length's record, checking nothing again: as C ``batch`` if the module
     is already loaded, else as the Python function over column chunks; the
@@ -445,8 +449,8 @@ def fast_dht(v, n: int | None = None, axis: int = -1) -> np.ndarray:
     and complex values with TypeError, and the kernel's program runs on the
     floats it returns: as that ``block``, or before the module is loaded as
     a Python function.  No call waits for a
-    compiler: once either route has run ``COMPILE_AFTER`` blocks of a
-    length, the call that crosses that count starts the module's load
+    compiler: once either route has run ``COMPILE_AFTER`` (1024) blocks of
+    a length, the call that crosses that count starts the module's load
     (from the cache, else a compile) on a background thread, and ``block`` is swapped in when the module,
     loaded by it or by a ``kernel_flow`` array call, has passed its load
     check.  Every route gives the same bits, and the same error for the

@@ -14,6 +14,7 @@ import sys
 import sysconfig
 import threading
 import time
+import tracemalloc
 import warnings
 from contextlib import contextmanager
 from pathlib import Path
@@ -1655,9 +1656,17 @@ def test_c_block_takes_strided_read_only_and_other_dtype_input(n):
     assert not frozen.flags.writeable and np.array_equal(frozen, base[:n])
 
 
+class _Subclass(np.ndarray):
+    """An ndarray subclass, which C ``read_block`` reads through PEP 3118."""
+
+
 def one_block_inputs():
     """For the C entry points of length 8: argument tuples of the wrong length,
-    inputs they decline, and inputs they take (all of them eight ones)."""
+    inputs they decline, and inputs they take (all of them eight ones).
+
+    Exact ndarrays are read through NumPy's C API, every other buffer (a
+    subclass, a memoryview) through PEP 3118; both branches decline a 0-d
+    array, a wider long double and a swapped byte order."""
     x, y = np.ones(8), np.empty(8)
     frozen = np.empty(8)
     frozen.flags.writeable = False
@@ -1669,8 +1678,12 @@ def one_block_inputs():
     declined = (np.ones(4), np.ones((2, 8)), x.astype(np.float32), x.astype(">f8"),
                 np.float64(1.0), memoryview(x.astype(np.float32)), b"\0" * 64, "12345678", None,
                 floats[:7], floats + [1.0], [1] * 8, [True] * 8, [np.float64(1.0)] * 8,
-                ["1.0"] * 8, [floats], (1.0,) * 7, floats[:7] + [1], floats[:7] + [np.float64(1)])
-    taken = (x, floats, tuple(floats), memoryview(x), np.ones(16)[::2], np.ones(16)[::-2])
+                ["1.0"] * 8, [floats], (1.0,) * 7, floats[:7] + [1], floats[:7] + [np.float64(1)],
+                np.array(1.0), x.view(_Subclass).astype(">f8"))
+    if np.finfo(np.longdouble).nmant > np.finfo(np.float64).nmant:
+        declined += (x.astype(np.longdouble), memoryview(x.astype(np.longdouble)))
+    taken = (x, floats, tuple(floats), memoryview(x), np.ones(16)[::2], np.ones(16)[::-2],
+             np.broadcast_to(1.0, 8), x.view(_Subclass), np.ones(16).view(_Subclass)[::-2])
     return wrong_args, declined, taken
 
 
@@ -1988,6 +2001,44 @@ def test_c_dft_takes_what_c_block_takes():
     for v in taken:
         out = dft(v)
         assert type(out) is np.ndarray and out.tobytes() == want
+
+
+def test_c_block_and_c_dft_keep_no_buffer_information_on_a_float64_array():
+    # the PEP 3118 export of an ndarray leaves 72 bytes of buffer information
+    # on it for its lifetime; NumPy's C API leaves none
+    if not c_works():
+        pytest.skip("no working C compiler")
+    k = kernels._kernel(8)
+    kernels._load_c_block(k)
+    V = np.random.default_rng(127).uniform(-1.0, 1.0, 8)
+    spectrum, block = k.dft(V.copy()), k.c(V.copy())  # warm, on other arrays
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        same = (k.dft(V).tobytes() == spectrum.tobytes(), k.c(V).tobytes() == block.tobytes())
+        left = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert same == (True, True)
+    assert left == 0
+
+
+def test_c_block_load_check_reads_each_column_through_both_branches():
+    # a module whose PEP 3118 branch alone is wrong fails the load check
+    if not c_works():
+        pytest.skip("no working C compiler")
+    k = kernels._kernel(8)
+    module = kernels._load_c_block(k)
+
+    def wrong_on(kind, entry):
+        return lambda v: -entry(v) if isinstance(v, kind) else entry(v)
+
+    assert _cgen._agrees(k.prog, k.fn, module)
+    for kind in (memoryview, np.ndarray, list):
+        for name in ("block", "dft"):
+            entries = {"batch": module.batch, "block": module.block, "dft": module.dft}
+            entries[name] = wrong_on(kind, entries[name])
+            assert not _cgen._agrees(k.prog, k.fn, SimpleNamespace(**entries)), (kind, name)
 
 
 def test_c_dft_never_starts_a_compile(fresh_kernels, monkeypatch):
