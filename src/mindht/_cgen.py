@@ -8,14 +8,14 @@ one trace, ``counting.trace(n)``, as mindht.replay schedules it (its
 kernel is still described only once, by its ``*_flow`` and its layer
 listing.  It has three ``METH_FASTCALL`` entry points.  The first two take
 one argument, an exact list or tuple of n exact Python floats, whose values
-they read in place, or any 1-D native float64 array or buffer of n samples,
-any stride: an exact ndarray through NumPy's C API, which keeps nothing on
-it, any other buffer (an ndarray subclass, a memoryview) through PEP 3118;
-that contract is written once, in the module's ``read_block``.  They raise
+they read in place, or an exact 1-D native float64 ndarray of n samples,
+any stride, read through NumPy's C API, which keeps nothing on it; that
+contract is written once, in the module's ``read_block``.  They raise
 ``ValueError`` before computing anything if a sample is inf or nan, and
 return ``NotImplemented`` for any other argument (ints, bools, strings,
 float subclasses such as ``np.float64`` items, complex or other dtypes,
-nesting, another length or shape):
+ndarray subclasses, memoryviews and other buffers, nesting, another length
+or shape):
 
 ``block(v)``
     One block, returned as a new float64 array of n_outputs values that it
@@ -37,7 +37,11 @@ nesting, another length or shape):
     into each row of the result directly.  Only a column stride other than 1
     and the last, partial block go through a local block of W columns, so
     Fortran-ordered, transposed and reversed inputs need no copy.  It runs
-    without the interpreter lock.
+    without the interpreter lock, and returns whether row 0 of y, V[0], is
+    all finite: row 0 of each block is screened right after it is stored,
+    while it is in L1, by an OR-ed mask: a screen inside the block body
+    slows the N = 24 kernel, and one pass over row 0 after the loop reads it
+    again from memory.
 
 Bit identity: every node is one IEEE double operation (per lane) on the same
 operands in the same order as in the emitted Python function, constants
@@ -66,13 +70,14 @@ child forgets the parent's directory and makes its own.
 
 After loading, cached or not, ``batch`` runs once on a fixed batch of signed
 zeros, subnormals and mixed magnitudes and on a column-strided view of it,
-and must equal ``prog`` on it (fn run once per column chunk) bit for bit;
-``block`` runs on every column of that batch, as a list of floats, as the
-strided column and as a memoryview of it, so both array branches of
-``read_block`` are checked, and must equal fn bit for bit, and so must
-``dft`` against the NumPy bridge.  A cached object that fails to load or
-fails this check is deleted and built again, silently.  ``load`` returns
-None, with one RuntimeWarning per process, when no compiler is found
+and must equal ``prog`` on it (fn run once per column chunk) bit for bit and
+report what ``prog`` reports for output 0 on both and on a copy with an inf
+in a full block and a nan in the partial last one; ``block`` runs on every
+column of that batch, as a list of floats and as the strided column, so
+both branches of ``read_block`` are checked, and must equal fn bit for bit,
+and so must ``dft`` against the NumPy bridge.  A cached object that fails to
+load or fails this check is deleted and built again, silently.  ``load``
+returns None, with one RuntimeWarning per process, when no compiler is found
 (``$CC``, else ``cc``), ``Python.h`` or ``numpy/arrayobject.h`` is missing,
 compiling or loading a fresh object fails (a compiler that refuses
 ``-march=native`` is such a failure), or the module fails the check.
@@ -136,9 +141,23 @@ static void run_block(const double *x, double *y)
 {block}
 }}
 
-static void run_batch(const double *x, ptrdiff_t rs, ptrdiff_t cs, double *y, ptrdiff_t width)
+/* Whether one of the W doubles at y is inf or nan; out of line, so that GCC
+   vectorizes it. */
+static __attribute__((noinline)) int nonfinite(const double *y)
+{{
+    int bad = 0;
+    for (int i = 0; i < W; i++)
+        bad |= !isfinite(y[i]);
+    return bad;
+}}
+
+/* The kernel on the (N, width) columns at x, row stride rs and column stride
+   cs in doubles, into the C-contiguous (N_OUT, width) result y; 1 if row 0,
+   V[0], is all finite.  Each block's row 0 is screened once it is stored. */
+static int run_batch(const double *x, ptrdiff_t rs, ptrdiff_t cs, double *y, ptrdiff_t width)
 {{
     double xb[N][W], yb[N_OUT][W];
+    int bad = 0;
     for (ptrdiff_t c0 = 0; c0 < width; c0 += W) {{
         ptrdiff_t w = width - c0 < W ? width - c0 : W, ps = rs, qs = width;
         const double *p = x + c0 * cs;
@@ -158,7 +177,9 @@ static void run_batch(const double *x, ptrdiff_t rs, ptrdiff_t cs, double *y, pt
         if (w < W)
             for (ptrdiff_t i = 0; i < N_OUT; i++)
                 memcpy(y + i * width + c0, yb[i], w * sizeof(double));
+        bad |= nonfinite(q);
     }}
+    return !bad;
 }}
 
 /* A native float64 buffer: format "d", "=d" or "@d" and 8-byte items. */
@@ -171,12 +192,10 @@ static int is_f64(const Py_buffer *b)
 }}
 
 /* The one-block input contract of block and dft, read into xs: an exact list
-   or tuple of N exact floats, read in place, or any 1-D float64 buffer of N
-   samples at any stride.  An exact ndarray is read through NumPy's C API,
-   which keeps no buffer information on it; any other buffer (an ndarray
-   subclass, a memoryview, an array.array) through PEP 3118.  1 if read; -1
-   with ValueError("<what> contains non-finite samples") if a sample is inf or
-   nan; 0 for any other v, which the entry points hand back as NotImplemented. */
+   or tuple of N exact floats, read in place, or an exact 1-D native float64
+   ndarray of N samples at any stride, read through NumPy's C API.  1 if read;
+   -1 with ValueError("<what> contains non-finite samples") if a sample is inf
+   or nan; 0 for any other v, which the entry points hand back as NotImplemented. */
 static int read_block(PyObject *v, double xs[N], const char *what)
 {{
     if (PyList_CheckExact(v) || PyTuple_CheckExact(v)) {{
@@ -199,22 +218,8 @@ static int read_block(PyObject *v, double xs[N], const char *what)
         for (Py_ssize_t i = 0; i < N; i++)
             memcpy(&xs[i], p + i * s, sizeof(double));
     }}
-    else {{
-        Py_buffer b;
-        if (!PyObject_CheckBuffer(v))
-            return 0;
-        if (PyObject_GetBuffer(v, &b, PyBUF_RECORDS_RO) < 0) {{
-            PyErr_Clear();
-            return 0;
-        }}
-        int ok = is_f64(&b) && b.ndim == 1 && b.shape[0] == N;
-        if (ok)
-            for (Py_ssize_t i = 0; i < N; i++)
-                memcpy(&xs[i], (const char *)b.buf + i * b.strides[0], sizeof(double));
-        PyBuffer_Release(&b);
-        if (!ok)
-            return 0;
-    }}
+    else
+        return 0;
     for (Py_ssize_t i = 0; i < N; i++)
         if (!isfinite(xs[i])) {{
             PyErr_Format(PyExc_ValueError, "%s contains non-finite samples", what);
@@ -284,11 +289,12 @@ static PyObject *batch(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
         PyErr_SetString(PyExc_TypeError, "batch(x, y) takes an aligned float64 (N, B) array "
                         "and a C-contiguous float64 (N_OUT, B) result");
     else {{
+        int finite;
         Py_BEGIN_ALLOW_THREADS
-        run_batch(x.buf, x.strides[0] / (Py_ssize_t)sizeof(double),
-                  x.strides[1] / (Py_ssize_t)sizeof(double), y.buf, x.shape[1]);
+        finite = run_batch(x.buf, x.strides[0] / (Py_ssize_t)sizeof(double),
+                           x.strides[1] / (Py_ssize_t)sizeof(double), y.buf, x.shape[1]);
         Py_END_ALLOW_THREADS
-        res = Py_NewRef(Py_None);
+        res = PyBool_FromLong(finite);
     }}
     PyBuffer_Release(&y);
     PyBuffer_Release(&x);
@@ -530,20 +536,24 @@ def _check_batch(n: int) -> np.ndarray:
 def _agrees(prog, fn, module) -> bool:
     """Whether ``batch`` equals prog (fn over column chunks) on the check batch
     and on a column-strided view of it, which runs the local-block gather,
-    and, on each column of it, given as a list of floats, as the strided
-    column and as a memoryview of that column (the NumPy C API and the PEP
-    3118 branch of ``read_block``), ``block`` equals fn and ``dft`` the NumPy
-    bridge (``reference._dft_bridge``)."""
+    and reports what prog reports for output 0 on both and on a copy with an
+    inf in a full block and a nan in the partial last one; and, on each
+    column of the check batch, given as a list of floats and as the strided
+    column, ``block`` equals fn and ``dft`` the NumPy bridge
+    (``reference._dft_bridge``)."""
     x = _check_batch(prog.n)
-    for v in (x, x[:, ::-2]):
-        out = np.empty((prog.n_outputs, v.shape[1]))
-        module.batch(v, out)
-        if out.tobytes() != prog(v).tobytes():
+    bad = x.copy()
+    bad[0, W + 2], bad[-1, -2] = np.inf, np.nan
+    for v in (x, x[:, ::-2], bad):
+        out, want = np.empty((2, prog.n_outputs, v.shape[1]))
+        if module.batch(v, out) is not prog(v, want):
+            return False
+        if v is not bad and out.tobytes() != want.tobytes():
             return False
     for v in x.T:
         vals = v.tolist()
         for entry, want in ((module.block, np.array(fn(vals))), (module.dft, _dft_bridge(v))):
-            for out in (entry(vals), entry(v), entry(memoryview(v))):
+            for out in (entry(vals), entry(v)):
                 if not (type(out) is np.ndarray and out.dtype == want.dtype
                         and out.tobytes() == want.tobytes()):
                     return False
@@ -563,8 +573,8 @@ def _warn(msg: str) -> None:
         if _warned or _closing:
             return
         _warned = True
-    warnings.warn(f"mindht: {msg}; kernel_flow runs the NumPy replay and fast_dht "
-                  "the Python kernel", RuntimeWarning)
+    warnings.warn(f"mindht: {msg}; fast_dht and kernel_flow run the kernel's emitted "
+                  "Python function", RuntimeWarning)
 
 
 def load(prog, fn):

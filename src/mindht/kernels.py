@@ -47,17 +47,20 @@ loaded it runs the Python function on one block and on each column chunk of
 an array, and the call that takes the length's count of blocks to
 ``COMPILE_AFTER`` or past it starts the same load on a background thread;
 ``dht_to_dft`` never compiles.  From then on ``fast_dht`` hands ``block``
-the raw input first: a list of floats or a 1-D float64 array goes straight
-to C (an exact ndarray is read through NumPy's C API, which leaves no
-buffer information on it), and only what ``block`` declines is read by
-``layers.read_block``, the Python side of the same one-block contract, or by
-``layers.read_blocks`` for an array of blocks.  Both array entry points
-read and convert their input (``layers.to_float64``) before ``_route`` runs
-it: as C ``batch`` once the module is loaded and the batch
+the raw input first: a list of floats or an exact 1-D float64 ndarray goes
+straight to C (read through NumPy's C API, which leaves no buffer
+information on it), and only what ``block`` declines is read by
+``layers.read_block``, the Python side of the same one-block contract.
+Every array of blocks takes one route, ``fast_dht(X, n, axis)``, which
+``kernel_flow(n)(X)`` calls with axis 0 once it has loaded the module:
+``layers.read_blocks`` reads and converts it (``layers.to_float64``), and
+``_route`` runs it, as C ``batch`` once the module is loaded and the batch
 is aligned with strides in whole elements, else as the Python function over
-column chunks (``_Program.__call__``, "the replay" in ``_backend`` and the
-fallback warning), which also runs wherever no module loads.  mindht._cgen
-is imported only by a load, not with mindht or by an array call.
+column chunks (``_Program.__call__``, "the replay" in ``_backend``), which
+also runs wherever no module loads.  Either reports whether output 0
+stayed finite, and only a batch whose output 0 did not is read again for
+inf and nan.  mindht._cgen is imported only by a load, not with mindht or
+by an array call.
 """
 
 from __future__ import annotations
@@ -68,8 +71,7 @@ import threading
 
 import numpy as np
 
-from .layers import (LAYER_SPECS, UnsupportedLengthError, cascade, check_size, read_block,
-                     read_blocks, to_float64)
+from .layers import LAYER_SPECS, cascade, check_size, read_block, read_blocks
 
 __all__ = [
     "SQRT2",
@@ -258,9 +260,9 @@ class _Kernel:
     pruned ``trace``, its schedule ``prog`` and the Python function ``fn``
     it emits, the C ``module``, its swapped-in ``block`` ``c`` and ``dft``
     (both None before that; ``reference.dht_to_dft`` calls ``dft``), the
-    blocks ``fast_dht`` has run before ``c`` was swapped in (``calls``,
-    counted toward ``COMPILE_AFTER``), and the values of the ``_derived``
-    functions, made under the record's ``lock`` into ``derived``.  The
+    blocks ``fast_dht`` has counted toward ``COMPILE_AFTER`` (``calls``),
+    and the values of the ``_derived`` functions, made under the record's
+    ``lock`` into ``derived``.  The
     module is loaded under ``load_lock``, apart from ``lock`` and
     ``_LOCK``, so a compile blocks neither a first derivation nor the
     making of a record."""
@@ -352,23 +354,29 @@ def _backend(n: int) -> str:
 
 def _route(k: _Kernel, x: np.ndarray) -> np.ndarray:
     """The float64 result of kernel record k on a float64 (n, ...) batch x,
-    read by its caller, in x's shape: the one batch router.
+    read by ``layers.read_blocks``, in x's shape: the one batch router.
 
-    x is viewed as (n, B) columns and run by C ``batch`` if k's module is
-    loaded and the columns are aligned with strides in whole elements, else
-    by the Python function, chunk by chunk (``prog(cols)``).  It loads
-    nothing: ``kernel_flow`` loads the module before it calls, and
+    x is viewed as (n, B) columns and run into a new (n, B) result by C
+    ``batch`` if k's module is loaded and the columns are aligned with
+    strides in whole elements, else by the Python function, chunk by chunk
+    (``prog(cols, out)``).  Either reports whether output 0, V[0], stayed
+    finite.  V[0] is the sum of the block: every input reaches it through
+    +, - and products by nonzero constants, and none of these turns inf or
+    nan finite (IEEE 754-2019 6.2), so a finite V[0] clears every sample.
+    Only a batch whose V[0] did not stay finite is read again: a sample that
+    is inf or nan raises ``ValueError("signal contains non-finite
+    samples")``, and finite samples whose sums overflow return inf or nan.
+    It loads nothing: ``kernel_flow`` loads the module before it calls, and
     ``fast_dht`` never waits for it.
     """
-    prog, module = k.prog, k.module
-    cols = x.reshape(prog.n, -1)
-    if (module is not None and module is not _UNTRIED and cols.flags.aligned
-            and not (cols.strides[0] % 8 or cols.strides[1] % 8)):
-        out = np.empty((prog.n_outputs, cols.shape[1]))
-        module.batch(cols, out)
-    else:
-        out = prog(cols)
-    return out.reshape(prog.n_outputs, *x.shape[1:])
+    prog, module, flat = k.prog, k.module, x.ndim == 2
+    cols = x if flat else x.reshape(prog.n, -1)
+    out = np.empty((prog.n_outputs, cols.shape[1]))
+    run = (module.batch if module is not None and module is not _UNTRIED and cols.flags.aligned
+           and not (cols.strides[0] % 8 or cols.strides[1] % 8) else prog)
+    if not run(cols, out) and not np.isfinite(cols).all():
+        raise ValueError("signal contains non-finite samples")
+    return out if flat else out.reshape(prog.n_outputs, *x.shape[1:])
 
 
 def kernel_flow(n: int):
@@ -376,33 +384,22 @@ def kernel_flow(n: int):
 
     Every call runs the kernel's one program, ``counting.trace(n)``.  On an
     ndarray with ndim >= 2, the n samples of each block along axis 0, it
-    reads the batch as float64 by the conversion rule of every input
-    (``layers.to_float64``: a batch that is not real numbers, such as bool,
-    string, object or complex, raises TypeError naming "batch", and any
-    dtype but float64 is copied once, a long double beyond float64's range
-    to inf, silently), checks that axis 0 is n, loads the length's C module
-    in the caller's thread if it is untried (``_load_c_block``), and has
-    ``_route`` run it: as generated C (mindht._cgen), else as the Python
-    function over column chunks (mindht.replay).  It returns one float64
-    ndarray of shape (n, ...); the input is never written to.
-    Any other input (a list, scalars, counting scalars, a 1-D array) runs the
-    program as a Python function and gets its list back.  Both paths do the
-    same IEEE operations in the same order, so each column equals the
-    one-block result on its floats bit for bit.  A call runs the program of
-    the ``_FLOWS[n]`` and ``LAYER_SPECS[n]`` of that moment, made anew after
-    either is replaced.
+    loads the length's C module in the caller's thread if it is untried
+    (``_load_c_block``) and returns ``fast_dht(v, n, 0)``: the batch is read
+    and run by the one array route, under its contract and with its errors,
+    which name the input "signal".  Any other input (a list, scalars,
+    counting scalars, a 1-D array) runs the program as a Python function
+    and gets its list back.  Both paths do the same IEEE operations in the
+    same order, so each column equals the one-block result on its floats bit
+    for bit.  A call runs the program of the ``_FLOWS[n]`` and
+    ``LAYER_SPECS[n]`` of that moment, made anew after either is replaced.
     """
     check_size(n)
 
     def kernel(v):
         if isinstance(v, np.ndarray) and v.ndim >= 2:
-            x = to_float64(v, "batch")
-            if x.shape[0] != n:
-                raise UnsupportedLengthError(f"batch has shape {x.shape}, expected ({n}, ...): "
-                                             "axis 0 holds the samples of each block")
-            k = _kernel(n)
-            _load_c_block(k)
-            return _route(k, x)
+            _load_c_block(_kernel(n))
+            return fast_dht(v, n, 0)
         return _kernel(n).fn(v)
 
     return kernel
@@ -435,26 +432,30 @@ def fast_dht(v, n: int | None = None, axis: int = -1) -> np.ndarray:
     Once the length's C module is loaded, n is omitted or an ``int`` equal
     to ``len(v)`` and axis is -1, the raw input goes to its ``block(v)``
     (mindht._cgen) first, which reads a list or tuple of Python floats in
-    place, or a 1-D float64 array of any stride (an exact ndarray through
-    NumPy's C API, any other buffer through PEP 3118), checks for inf and
-    nan in C and returns the result it makes.  An ndarray with ndim >= 2,
-    which ``block`` declines, is read as blocks along ``axis`` by ``layers.read_blocks``, with the
-    one-block contract for each block, and ``_route`` runs them with the
-    length's record, checking nothing again: as C ``batch`` if the module
-    is already loaded, else as the Python function over column chunks; the
-    float64 result has v's shape.
+    place, or an exact 1-D float64 ndarray of any stride through NumPy's C
+    API, checks for inf and nan in C and returns the result it makes.  An
+    ndarray with ndim >= 2 is read as blocks along ``axis`` by
+    ``layers.read_blocks``, with the one-block contract for each block, and
+    ``_route`` runs them with the length's record: as C ``batch`` if the
+    module is already loaded, else as the Python function over column
+    chunks, with the screen for inf and nan in the same pass; the float64
+    result has v's shape.  This is the one array route: ``kernel_flow(n)(X)``
+    is ``fast_dht(X, n, 0)``.
     Any other input, or any input before the module is loaded, is read by
     ``layers.read_block``, which reads real numbers (ints, float32 and the
-    other real dtypes) as float64 and refuses bools, strings, object arrays
-    and complex values with TypeError, and the kernel's program runs on the
-    floats it returns: as that ``block``, or before the module is loaded as
-    a Python function.  No call waits for a
-    compiler: once either route has run ``COMPILE_AFTER`` (1024) blocks of
-    a length, the call that crosses that count starts the module's load
-    (from the cache, else a compile) on a background thread, and ``block`` is swapped in when the module,
-    loaded by it or by a ``kernel_flow`` array call, has passed its load
-    check.  Every route gives the same bits, and the same error for the
-    same block.
+    other real dtypes, ndarray subclasses and memoryviews) as float64 and
+    refuses bools, strings, object arrays and complex values with
+    TypeError, and the kernel's program runs on the floats it returns: as
+    that ``block``, or before the module is loaded as a Python function.  No
+    call waits for a compiler: once either route has run ``COMPILE_AFTER``
+    (1024) blocks of a length, the call that crosses that count starts the
+    module's load (from the cache, else a compile) on a background thread,
+    and ``block`` is swapped in when the module, loaded by it or by a
+    ``kernel_flow`` array call, has passed its load check.  Every route
+    gives the same bits, and the same error for the same block, with one
+    exception: an array of blocks is screened for inf and nan after its
+    kernel pass, so where n is omitted an unsupported block length that
+    also holds a nan raises UnsupportedLengthError, not ValueError.
 
     Parameters
     ----------
@@ -489,9 +490,10 @@ def fast_dht(v, n: int | None = None, axis: int = -1) -> np.ndarray:
     if isinstance(v, np.ndarray) and v.ndim >= 2:
         blocks = read_blocks(v, n, axis)
         k = _kernel(len(blocks))
-        if k.c is None:
+        if k.module is _UNTRIED:  # so a kernel_flow batch, which loads first, counts nothing
             _count(k, blocks.size // len(blocks))
-        return _route(k, blocks).swapaxes(0, axis)
+        out = _route(k, blocks)
+        return out if type(axis) is int and not axis else out.swapaxes(0, axis)
     if axis != -1 and axis != 0:
         raise getattr(np, "exceptions", np).AxisError(axis, 1)  # np.exceptions: NumPy >= 1.25
     vals = read_block(v, n)

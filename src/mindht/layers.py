@@ -19,7 +19,8 @@ This module also holds the Python side of the input contract: ``is_integer``
 for a block length or order, ``to_float64``, the one conversion rule of every
 array, ``read_samples``, the one reader every 1-D input goes through,
 ``read_block``, which reads one block of a supported length with it, and
-``read_blocks``, which applies that contract to every block of an array.
+``read_blocks``, which applies that contract, all but its finite check, to
+every block of an array.
 """
 
 from __future__ import annotations
@@ -95,7 +96,7 @@ def to_float64(a: np.ndarray, what: str, complex_ok: bool = False) -> np.ndarray
     unchanged; any other dtype must pass ``check_kind`` and is converted to
     float64 (complex128 where complex_ok), a copy.  ints, float16 and float32
     convert exactly; a long double beyond float64's range becomes inf without
-    a warning, so the finite check, where there is one, is its one report."""
+    a warning, so the finite check of every reader is its one report."""
     if a.dtype is _F64:
         return a
     check_kind(a.dtype, what, complex_ok)
@@ -182,24 +183,28 @@ def read_block(v, n: int | None = None) -> list[float]:
 
 def read_blocks(x: np.ndarray, n: int | None = None, axis: int = -1) -> np.ndarray:
     """The blocks of an ndarray x with ndim >= 2, each a 1-D slice along axis,
-    as x read as float64 with axis swapped to the front (``swapaxes(axis, 0)``),
-    so each block's m samples lie along axis 0.
+    as x read as float64 with axis swapped to the front (``swapaxes(axis, 0)``,
+    not made where axis is the int 0), so each block's m samples lie along
+    axis 0.
 
     This is ``read_block`` applied to every block, with its errors in its
-    order: given, n is checked first; x is converted by ``to_float64``, once
-    and whole, so its dtype must pass the kind rule and it is a copy unless x
-    is float64; each block must have shape (n,), or be non-empty where n is
-    omitted; a sample that is inf or nan raises
-    ``ValueError("signal contains non-finite samples")``; and m must be a
-    supported block length.  An axis x does not have raises NumPy's AxisError.
+    order, less the finite check: given, n is checked first; x is converted
+    by ``to_float64``, once and whole, so its dtype must pass the kind rule
+    and it is a copy unless x is float64; each block must have shape (n,),
+    or be non-empty where n is omitted; and m must be a supported block
+    length.  Where m equals the n given, both of those checks hold and are
+    not made.  An axis x does not have raises NumPy's AxisError.  A sample
+    that is inf or nan is found by the kernel pass that follows
+    (``kernels._route``).
     """
     if n is not None:
         check_size(n)
-    blocks = to_float64(x, "signal").swapaxes(axis, 0)
-    _check_shape(blocks.shape[:1], n, "signal")
-    if not np.isfinite(blocks).all():
-        raise ValueError("signal contains non-finite samples")
-    check_size(len(blocks))
+    blocks = to_float64(x, "signal")
+    if type(axis) is not int or axis:
+        blocks = blocks.swapaxes(axis, 0)
+    if len(blocks) != n:
+        _check_shape(blocks.shape[:1], n, "signal")
+        check_size(len(blocks))
     return blocks
 
 

@@ -84,19 +84,19 @@ class _Program:
 
         return [f"{name(*o)} = {name(*a)} {op} {name(*b)}" for op, a, b, o in self.ops]
 
-    def __call__(self, cols: np.ndarray) -> np.ndarray:
-        """The (n_outputs, B) float64 result of (n, B) float64 columns, the twin
-        of C ``batch``; its callers have converted them (``layers.to_float64``).
+    def __call__(self, cols: np.ndarray, out: np.ndarray) -> bool:
+        """The kernel on (n, B) float64 columns into the (n_outputs, B) float64
+        out, the twin of C ``batch``: whether row 0 of out, V[0], is all finite.
+        Its callers have converted the columns (``layers.to_float64``).
 
         ``fn`` runs once per chunk of CHUNK_COLUMNS columns, on the chunk's
         rows, without warnings: a chunk whose result overflows gives inf or
         nan silently, as C ``batch`` and the one-block kernels do.
         """
-        out = np.empty((self.n_outputs, cols.shape[1]))
         with np.errstate(over="ignore", invalid="ignore"):
             for c0 in range(0, cols.shape[1], CHUNK_COLUMNS):
                 out[:, c0:c0 + CHUNK_COLUMNS] = self.fn(cols[:, c0:c0 + CHUNK_COLUMNS])
-        return out
+        return bool(np.isfinite(out[0]).all())
 
 
 def _emit(prog: _Program):

@@ -271,7 +271,7 @@ def test_overflowing_batch_gives_the_same_bits_without_a_warning(n):
         warnings.simplefilter("error")
         batch = kernel_flow(n)(x)
         converted = kernel_flow(n)(x.astype(np.longdouble))
-        replayed = kernels._kernel(n).prog(x)
+        replayed = run_prog(kernels._kernel(n).prog, x)
         blocks = np.array([fast_dht(x[:, j].tolist()) for j in range(3)]).T
     assert np.isinf(batch).any() and np.isnan(batch).any()
     assert same_bits(batch, converted)
@@ -403,6 +403,13 @@ def same_bits(a, b):
     return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
+def run_prog(prog, x):
+    """The Python executor's (n_outputs, B) result on float64 columns x."""
+    out = np.empty((prog.n_outputs, x.shape[1]))
+    prog(x, out)
+    return out
+
+
 @pytest.mark.parametrize("n", SUPPORTED_SIZES)
 @pytest.mark.parametrize(
     "blocks", [1, CHUNK_COLUMNS - 1, CHUNK_COLUMNS, CHUNK_COLUMNS + 1, 3 * CHUNK_COLUMNS + 5]
@@ -439,7 +446,7 @@ def test_array_call_runs_the_function_once_per_chunk(n, monkeypatch):
     monkeypatch.setattr(k.prog, "fn", counted)
     with warnings.catch_warnings(record=True) as seen:
         warnings.simplefilter("always")
-        out = k.prog(x)
+        out = run_prog(k.prog, x)
     assert seen == []
     assert chunks == [(n, CHUNK_COLUMNS), (n, CHUNK_COLUMNS), (n, 3)]
     want = np.empty((k.prog.n_outputs, x.shape[1]))
@@ -512,13 +519,13 @@ def test_array_path_int_and_float32_computed_in_float64(n):
                         out, warned = recorded(lambda: kernel_flow(n)(y))
                     assert out.dtype == np.float64
                     assert same_bits(out, want)
-                    assert same_bits(out, kernels._kernel(n).prog(y.astype(float)))
+                    assert same_bits(out, run_prog(kernels._kernel(n).prog, y.astype(float)))
                     assert warned == want_warned == set()
                     if batched is not None:
                         assert len(batched) == 1 and batched[0].dtype == np.float64
                 else:
                     for call, what in ((lambda: fast_dht(y[:, 0]), "signal"),
-                                       (lambda: kernel_flow(n)(y), "batch")):
+                                       (lambda: kernel_flow(n)(y), "signal")):
                         with pytest.raises(TypeError) as exc:
                             call()
                         message = f"{what} must hold real numbers, got dtype {y.dtype}"
@@ -529,8 +536,127 @@ def test_array_path_int_and_float32_computed_in_float64(n):
 def test_array_path_rejects_wrong_block_axis():
     for name in BACKENDS:
         with forced(name):
-            with pytest.raises(UnsupportedLengthError, match=r"expected \(8, \.\.\.\)"):
+            with pytest.raises(UnsupportedLengthError) as exc:
                 kernel_flow(8)(np.zeros((12, 4)))
+            assert str(exc.value) == f"signal has shape (12,), expected (8,); {_LENGTHS}"
+
+
+NON_FINITE = (np.nan, np.inf, -np.inf)
+
+
+def non_finite_batches(n):
+    """(n, CHUNK_COLUMNS + 5) batches with one sample that is nan, inf or -inf:
+    each value at every row, each in turn in the first block, on both sides of
+    a W boundary and of a CHUNK_COLUMNS boundary, and in the last, partial
+    block; and a long double batch with one sample of 1e400, read as inf."""
+    x = np.random.default_rng(n + 251).uniform(-1.0, 1.0, (n, CHUNK_COLUMNS + 5))
+    columns = (0, W - 1, W, CHUNK_COLUMNS - 1, CHUNK_COLUMNS, CHUNK_COLUMNS + 4)
+    for a, bad in enumerate(NON_FINITE):
+        for row in range(n):
+            y = x.copy()
+            y[row, columns[(row + a) % len(columns)]] = bad
+            yield y
+    y = x.astype(np.longdouble)
+    y[n // 2, CHUNK_COLUMNS] = np.longdouble("1e400")
+    yield y
+
+
+@pytest.mark.parametrize("n", SUPPORTED_SIZES)
+def test_non_finite_batch_raises_on_every_route(n):
+    # the decided cell: kernel_flow(n)(X) and fast_dht along axis 0 and -1, on
+    # C batch and on the Python executor, raise the one-block ValueError for a
+    # batch with an inf or nan anywhere, without a warning
+    for name in BACKENDS:
+        with forced(name):
+            for y in non_finite_batches(n):
+                for call in (kernel_flow(n), lambda y: fast_dht(y, axis=0),
+                             lambda y: fast_dht(y.T)):
+                    with warnings.catch_warnings(record=True) as seen:
+                        warnings.simplefilter("always")
+                        with pytest.raises(ValueError) as exc:
+                            call(y)
+                    assert str(exc.value) == "signal contains non-finite samples"
+                    assert seen == []
+
+
+@pytest.mark.parametrize("n", SUPPORTED_SIZES)
+def test_output_zero_reaches_every_input_through_nonzero_constants(n):
+    """The condition the screen for inf and nan rests on (``kernels._route``):
+    in the shipped trace, output 0 reads every input, and every node is +, -
+    or a product by a finite nonzero constant.  None of these turns inf or
+    nan finite (IEEE 754-2019 6.2), so a batch whose output 0 is all finite
+    holds no inf or nan, and only a flagged batch need be read again."""
+    traced = counting.trace(n)
+    assert {op for op, _, _ in traced.nodes[n:]} <= {"+", "-", "*"}
+    assert all(c != 0.0 and math.isfinite(c) for op, _, c in traced.nodes if op == "*")
+    reached, todo = set(), [traced.outputs[0]]
+    while todo:
+        k = todo.pop()
+        if k not in reached:
+            reached.add(k)
+            op, a, b = traced.nodes[k]
+            todo += [] if op == "in" else [a] if op == "*" else [a, b]
+    assert reached >= set(range(n))
+
+
+@pytest.mark.parametrize("n", SUPPORTED_SIZES)
+def test_c_batch_reports_output_zero_as_the_python_executor_does(n):
+    # across blocks, tiles of 8 blocks and a partial last block, contiguous
+    # and reversed: C batch and prog(cols, out) report the same for output 0
+    if not c_works():
+        pytest.skip("no working C compiler")
+    k = kernels._kernel(n)
+    module = kernels._load_c_block(k)
+    x = np.random.default_rng(n + 257).uniform(-1.0, 1.0, (n, 17 * W + 5))
+    out, want = np.empty((2, n, x.shape[1]))
+    for v in (x, x[:, ::-1]):
+        assert module.batch(v, out) is True and k.prog(v, want) is True
+    for j in range(x.shape[1]):
+        y = x.copy()
+        y[j % n, j] = NON_FINITE[j % 3]
+        for v in (y, y[:, ::-1]):
+            assert module.batch(v, out) is False and k.prog(v, want) is False
+
+
+def test_only_a_flagged_batch_is_read_again(monkeypatch):
+    # a finite batch is read once, by the kernel pass: no np.isfinite runs on
+    # it, only the Python executor's screen of each chunk's output 0
+    screened = []
+    real = np.isfinite
+
+    def isfinite(a, *args, **kwargs):
+        screened.append(np.ndim(a))
+        return real(a, *args, **kwargs)
+
+    monkeypatch.setattr(np, "isfinite", isfinite)
+    x = np.random.default_rng(263).uniform(-1.0, 1.0, (8, 40))
+    for name in BACKENDS:
+        with forced(name):
+            for call in (kernel_flow(8), lambda x: fast_dht(x, axis=0), lambda x: fast_dht(x.T)):
+                screened.clear()
+                call(x)
+                assert set(screened) <= {1}
+                y = x.copy()
+                y[3, 7] = np.nan
+                with pytest.raises(ValueError, match="^signal contains non-finite samples$"):
+                    call(y)
+                assert screened[-1] == 2  # read again
+
+
+def test_load_check_compares_the_finite_report_of_batch():
+    # a module whose batch computes the right bits but always reports output 0
+    # finite, or never, fails the load check
+    if not c_works():
+        pytest.skip("no working C compiler")
+    k = kernels._kernel(8)
+    module = kernels._load_c_block(k)
+    for report in (True, False):
+        def batch(x, y, report=report):
+            module.batch(x, y)
+            return report
+
+        entries = SimpleNamespace(batch=batch, block=module.block, dft=module.dft)
+        assert not _cgen._agrees(k.prog, k.fn, entries)
 
 
 def test_other_inputs_run_the_pruned_program():
@@ -671,7 +797,7 @@ def test_one_block_and_array_paths_share_one_schedule(fresh_kernels, monkeypatch
         else:
             prog = kernels._kernel(n).prog
             fast_dht(v)
-        assert same_bits(prog(v[:, None])[:, 0], fast_dht(v))
+        assert same_bits(run_prog(prog, v[:, None])[:, 0], fast_dht(v))
     assert made == list(SUPPORTED_SIZES)
 
 
@@ -913,9 +1039,9 @@ def test_inputs_the_c_kernels_do_not_take_run_the_replay(fresh_kernels, monkeypa
     ran = []
     real = replay._Program.__call__
 
-    def replayed(prog, cols):
+    def replayed(prog, cols, out):
         ran.append((cols, kernels._KERNELS[8].module))
-        return real(prog, cols)
+        return real(prog, cols, out)
 
     monkeypatch.setattr(replay._Program, "__call__", replayed)
     rng = np.random.default_rng(53)
@@ -939,8 +1065,8 @@ def test_inputs_the_c_kernels_do_not_take_run_the_replay(fresh_kernels, monkeypa
 @pytest.mark.parametrize("dtype", [np.float64, np.int64, np.float32, np.float16, ">f8",
                                    np.longdouble])
 def test_each_batch_call_applies_the_kind_rule_once(monkeypatch, dtype):
-    # fast_dht(X) reads X once (layers.read_blocks, "signal"), kernel_flow(n)(X)
-    # once, as a batch; kernels._route only routes and applies no rule of its own.
+    # fast_dht(X) and kernel_flow(n)(X), which is fast_dht(X, n, 0), read X once
+    # (layers.read_blocks, "signal"); kernels._route applies no rule of its own.
     # float64 is passed through without the rule, as every reader passes it.
     seen = []
     real = layers.check_kind
@@ -956,7 +1082,7 @@ def test_each_batch_call_applies_the_kind_rule_once(monkeypatch, dtype):
     for name in BACKENDS:
         with forced(name):
             for call, what in ((lambda: fast_dht(x.T), "signal"),
-                               (lambda: kernel_flow(8)(x), "batch")):
+                               (lambda: kernel_flow(8)(x), "signal")):
                 seen.clear()
                 call()
                 assert seen == ([] if dtype is np.float64 else [what])
@@ -1392,8 +1518,8 @@ def test_failing_compiler_falls_back_with_one_warning(fresh_kernels, monkeypatch
         warnings.simplefilter("always")
         falls_back_on_both_paths(61)
     assert [w.category for w in seen] == [RuntimeWarning]
-    assert "kernel_flow runs the NumPy replay" in str(seen[0].message)
-    assert "fast_dht the Python kernel" in str(seen[0].message)
+    assert str(seen[0].message).endswith(
+        "; fast_dht and kernel_flow run the kernel's emitted Python function")
     assert cached_files() == []
 
 
@@ -1657,16 +1783,16 @@ def test_c_block_takes_strided_read_only_and_other_dtype_input(n):
 
 
 class _Subclass(np.ndarray):
-    """An ndarray subclass, which C ``read_block`` reads through PEP 3118."""
+    """An ndarray subclass, which C ``read_block`` declines."""
 
 
 def one_block_inputs():
     """For the C entry points of length 8: argument tuples of the wrong length,
     inputs they decline, and inputs they take (all of them eight ones).
 
-    Exact ndarrays are read through NumPy's C API, every other buffer (a
-    subclass, a memoryview) through PEP 3118; both branches decline a 0-d
-    array, a wider long double and a swapped byte order."""
+    Exact ndarrays are read through NumPy's C API, which declines a 0-d
+    array, a wider long double and a swapped byte order; every other buffer
+    (a subclass view, a memoryview) is declined whole."""
     x, y = np.ones(8), np.empty(8)
     frozen = np.empty(8)
     frozen.flags.writeable = False
@@ -1679,11 +1805,12 @@ def one_block_inputs():
                 np.float64(1.0), memoryview(x.astype(np.float32)), b"\0" * 64, "12345678", None,
                 floats[:7], floats + [1.0], [1] * 8, [True] * 8, [np.float64(1.0)] * 8,
                 ["1.0"] * 8, [floats], (1.0,) * 7, floats[:7] + [1], floats[:7] + [np.float64(1)],
-                np.array(1.0), x.view(_Subclass).astype(">f8"))
+                np.array(1.0), x.view(_Subclass).astype(">f8"), memoryview(x), x.view(_Subclass),
+                np.ones(16).view(_Subclass)[::-2])
     if np.finfo(np.longdouble).nmant > np.finfo(np.float64).nmant:
         declined += (x.astype(np.longdouble), memoryview(x.astype(np.longdouble)))
-    taken = (x, floats, tuple(floats), memoryview(x), np.ones(16)[::2], np.ones(16)[::-2],
-             np.broadcast_to(1.0, 8), x.view(_Subclass), np.ones(16).view(_Subclass)[::-2])
+    taken = (x, floats, tuple(floats), np.ones(16)[::2], np.ones(16)[::-2],
+             np.broadcast_to(1.0, 8))
     return wrong_args, declined, taken
 
 
@@ -2024,7 +2151,7 @@ def test_c_block_and_c_dft_keep_no_buffer_information_on_a_float64_array():
 
 
 def test_c_block_load_check_reads_each_column_through_both_branches():
-    # a module whose PEP 3118 branch alone is wrong fails the load check
+    # a module whose list or ndarray branch alone is wrong fails the load check
     if not c_works():
         pytest.skip("no working C compiler")
     k = kernels._kernel(8)
@@ -2034,7 +2161,7 @@ def test_c_block_load_check_reads_each_column_through_both_branches():
         return lambda v: -entry(v) if isinstance(v, kind) else entry(v)
 
     assert _cgen._agrees(k.prog, k.fn, module)
-    for kind in (memoryview, np.ndarray, list):
+    for kind in (np.ndarray, list):
         for name in ("block", "dft"):
             entries = {"batch": module.batch, "block": module.block, "dft": module.dft}
             entries[name] = wrong_on(kind, entries[name])
