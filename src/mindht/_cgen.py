@@ -29,14 +29,18 @@ or shape):
     inf and nan from overflowing sums included.  Its error is
     ``ValueError("spectrum contains non-finite samples")``.
 ``batch(x, y)``
-    The kernel on float64 arrays, through the buffer protocol: x is (n, B)
-    with element strides, y the C-contiguous (n_outputs, B) result.  It
-    walks the batch in blocks of W columns.  Every input, output and
-    register is one GCC vector-extension value of W doubles, so each node is
-    one vector operation; a block is loaded from each input row and stored
-    into each row of the result directly.  Only a column stride other than 1
-    and the last, partial block go through a local block of W columns, so
-    Fortran-ordered, transposed and reversed inputs need no copy.  It runs
+    The kernel on float64 arrays, read through NumPy's C API, which keeps
+    nothing on them: x is any native float64 (n, B) ndarray, read at its
+    byte strides, so an unaligned x and one whose strides are not whole
+    elements are taken as they are; y is the exact C-contiguous, aligned
+    and writable float64 (n_outputs, B) result.  Any other argument raises
+    TypeError before y is written.  It walks the batch in blocks of W
+    columns.  Every input, output and register is one GCC vector-extension
+    value of W doubles, so each node is one vector operation; a block is
+    loaded from each input row and stored into each row of the result
+    directly.  Only a column stride other than 8 bytes and the last,
+    partial block go through a local block of W columns, so Fortran-ordered,
+    transposed, reversed and packed inputs need no copy.  It runs
     without the interpreter lock, and returns whether row 0 of y, V[0], is
     all finite: row 0 of each block is screened right after it is stored,
     while it is in L1, by an OR-ed mask: a screen inside the block body
@@ -69,10 +73,11 @@ and that probe are killed at exit before the directory is removed; a forked
 child forgets the parent's directory and makes its own.
 
 After loading, cached or not, ``batch`` runs once on a fixed batch of signed
-zeros, subnormals and mixed magnitudes and on a column-strided view of it,
-and must equal ``prog`` on it (fn run once per column chunk) bit for bit and
-report what ``prog`` reports for output 0 on both and on a copy with an inf
-in a full block and a nan in the partial last one; ``block`` runs on every
+zeros, subnormals and mixed magnitudes, on a column-strided view of it and
+on an unaligned copy of it with a 9-byte column stride, and must equal
+``prog`` on them (fn run once per column chunk) bit for bit and report what
+``prog`` reports for output 0 on all three and on a copy with an inf in a
+full block and a nan in the partial last one; ``block`` runs on every
 column of that batch, as a list of floats and as the strided column, so
 both branches of ``read_block`` are checked, and must equal fn bit for bit,
 and so must ``dft`` against the NumPy bridge.  A cached object that fails to
@@ -124,7 +129,6 @@ _TEMPLATE = """\
 #include <float.h>
 #include <math.h>
 #include <stddef.h>
-#include <stdint.h>
 #include <string.h>
 #if !defined(FLT_EVAL_METHOD) || !(FLT_EVAL_METHOD == 0 || FLT_EVAL_METHOD == 1 \\
     || FLT_EVAL_METHOD == 16 || FLT_EVAL_METHOD == 32 || FLT_EVAL_METHOD == 64)
@@ -152,22 +156,26 @@ static __attribute__((noinline)) int nonfinite(const double *y)
 }}
 
 /* The kernel on the (N, width) columns at x, row stride rs and column stride
-   cs in doubles, into the C-contiguous (N_OUT, width) result y; 1 if row 0,
+   cs in bytes, into the C-contiguous (N_OUT, width) result y; 1 if row 0,
    V[0], is all finite.  Each block's row 0 is screened once it is stored. */
-static int run_batch(const double *x, ptrdiff_t rs, ptrdiff_t cs, double *y, ptrdiff_t width)
+static int run_batch(const char *x, ptrdiff_t rs, ptrdiff_t cs, double *y, ptrdiff_t width)
 {{
     double xb[N][W], yb[N_OUT][W];
     int bad = 0;
     for (ptrdiff_t c0 = 0; c0 < width; c0 += W) {{
         ptrdiff_t w = width - c0 < W ? width - c0 : W, ps = rs, qs = width;
-        const double *p = x + c0 * cs;
+        const char *p = x + c0 * cs;
         double *q = y + c0;
-        if (cs != 1 || w < W) {{
+        if (cs != (ptrdiff_t)sizeof(double) || w < W) {{
             for (ptrdiff_t i = 0; i < N; i++)
-                for (ptrdiff_t j = 0; j < W; j++)
-                    xb[i][j] = j < w ? p[i * rs + j * cs] : 0.0;
-            p = xb[0];
-            ps = W;
+                for (ptrdiff_t j = 0; j < W; j++) {{
+                    double s = 0.0;
+                    if (j < w)
+                        memcpy(&s, p + i * rs + j * cs, sizeof(double));
+                    xb[i][j] = s;
+                }}
+            p = (const char *)xb;
+            ps = sizeof(xb[0]);
         }}
         if (w < W) {{
             q = yb[0];
@@ -180,15 +188,6 @@ static int run_batch(const double *x, ptrdiff_t rs, ptrdiff_t cs, double *y, ptr
         bad |= nonfinite(q);
     }}
     return !bad;
-}}
-
-/* A native float64 buffer: format "d", "=d" or "@d" and 8-byte items. */
-static int is_f64(const Py_buffer *b)
-{{
-    const char *f = b->format;
-    if (*f == '=' || *f == '@')
-        f++;
-    return f[0] == 'd' && f[1] == '\\0' && b->itemsize == sizeof(double);
 }}
 
 /* The one-block input contract of block and dft, read into xs: an exact list
@@ -271,34 +270,27 @@ static PyObject *dft(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
     return u;
 }}
 
+/* The kernel on x, a native float64 (N, B) ndarray read at its byte strides,
+   into y, an exact C-contiguous, aligned and writable float64 (N_OUT, B)
+   ndarray; whether row 0 of y, V[0], is all finite.  TypeError for any
+   other argument, before anything is written. */
 static PyObject *batch(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
 {{
-    Py_buffer x, y;
-    PyObject *res = NULL;
     if (nargs != 2)
         return PyErr_Format(PyExc_TypeError, "batch() takes 2 arguments (%zd given)", nargs);
-    if (PyObject_GetBuffer(args[0], &x, PyBUF_RECORDS_RO) < 0)
-        return NULL;
-    if (PyObject_GetBuffer(args[1], &y, PyBUF_WRITABLE | PyBUF_FORMAT | PyBUF_ND) < 0) {{
-        PyBuffer_Release(&x);
-        return NULL;
-    }}
-    if (!is_f64(&x) || x.ndim != 2 || x.shape[0] != N || (uintptr_t)x.buf % sizeof(double)
-        || x.strides[0] % (Py_ssize_t)sizeof(double) || x.strides[1] % (Py_ssize_t)sizeof(double)
-        || !is_f64(&y) || y.ndim != 2 || y.shape[0] != N_OUT || y.shape[1] != x.shape[1])
-        PyErr_SetString(PyExc_TypeError, "batch(x, y) takes an aligned float64 (N, B) array "
-                        "and a C-contiguous float64 (N_OUT, B) result");
-    else {{
-        int finite;
-        Py_BEGIN_ALLOW_THREADS
-        finite = run_batch(x.buf, x.strides[0] / (Py_ssize_t)sizeof(double),
-                           x.strides[1] / (Py_ssize_t)sizeof(double), y.buf, x.shape[1]);
-        Py_END_ALLOW_THREADS
-        res = PyBool_FromLong(finite);
-    }}
-    PyBuffer_Release(&y);
-    PyBuffer_Release(&x);
-    return res;
+    PyArrayObject *x = (PyArrayObject *)args[0], *y = (PyArrayObject *)args[1];
+    if (!PyArray_Check(x) || PyArray_TYPE(x) != NPY_DOUBLE || !PyArray_ISNOTSWAPPED(x)
+        || PyArray_NDIM(x) != 2 || PyArray_DIM(x, 0) != N || !PyArray_CheckExact(y)
+        || PyArray_TYPE(y) != NPY_DOUBLE || !PyArray_ISCARRAY(y) || PyArray_NDIM(y) != 2
+        || PyArray_DIM(y, 0) != N_OUT || PyArray_DIM(y, 1) != PyArray_DIM(x, 1))
+        return PyErr_Format(PyExc_TypeError, "batch(x, y) takes a float64 (%d, B) array and a "
+                            "C-contiguous float64 (%d, B) result", N, N_OUT);
+    int finite;
+    Py_BEGIN_ALLOW_THREADS
+    finite = run_batch(PyArray_BYTES(x), PyArray_STRIDE(x, 0), PyArray_STRIDE(x, 1),
+                       PyArray_DATA(y), PyArray_DIM(x, 1));
+    Py_END_ALLOW_THREADS
+    return PyBool_FromLong(finite);
 }}
 
 static PyMethodDef methods[] = {{
@@ -337,7 +329,7 @@ def source(prog) -> str:
 
     pad = " " * 8
     batch = [pad + "vd " + ", ".join(xs) + ";"]
-    batch += [f"{pad}memcpy(&x{i}, &p[{i} * ps], sizeof(vd));" for i in range(n)]
+    batch += [f"{pad}memcpy(&x{i}, p + {i} * ps, sizeof(vd));" for i in range(n)]
     batch.append(pad + "vd " + ", ".join(rows) + ";")
     batch += [f"{pad}{s};" for s in statements]
     batch += [f"{pad}memcpy(&q[{i} * qs], &y{i}, sizeof(vd));" for i in range(n_out)]
@@ -534,17 +526,20 @@ def _check_batch(n: int) -> np.ndarray:
 
 
 def _agrees(prog, fn, module) -> bool:
-    """Whether ``batch`` equals prog (fn over column chunks) on the check batch
-    and on a column-strided view of it, which runs the local-block gather,
-    and reports what prog reports for output 0 on both and on a copy with an
-    inf in a full block and a nan in the partial last one; and, on each
+    """Whether ``batch`` equals prog (fn over column chunks) on the check batch,
+    on a column-strided view of it and on an unaligned copy of it with a
+    9-byte column stride, the last two run by the local-block gather, and
+    reports what prog reports for output 0 on all three and on a copy with
+    an inf in a full block and a nan in the partial last one; and, on each
     column of the check batch, given as a list of floats and as the strided
     column, ``block`` equals fn and ``dft`` the NumPy bridge
     (``reference._dft_bridge``)."""
     x = _check_batch(prog.n)
     bad = x.copy()
     bad[0, W + 2], bad[-1, -2] = np.inf, np.nan
-    for v in (x, x[:, ::-2], bad):
+    packed = np.zeros(x.shape, [("pad", "u1"), ("v", "f8")])["v"]
+    packed[...] = x
+    for v in (x, x[:, ::-2], packed, bad):
         out, want = np.empty((2, prog.n_outputs, v.shape[1]))
         if module.batch(v, out) is not prog(v, want):
             return False

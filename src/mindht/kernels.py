@@ -54,13 +54,13 @@ information on it), and only what ``block`` declines is read by
 Every array of blocks takes one route, ``fast_dht(X, n, axis)``, which
 ``kernel_flow(n)(X)`` calls with axis 0 once it has loaded the module:
 ``layers.read_blocks`` reads and converts it (``layers.to_float64``), and
-``_route`` runs it, as C ``batch`` once the module is loaded and the batch
-is aligned with strides in whole elements, else as the Python function over
-column chunks (``_Program.__call__``, "the replay" in ``_backend``), which
-also runs wherever no module loads.  Either reports whether output 0
-stayed finite, and only a batch whose output 0 did not is read again for
-inf and nan.  mindht._cgen is imported only by a load, not with mindht or
-by an array call.
+``_route`` runs it, as C ``batch`` once the module is loaded, which reads
+any float64 batch at its byte strides through NumPy's C API, else as the
+Python function over column chunks (``_Program.__call__``, "the replay" in
+``_backend``), which also runs wherever no module loads.  Either reports
+whether output 0 stayed finite, and only a batch whose output 0 did not is
+read again for inf and nan.  mindht._cgen is imported only by a load, not
+with mindht or by an array call.
 """
 
 from __future__ import annotations
@@ -357,8 +357,8 @@ def _route(k: _Kernel, x: np.ndarray) -> np.ndarray:
     read by ``layers.read_blocks``, in x's shape: the one batch router.
 
     x is viewed as (n, B) columns and run into a new (n, B) result by C
-    ``batch`` if k's module is loaded and the columns are aligned with
-    strides in whole elements, else by the Python function, chunk by chunk
+    ``batch`` if k's module is loaded, which reads them where they lie at
+    any byte strides, else by the Python function, chunk by chunk
     (``prog(cols, out)``).  Either reports whether output 0, V[0], stayed
     finite.  V[0] is the sum of the block: every input reaches it through
     +, - and products by nonzero constants, and none of these turns inf or
@@ -372,8 +372,7 @@ def _route(k: _Kernel, x: np.ndarray) -> np.ndarray:
     prog, module, flat = k.prog, k.module, x.ndim == 2
     cols = x if flat else x.reshape(prog.n, -1)
     out = np.empty((prog.n_outputs, cols.shape[1]))
-    run = (module.batch if module is not None and module is not _UNTRIED and cols.flags.aligned
-           and not (cols.strides[0] % 8 or cols.strides[1] % 8) else prog)
+    run = module.batch if module is not None and module is not _UNTRIED else prog
     if not run(cols, out) and not np.isfinite(cols).all():
         raise ValueError("signal contains non-finite samples")
     return out if flat else out.reshape(prog.n_outputs, *x.shape[1:])

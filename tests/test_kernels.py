@@ -1029,21 +1029,23 @@ def test_one_block_axes_are_minus_one_and_zero():
                         fast_dht(x, axis=axis)
 
 
-def test_inputs_the_c_kernels_do_not_take_run_the_replay(fresh_kernels, monkeypatch):
-    # C batch takes aligned float64 with strides in whole elements: an
-    # unaligned or packed float64 batch, which kernel_flow does not copy, still
-    # loads the module first, as every kernel_flow array call does, then runs
-    # the replay on the batch itself.  Converted dtypes are aligned copies and
-    # run C batch (test_array_path_int_and_float32_computed_in_float64).
+def test_unaligned_and_packed_batches_run_c_batch_in_place(fresh_kernels, monkeypatch):
+    # C batch reads any native float64 (n, B) array at its byte strides: an
+    # unaligned or packed float64 batch, which kernel_flow does not copy, runs
+    # C batch on the batch itself once the module is loaded, and the Python
+    # function where none builds, with the same bits either way
     monkeypatch.setattr(_cgen, "_warned", True)  # no fallback warning without a compiler
-    ran = []
+    replayed = []
     real = replay._Program.__call__
 
-    def replayed(prog, cols, out):
-        ran.append((cols, kernels._KERNELS[8].module))
+    def replay_call(prog, cols, out):
+        replayed.append(cols)
         return real(prog, cols, out)
 
-    monkeypatch.setattr(replay._Program, "__call__", replayed)
+    monkeypatch.setattr(replay._Program, "__call__", replay_call)
+    c = kernels._load_c_block(kernels._kernel(8)) is not None
+    assert c == c_works()
+    batched = spy_c_batch(monkeypatch, 8) if c else []
     rng = np.random.default_rng(53)
     x = rng.uniform(-1.0, 1.0, (8, 40))
     raw = np.zeros(8 * 40 * 8 + 4, np.uint8)
@@ -1053,13 +1055,13 @@ def test_inputs_the_c_kernels_do_not_take_run_the_replay(fresh_kernels, monkeypa
     packed[...] = x
     assert not unaligned.flags.aligned and packed.strides[1] % 8
     for y in (unaligned, packed):
+        replayed.clear()
+        batched.clear()
         out = kernel_flow(8)(y)
-        assert out.dtype == np.float64
         assert same_bits(out, scalar_columns(8, np.asarray(y, float)))
-        cols, module = ran[-1]
-        assert np.shares_memory(cols, y)  # the replay ran on y itself, not a copy
-        # ... after the module was loaded, or tried where none builds
-        assert module is (kernels._load_c_block(kernels._KERNELS[8]) if c_works() else None)
+        [cols] = batched if c else replayed
+        assert not (replayed if c else batched)
+        assert np.shares_memory(cols, y)  # it ran on y itself, not a copy
 
 
 @pytest.mark.parametrize("dtype", [np.float64, np.int64, np.float32, np.float16, ">f8",
@@ -2130,24 +2132,39 @@ def test_c_dft_takes_what_c_block_takes():
         assert type(out) is np.ndarray and out.tobytes() == want
 
 
-def test_c_block_and_c_dft_keep_no_buffer_information_on_a_float64_array():
+def test_c_block_c_dft_and_c_batch_keep_no_buffer_information_on_a_float64_array():
     # the PEP 3118 export of an ndarray leaves 72 bytes of buffer information
-    # on it for its lifetime; NumPy's C API leaves none
+    # on it for its lifetime; NumPy's C API leaves none, on one block or on
+    # the batch and the result of the array route
     if not c_works():
         pytest.skip("no working C compiler")
     k = kernels._kernel(8)
     kernels._load_c_block(k)
+    flow = kernel_flow(8)
     V = np.random.default_rng(127).uniform(-1.0, 1.0, 8)
-    spectrum, block = k.dft(V.copy()), k.c(V.copy())  # warm, on other arrays
+    X = np.random.default_rng(131).uniform(-1.0, 1.0, (8, 16))
+    # warm, on other arrays
+    spectrum, block, batch = k.dft(V.copy()), k.c(V.copy()), flow(X.copy())
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
         same = (k.dft(V).tobytes() == spectrum.tobytes(), k.c(V).tobytes() == block.tobytes())
         left = tracemalloc.get_traced_memory()[0] - before
+        before = tracemalloc.get_traced_memory()[0]
+        empty = np.empty(batch.shape)
+        fresh = tracemalloc.get_traced_memory()[0] - before
+        del empty
+        before = tracemalloc.get_traced_memory()[0]
+        flow(X)  # its result is deleted at once
+        left_by_flow = tracemalloc.get_traced_memory()[0] - before
+        before = tracemalloc.get_traced_memory()[0]
+        out = flow(X)
+        held = tracemalloc.get_traced_memory()[0] - before
     finally:
         tracemalloc.stop()
-    assert same == (True, True)
-    assert left == 0
+    assert same == (True, True) and out.tobytes() == batch.tobytes()
+    assert left == left_by_flow == 0
+    assert held <= fresh
 
 
 def test_c_block_load_check_reads_each_column_through_both_branches():
@@ -2166,6 +2183,63 @@ def test_c_block_load_check_reads_each_column_through_both_branches():
             entries = {"batch": module.batch, "block": module.block, "dft": module.dft}
             entries[name] = wrong_on(kind, entries[name])
             assert not _cgen._agrees(k.prog, k.fn, SimpleNamespace(**entries)), (kind, name)
+
+
+def test_c_batch_load_check_reads_an_unaligned_batch():
+    # a module whose batch is wrong only on an unaligned x, which the
+    # local-block gather reads at its byte strides, fails the load check
+    if not c_works():
+        pytest.skip("no working C compiler")
+    k = kernels._kernel(8)
+    module = kernels._load_c_block(k)
+
+    def batch(x, y):
+        finite = module.batch(x, y)
+        if not x.flags.aligned:
+            np.negative(y, out=y)
+        return finite
+
+    assert _cgen._agrees(k.prog, k.fn, module)
+    wrong = SimpleNamespace(batch=batch, block=module.block, dft=module.dft)
+    assert not _cgen._agrees(k.prog, k.fn, wrong)
+
+
+def test_c_batch_refuses_wrong_arrays_and_writes_nothing():
+    # batch(x, y) takes any native float64 (8, B) ndarray x, at any byte
+    # strides, and an exact C-contiguous, aligned, writable float64 (8, B)
+    # result y; anything else is a TypeError before y is written
+    if not c_works():
+        pytest.skip("no working C compiler")
+    k = kernels._kernel(8)
+    batch = kernels._load_c_block(k).batch
+    x = np.random.default_rng(241).uniform(-1.0, 1.0, (8, 5))
+    want = run_prog(k.prog, x).tobytes()
+    raw = np.zeros(x.nbytes + 4, np.uint8)
+    unaligned = np.ndarray(x.shape, float, raw, offset=4)
+    packed = np.zeros(x.shape, [("a", "i4"), ("v", "f8")])["v"]
+    unaligned[...] = packed[...] = x
+    for v in (x, unaligned, packed, np.asfortranarray(x), np.ascontiguousarray(x[:, ::-1])[:, ::-1],
+              x.view(_Subclass)):
+        y = np.empty((8, 5))
+        assert batch(v, y) is True and y.tobytes() == want
+
+    def full(shape=(8, 5), dtype=float, order="C"):
+        return np.full(shape, 7.0, dtype, order)
+
+    frozen = full()
+    frozen.flags.writeable = False
+    wrong = [(x.tolist(), full()), (memoryview(x), full())]
+    wrong += [(x.astype(dtype), full()) for dtype in (np.int64, np.float32, ">f8")]
+    wrong += [(x[:, 0].copy(), full()), (np.ones((9, 5)), full())]
+    wrong += [(x, y) for y in (full(order="F"), frozen, full().view(_Subclass),
+                               full(dtype=np.float32), full((8, 4)), full((9, 5)), full(40))]
+    for args in wrong:
+        with pytest.raises(TypeError, match=r"^batch\(x, y\) takes a float64 \(8, B\) array"):
+            batch(*args)
+        assert (np.asarray(args[1]) == 7.0).all()
+    for args in ((), (x,), (x, full(), full())):
+        with pytest.raises(TypeError, match=r"^batch\(\) takes 2 arguments"):
+            batch(*args)
 
 
 def test_c_dft_never_starts_a_compile(fresh_kernels, monkeypatch):
